@@ -229,19 +229,36 @@ pub struct DistOutcome {
     pub bytes_rx: u64,
 }
 
-/// What reader/accept threads report to the control loop.
+/// What reader/accept threads report to the control loop. `conn`
+/// numbers accepted connections, so events from a connection the
+/// coordinator has already written off are told apart from those of
+/// the slot's replacement worker.
 enum Event {
     /// A worker's connection is up (hello read); the stream is the
     /// write half the coordinator keeps.
-    Connected { worker: usize, writer: TcpStream },
+    Connected {
+        worker: usize,
+        conn: u64,
+        writer: TcpStream,
+    },
     /// One message from a connected worker.
-    Msg { worker: usize, msg: DistMsg },
+    Msg {
+        worker: usize,
+        conn: u64,
+        msg: DistMsg,
+    },
     /// A worker's connection died (hangup, defect, or I/O error).
-    Gone { worker: usize, reason: String },
+    Gone {
+        worker: usize,
+        conn: u64,
+        reason: String,
+    },
 }
 
 struct WorkerSlot {
     writer: Option<TcpStream>,
+    /// The connection `writer` belongs to.
+    conn: Option<u64>,
     child: Option<Child>,
     /// Outstanding expansion indices this slot owes.
     assigned: BTreeSet<usize>,
@@ -332,6 +349,7 @@ pub fn run_distributed(
     let mut slots: Vec<WorkerSlot> = (0..config.workers)
         .map(|w| WorkerSlot {
             writer: None,
+            conn: None,
             child: None,
             assigned: shard_indices(total, w, config.workers)
                 .into_iter()
@@ -378,13 +396,18 @@ pub fn run_distributed(
             break;
         }
         match rx.recv_timeout(tick) {
-            Ok(Event::Connected { worker, writer }) => {
+            Ok(Event::Connected {
+                worker,
+                conn,
+                writer,
+            }) => {
                 let Some(slot) = slots.get_mut(worker) else {
                     continue; // unknown slot: drop the connection
                 };
                 slot.last_seen = Instant::now();
                 slot.connected_once = true;
                 slot.writer = Some(writer);
+                slot.conn = Some(conn);
                 let assign = DistMsg::Assign {
                     indices: slot.assigned.iter().copied().collect(),
                     spec: Box::new(spec.clone()),
@@ -403,11 +426,16 @@ pub fn run_distributed(
                     )?;
                 }
             }
-            Ok(Event::Msg { worker, msg }) => {
+            Ok(Event::Msg { worker, conn, msg }) => {
                 let Some(slot) = slots.get_mut(worker) else {
                     continue;
                 };
-                slot.last_seen = Instant::now();
+                // Only the live connection vouches for the slot; results
+                // still in flight from a written-off one are kept (they
+                // are deterministic), and the done-bitmask dedups them.
+                if slot.conn == Some(conn) {
+                    slot.last_seen = Instant::now();
+                }
                 if let DistMsg::JobDone(result) = msg {
                     let index = result.index;
                     if index >= total || done[index] {
@@ -416,7 +444,12 @@ pub fn run_distributed(
                         continue;
                     }
                     done[index] = true;
-                    slot.assigned.remove(&index);
+                    // Whichever slot owes it (a re-dispatched job may
+                    // arrive from its first owner's dead connection).
+                    for owner in &mut slots {
+                        owner.assigned.remove(&index);
+                    }
+                    let slot = &mut slots[worker];
                     slot.jobs += 1;
                     completed += 1;
                     since_partial += 1;
@@ -454,19 +487,41 @@ pub fn run_distributed(
                         });
                         seq += 1;
                     }
-                    if chaos.is_some_and(|(w, after)| w == worker && slots[worker].jobs >= after) {
+                    if chaos.is_some_and(|(w, after)| w == worker && slots[worker].jobs >= after)
+                        && slots[worker].child.is_some()
+                    {
                         chaos = None;
                         // SIGKILL, not a polite shutdown: the fault
                         // tests assert recovery from the worst case.
-                        if let Some(child) = &mut slots[worker].child {
-                            let _ = child.kill();
-                        }
+                        // The death is declared here, not when the
+                        // socket reports it: every job the coordinator
+                        // has not yet accepted from this worker is
+                        // orphaned, however far the worker had got, so
+                        // the kill lands mid-shard by construction.
+                        handle_death(
+                            spec,
+                            config,
+                            &addr,
+                            &mut slots,
+                            worker,
+                            "killed by the chaos hook",
+                            &mut stats,
+                            recorder,
+                            &mut progress,
+                        )?;
                     }
                 }
                 // Heartbeat/ShardDone only refresh last_seen (above);
                 // completion is tracked per job, not per shard.
             }
-            Ok(Event::Gone { worker, reason }) => {
+            Ok(Event::Gone {
+                worker,
+                conn,
+                reason,
+            }) => {
+                if slots.get(worker).is_none_or(|s| s.conn != Some(conn)) {
+                    continue; // a connection already written off
+                }
                 handle_death(
                     spec,
                     config,
@@ -514,24 +569,26 @@ pub fn run_distributed(
         }
     }
 
-    // Tear the fleet down: a polite shutdown first, then reap children.
+    // Tear the fleet down: a polite shutdown to every worker first,
+    // then reap the children, so the workers exit side by side rather
+    // than each waiting for the one before it.
     for slot in &mut slots {
-        let told = if let Some(writer) = &mut slot.writer {
-            let ok = DistMsg::Shutdown.write_to(writer).is_ok();
+        let told = slot.writer.take().is_some_and(|mut writer| {
+            let ok = DistMsg::Shutdown.write_to(&mut writer).is_ok();
             let _ = writer.flush();
             ok
-        } else {
-            false
-        };
-        slot.writer = None;
+        });
+        slot.conn = None;
         if let Some(child) = &mut slot.child {
             // A child that never heard the shutdown (not yet connected,
             // or a dead socket) would block `wait()` forever.
             if cancelled || !told {
                 let _ = child.kill();
             }
-            let _ = child.wait();
         }
+    }
+    for child in slots.iter_mut().filter_map(|s| s.child.as_mut()) {
+        let _ = child.wait();
     }
     // Unblock the accept thread (it checks the flag after each accept).
     accept_done.store(true, Ordering::Relaxed);
@@ -613,6 +670,7 @@ fn handle_death(
 ) -> Result<(), DistError> {
     let slot = &mut slots[worker];
     slot.writer = None;
+    slot.conn = None;
     if let Some(child) = &mut slot.child {
         let _ = child.kill();
         let _ = child.wait();
@@ -690,7 +748,7 @@ fn accept_loop(
     done: &Arc<AtomicBool>,
     fault: Option<Arc<FaultPlan>>,
 ) {
-    loop {
+    for conn in 0.. {
         let Ok((stream, _)) = listener.accept() else {
             return;
         };
@@ -700,7 +758,7 @@ fn accept_loop(
         let tx = tx.clone();
         let bytes_rx = Arc::clone(bytes_rx);
         let fault = fault.clone();
-        std::thread::spawn(move || reader_loop(stream, &tx, &bytes_rx, fault));
+        std::thread::spawn(move || reader_loop(stream, conn, &tx, &bytes_rx, fault));
     }
 }
 
@@ -708,6 +766,7 @@ fn accept_loop(
 /// control loop until the stream dies.
 fn reader_loop(
     stream: TcpStream,
+    conn: u64,
     tx: &Sender<Event>,
     bytes_rx: &Arc<AtomicU64>,
     fault: Option<Arc<FaultPlan>>,
@@ -724,6 +783,7 @@ fn reader_loop(
     if tx
         .send(Event::Connected {
             worker,
+            conn,
             writer: stream,
         })
         .is_err()
@@ -733,7 +793,7 @@ fn reader_loop(
     loop {
         match read_counted(&mut reader, bytes_rx, faults) {
             Ok(msg) => {
-                if tx.send(Event::Msg { worker, msg }).is_err() {
+                if tx.send(Event::Msg { worker, conn, msg }).is_err() {
                     return;
                 }
             }
@@ -742,7 +802,11 @@ fn reader_loop(
                     WireError::Eof => "connection closed".to_string(),
                     other => other.to_string(),
                 };
-                let _ = tx.send(Event::Gone { worker, reason });
+                let _ = tx.send(Event::Gone {
+                    worker,
+                    conn,
+                    reason,
+                });
                 return;
             }
         }

@@ -18,7 +18,8 @@
 
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -105,16 +106,21 @@ pub fn run_worker(config: &WorkerConfig, recorder: &dyn Recorder) -> Result<u64,
     .write_to(&mut *lock(&writer))?;
 
     let jobs_done = Arc::new(AtomicU64::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
+    // The heartbeat thread waits on this channel between beats; dropping
+    // the sender when the worker is done wakes it at once, so leaving
+    // never waits out a cadence.
+    let (stop, stopped) = std::sync::mpsc::channel::<()>();
     let heartbeat = {
         let writer = Arc::clone(&writer);
         let jobs_done = Arc::clone(&jobs_done);
-        let stop = Arc::clone(&stop);
         let every = config.heartbeat_every;
         let fault = fault.clone();
+        // `true` when `pause` passed with the worker still running.
+        let wait = move |pause: Duration| {
+            matches!(stopped.recv_timeout(pause), Err(RecvTimeoutError::Timeout))
+        };
         std::thread::spawn(move || loop {
-            std::thread::sleep(every);
-            if stop.load(Ordering::Relaxed) {
+            if !wait(every) {
                 return;
             }
             // Chaos: delay this beat, pushing the worker toward (but not
@@ -123,7 +129,9 @@ pub fn run_worker(config: &WorkerConfig, recorder: &dyn Recorder) -> Result<u64,
                 .as_deref()
                 .and_then(|p| p.fires("dist.heartbeat_delay"))
             {
-                std::thread::sleep(Duration::from_millis(1 + bits % 200));
+                if !wait(Duration::from_millis(1 + bits % 200)) {
+                    return;
+                }
             }
             let beat = DistMsg::Heartbeat {
                 jobs_done: jobs_done.load(Ordering::Relaxed),
@@ -140,9 +148,7 @@ pub fn run_worker(config: &WorkerConfig, recorder: &dyn Recorder) -> Result<u64,
     };
 
     let outcome = assignment_loop(&mut reader, &engine, &writer, &jobs_done, &fault, recorder);
-    stop.store(true, Ordering::Relaxed);
-    // Unblock quickly: the heartbeat thread wakes at most one cadence
-    // later and exits on the stop flag.
+    drop(stop);
     let _ = heartbeat.join();
     outcome.map(|()| jobs_done.load(Ordering::Relaxed))
 }

@@ -17,8 +17,9 @@ fn launcher() -> WorkerLauncher {
 
 #[test]
 fn sigkilled_worker_is_respawned_and_no_job_is_lost() {
-    // Jobs heavy enough (≥ ~10ms each even in release) that the kill
-    // lands while worker 0 still owes most of its 10-job shard.
+    // 20 jobs, 10 per worker. The coordinator declares worker 0 dead
+    // the moment it kills it, so 8 of its jobs are orphaned however fast
+    // the worker ran them.
     let spec = SweepSpec::fractions(
         GeneratorPreset::LargeGraphs(2500),
         vec![2],

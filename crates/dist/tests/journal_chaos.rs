@@ -85,7 +85,8 @@ fn resumed_coordinator_replays_the_journal_and_executes_only_the_remainder() {
 
 #[test]
 fn seeded_fault_plan_kills_a_worker_and_no_job_is_lost() {
-    // Heavy enough jobs that the plan-drawn kill lands mid-shard.
+    // The plan-drawn kill (after 1–4 of a worker's 10 jobs) lands
+    // mid-shard: the coordinator orphans every job it has not accepted.
     let spec = SweepSpec::fractions(
         GeneratorPreset::LargeGraphs(2500),
         vec![2],

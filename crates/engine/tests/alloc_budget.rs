@@ -7,18 +7,40 @@
 //! (`simulate_makespan`, `solve_with` on a warm workspace), and the warm
 //! path must do strictly less heap work per call. A separate budget pins
 //! the steady-state allocations per *sweep cell* of a fully warmed engine.
+//!
+//! The harness runs these tests in parallel, so each measurement counts
+//! only its own work: the single-thread measurements read a per-thread
+//! counter, and the engine budget (whose pool allocates on other
+//! threads) reads the process-wide counter while holding [`MEASURE`]
+//! exclusively, which the other tests hold shared.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: delegates verbatim to `System`; the counter is the only addition.
+thread_local! {
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Held shared by the single-thread measurements and exclusively by the
+/// process-wide one, so no test allocates while the engine is counted.
+static MEASURE: RwLock<()> = RwLock::new(());
+
+fn count_one() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    // `try_with`: the allocator may run while thread-locals are torn down.
+    let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: delegates verbatim to `System`; the counters are the only addition.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -27,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -35,10 +57,30 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn allocations_during<T>(op: impl FnOnce() -> T) -> (u64, T) {
+/// Allocations `op` makes on the calling thread.
+fn thread_allocations_during<T>(op: impl FnOnce() -> T) -> (u64, T) {
+    let before = THREAD_ALLOCATIONS.with(Cell::get);
+    let value = op();
+    (THREAD_ALLOCATIONS.with(Cell::get) - before, value)
+}
+
+/// Allocations the whole process makes while `op` runs.
+fn process_allocations_during<T>(op: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let value = op();
     (ALLOCATIONS.load(Ordering::Relaxed) - before, value)
+}
+
+fn shared_measure() -> RwLockReadGuard<'static, ()> {
+    MEASURE
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+fn exclusive_measure() -> RwLockWriteGuard<'static, ()> {
+    MEASURE
+        .write()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 use hetrta_engine::{Engine, GeneratorPreset, SweepSpec};
@@ -70,6 +112,7 @@ fn sample_task(n_min: usize, n_max: usize) -> hetrta_dag::HeteroDagTask {
 
 #[test]
 fn warm_sim_workspace_allocates_an_order_less_than_the_cold_path() {
+    let _measure = shared_measure();
     let task = sample_task(60, 120);
     let platform = Platform::with_accelerator(4);
     let mut ws = SimWorkspace::new();
@@ -86,7 +129,7 @@ fn warm_sim_workspace_allocates_an_order_less_than_the_cold_path() {
     }
 
     const RUNS: u64 = 20;
-    let (cold, _) = allocations_during(|| {
+    let (cold, _) = thread_allocations_during(|| {
         for _ in 0..RUNS {
             // The pre-refactor shape: every call builds its own queues,
             // heaps and per-node arrays (and an intervals vector).
@@ -99,7 +142,7 @@ fn warm_sim_workspace_allocates_an_order_less_than_the_cold_path() {
             .unwrap();
         }
     });
-    let (warm, _) = allocations_during(|| {
+    let (warm, _) = thread_allocations_during(|| {
         for _ in 0..RUNS {
             simulate_makespan(
                 &mut ws,
@@ -126,6 +169,7 @@ fn warm_sim_workspace_allocates_an_order_less_than_the_cold_path() {
 
 #[test]
 fn warm_solver_workspace_allocates_less_than_the_cold_path() {
+    let _measure = shared_measure();
     let task = sample_task(14, 20);
     let config = SolverConfig::default();
     let mut ws = SolverWorkspace::new();
@@ -134,12 +178,12 @@ fn warm_solver_workspace_allocates_less_than_the_cold_path() {
     }
 
     const RUNS: u64 = 10;
-    let (cold, _) = allocations_during(|| {
+    let (cold, _) = thread_allocations_during(|| {
         for _ in 0..RUNS {
             solve(task.dag(), Some(task.offloaded()), 2, &config).unwrap();
         }
     });
-    let (warm, _) = allocations_during(|| {
+    let (warm, _) = thread_allocations_during(|| {
         for _ in 0..RUNS {
             solve_with(&mut ws, task.dag(), Some(task.offloaded()), 2, &config).unwrap();
         }
@@ -163,11 +207,12 @@ fn steady_state_engine_cells_fit_a_fixed_allocation_budget() {
         8,
         0x00A1_10C2,
     );
+    let _measure = exclusive_measure();
     let engine = Engine::new(1);
     engine.run(&spec).unwrap();
 
     let cells = 4u64;
-    let (steady, out) = allocations_during(|| engine.run(&spec).unwrap());
+    let (steady, out) = process_allocations_during(|| engine.run(&spec).unwrap());
     assert_eq!(out.stats.cached_jobs as usize, out.stats.jobs);
     const PER_CELL_BUDGET: u64 = 4_000;
     assert!(

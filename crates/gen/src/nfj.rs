@@ -1,6 +1,6 @@
 //! Nested fork-join DAG generation (the paper's generator, §5.1).
 
-use hetrta_dag::{Dag, DagBuilder, NodeId, Ticks};
+use hetrta_dag::{Dag, NodeId, Ticks};
 use rand::Rng;
 
 use crate::GenError;
@@ -83,10 +83,10 @@ impl NfjParams {
     /// The recursion depth is derived from the target size (the NFJ
     /// process grows geometrically with depth, roughly ×5 per level at
     /// `n_par = 8`), and the expansion probability is raised to `0.85` so
-    /// degenerate single-node samples are rare. Builder-first
-    /// construction freezes each accepted sample in `O(|V| + |E|)`, which
-    /// is what makes this tier practical: `hetrta engine sweep
-    /// --n-max 10000` sweeps ten-thousand-node DAGs.
+    /// degenerate single-node samples are rare. A rejected sample costs
+    /// only its random draws and the accepted one is frozen in one
+    /// `O(|V| + |E|)` pass, which is what makes this tier practical:
+    /// `hetrta engine sweep --n-max 10000` sweeps ten-thousand-node DAGs.
     ///
     /// # Examples
     ///
@@ -237,6 +237,18 @@ impl NfjParams {
 /// sink, and contains no transitive edges — it satisfies the paper's task
 /// model without post-processing.
 ///
+/// Samples outside `[n_min, n_max]` are rejected and redrawn. Each attempt
+/// is split in two passes: a *draw* pass makes all of the attempt's random
+/// draws and records them, and an *emit* pass turns the record into a
+/// [`Dag`] only for the accepted attempt. A rejected attempt therefore
+/// costs its draws and nothing else, which matters for narrow node ranges
+/// (about 30 attempts per accepted graph at 60–120 nodes). The draw pass
+/// makes the same calls in the same order as expanding a graph directly
+/// would (per expanded node: `gen_bool` unless at `max_depth`, then the
+/// fork WCET, the join WCET and the branch count; per terminal: its WCET),
+/// so the accepted graph and the state `rng` is left in are exactly those
+/// of building every attempt.
+///
 /// # Errors
 ///
 /// - [`GenError::InvalidParams`] for inconsistent parameters;
@@ -256,58 +268,262 @@ impl NfjParams {
 /// ```
 pub fn generate_nfj<R: Rng + ?Sized>(params: &NfjParams, rng: &mut R) -> Result<Dag, GenError> {
     params.validate()?;
-    for attempt in 1..=params.max_attempts {
-        // Accumulate the sample in the builder's nested adjacency and
-        // only freeze to CSR when the rejection sampler accepts it — one
-        // O(|V| + |E|) pass per accepted graph, none per rejected one.
-        let mut b = DagBuilder::new();
-        expand(&mut b, 0, params, rng);
-        let n = b.node_count();
-        if n >= params.n_min && n <= params.n_max {
+    let mut tape = Tape::new(params.n_max);
+    for _ in 0..params.max_attempts {
+        tape.clear();
+        tape.draw(0, params, rng);
+        if (params.n_min..=params.n_max).contains(&tape.nodes) {
             // Valid by construction (acyclic, single terminals, no
             // transitive edges), so the unvalidated freeze suffices.
-            let dag = b.freeze();
+            let dag = tape.emit();
             debug_assert!(hetrta_dag::validate_task_model(&dag).is_ok());
             return Ok(dag);
         }
-        if attempt == params.max_attempts {
-            return Err(GenError::AttemptsExhausted { attempts: attempt });
-        }
     }
-    unreachable!("loop returns or errors on the last attempt")
+    Err(GenError::AttemptsExhausted {
+        attempts: params.max_attempts,
+    })
 }
 
-/// Expands one abstract node at `depth`; returns its (entry, exit) node ids.
-fn expand<R: Rng + ?Sized>(
-    b: &mut DagBuilder,
-    depth: usize,
-    params: &NfjParams,
-    rng: &mut R,
-) -> (NodeId, NodeId) {
-    let wcet = |rng: &mut R| Ticks::new(rng.gen_range(params.c_min..=params.c_max));
-    if depth < params.max_depth && rng.gen_bool(params.p_par) {
-        let fork = b.node(format!("fork@{depth}"), wcet(rng));
-        let join = b.node(format!("join@{depth}"), wcet(rng));
-        let branches = rng.gen_range(2..=params.n_par);
-        for _ in 0..branches {
-            let (entry, exit) = expand(b, depth + 1, params, rng);
-            b.edge(fork, entry).expect("fresh branch entry");
-            b.edge(exit, join).expect("fresh branch exit");
+/// The record of one expansion attempt, reused across attempts.
+///
+/// `wcets` holds one WCET per materialized node in node-id order (a
+/// sub-DAG's fork and join come before its branches), and `shape` one
+/// entry per abstract node in depth-first order: its branch count, or 0
+/// for a terminal. Recording stops once the attempt passes `n_max`
+/// nodes, since such an attempt is rejected whatever it draws next.
+struct Tape {
+    n_max: usize,
+    nodes: usize,
+    wcets: Vec<Ticks>,
+    shape: Vec<usize>,
+}
+
+impl Tape {
+    fn new(n_max: usize) -> Self {
+        Tape {
+            n_max,
+            nodes: 0,
+            wcets: Vec::new(),
+            shape: Vec::new(),
         }
-        (fork, join)
-    } else {
-        let t = b.node(format!("t@{depth}"), wcet(rng));
-        (t, t)
     }
+
+    fn clear(&mut self) {
+        self.nodes = 0;
+        self.wcets.clear();
+        self.shape.clear();
+    }
+
+    /// Makes the draws of the abstract node at `depth` and of everything
+    /// it expands into.
+    fn draw<R: Rng + ?Sized>(&mut self, depth: usize, params: &NfjParams, rng: &mut R) {
+        let wcet = |rng: &mut R| Ticks::new(rng.gen_range(params.c_min..=params.c_max));
+        if depth < params.max_depth && rng.gen_bool(params.p_par) {
+            let fork = wcet(rng);
+            let join = wcet(rng);
+            let branches = rng.gen_range(2..=params.n_par);
+            self.record(branches, &[fork, join]);
+            for _ in 0..branches {
+                self.draw(depth + 1, params, rng);
+            }
+        } else {
+            let terminal = wcet(rng);
+            self.record(0, &[terminal]);
+        }
+    }
+
+    fn record(&mut self, branches: usize, wcets: &[Ticks]) {
+        self.nodes += wcets.len();
+        if self.nodes <= self.n_max {
+            self.wcets.extend_from_slice(wcets);
+            self.shape.push(branches);
+        }
+    }
+
+    /// Replays the recorded attempt into node labels and edges, in the
+    /// order a direct expansion adds them, and freezes it once.
+    fn emit(self) -> Dag {
+        let mut labels = Vec::with_capacity(self.wcets.len());
+        // Every abstract node but the root hangs off one fork by two edges.
+        let mut edges = Vec::with_capacity(2 * (self.shape.len() - 1));
+        emit_node(&mut self.shape.iter(), 0, &mut labels, &mut edges);
+        let mut wcets = self.wcets;
+        // The graph may be cached for long; drop the slack left by
+        // larger rejected attempts.
+        wcets.shrink_to_fit();
+        Dag::from_parts(wcets, labels, &edges)
+    }
+}
+
+/// Emits one abstract node and its expansion; returns its (entry, exit)
+/// node ids. Node ids are handed out in label order.
+fn emit_node(
+    shape: &mut std::slice::Iter<'_, usize>,
+    depth: usize,
+    labels: &mut Vec<String>,
+    edges: &mut Vec<(NodeId, NodeId)>,
+) -> (NodeId, NodeId) {
+    let branches = *shape.next().expect("an accepted attempt is fully recorded");
+    let mut node = |label: String| {
+        labels.push(label);
+        NodeId::from_index(labels.len() - 1)
+    };
+    if branches == 0 {
+        let t = node(format!("t@{depth}"));
+        return (t, t);
+    }
+    let fork = node(format!("fork@{depth}"));
+    let join = node(format!("join@{depth}"));
+    for _ in 0..branches {
+        let (entry, exit) = emit_node(shape, depth + 1, labels, edges);
+        edges.push((fork, entry));
+        edges.push((exit, join));
+    }
+    (fork, join)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hetrta_dag::algo::{transitive, CriticalPath};
-    use hetrta_dag::validate_task_model;
+    use hetrta_dag::{validate_task_model, DagBuilder};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// The rejection loop `generate_nfj` had before draws and emission
+    /// were split, kept as the parity reference: every attempt expands
+    /// straight into a `DagBuilder`, and the accepted one is frozen.
+    fn reference_generate<R: Rng + ?Sized>(
+        params: &NfjParams,
+        rng: &mut R,
+    ) -> Result<Dag, GenError> {
+        params.validate()?;
+        for attempt in 1..=params.max_attempts {
+            let mut b = DagBuilder::new();
+            reference_expand(&mut b, 0, params, rng);
+            let n = b.node_count();
+            if n >= params.n_min && n <= params.n_max {
+                return Ok(b.freeze());
+            }
+            if attempt == params.max_attempts {
+                return Err(GenError::AttemptsExhausted { attempts: attempt });
+            }
+        }
+        unreachable!("loop returns or errors on the last attempt")
+    }
+
+    fn reference_expand<R: Rng + ?Sized>(
+        b: &mut DagBuilder,
+        depth: usize,
+        params: &NfjParams,
+        rng: &mut R,
+    ) -> (NodeId, NodeId) {
+        let wcet = |rng: &mut R| Ticks::new(rng.gen_range(params.c_min..=params.c_max));
+        if depth < params.max_depth && rng.gen_bool(params.p_par) {
+            let fork = b.node(format!("fork@{depth}"), wcet(rng));
+            let join = b.node(format!("join@{depth}"), wcet(rng));
+            let branches = rng.gen_range(2..=params.n_par);
+            for _ in 0..branches {
+                let (entry, exit) = reference_expand(b, depth + 1, params, rng);
+                b.edge(fork, entry).expect("fresh branch entry");
+                b.edge(exit, join).expect("fresh branch exit");
+            }
+            (fork, join)
+        } else {
+            let t = b.node(format!("t@{depth}"), wcet(rng));
+            (t, t)
+        }
+    }
+
+    /// Calls `generate_nfj` and the reference `calls` times each on two
+    /// copies of one stream, and asserts equal results (graph or error)
+    /// every time and an equal next draw afterwards.
+    fn assert_matches_reference(params: &NfjParams, seed: u64, calls: usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut reference_rng = rng.clone();
+        for call in 0..calls {
+            let got = generate_nfj(params, &mut rng);
+            let want = reference_generate(params, &mut reference_rng);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "seed {seed}, call {call}: {params:?}"
+            );
+        }
+        assert_eq!(
+            rng.next_u64(),
+            reference_rng.next_u64(),
+            "seed {seed}: stream diverged after {params:?}"
+        );
+    }
+
+    /// The paper's small tasks, the Figure 8 quick clip (60–120 nodes),
+    /// the paper's large-task range, both `p_par` extremes, and a budget
+    /// the 60–120 clip often exhausts.
+    fn parity_presets() -> [NfjParams; 6] {
+        [
+            NfjParams::small_tasks(),
+            NfjParams::large_tasks().with_node_range(60, 120),
+            NfjParams::large_tasks().with_node_range(100, 250),
+            NfjParams::new(4, 3, 1, 1).with_p_par(0.0),
+            NfjParams::new(3, 3, 1, 1_000).with_p_par(1.0),
+            NfjParams::large_tasks()
+                .with_node_range(60, 120)
+                .with_max_attempts(2),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn generate_matches_the_build_every_attempt_reference(
+            seed: u64,
+            preset in 0usize..6,
+        ) {
+            assert_matches_reference(&parity_presets()[preset], seed, 3);
+        }
+
+        #[test]
+        fn single_attempt_replays_match_the_reference(seed: u64, preset in 0usize..6) {
+            // One attempt per call on one stream, as counting attempts
+            // per accepted graph does: rejected calls must consume
+            // exactly the reference's draws too.
+            let once = parity_presets()[preset].clone().with_max_attempts(1);
+            assert_matches_reference(&once, seed, 40);
+        }
+    }
+
+    #[test]
+    fn large_graphs_match_the_reference() {
+        for seed in 0..3 {
+            assert_matches_reference(&NfjParams::large_graphs(10_000), seed, 1);
+        }
+    }
+
+    #[test]
+    fn exhausted_budgets_match_the_reference() {
+        // Unreachable range: every attempt is rejected.
+        let never = NfjParams::new(4, 2, 2, 2)
+            .with_p_par(0.0)
+            .with_max_attempts(10);
+        assert_matches_reference(&never, 1, 3);
+        // A two-attempt budget on the 60–120 clip: some seeds accept,
+        // some exhaust; both outcomes must match.
+        let tight = &parity_presets()[5];
+        let exhausted = (0..32)
+            .filter(|&seed| {
+                assert_matches_reference(tight, seed, 1);
+                generate_nfj(tight, &mut StdRng::seed_from_u64(seed)).is_err()
+            })
+            .count();
+        assert!(
+            (1..32).contains(&exhausted),
+            "{exhausted}/32 exhausted: both paths must be covered"
+        );
+    }
 
     #[test]
     fn presets_match_paper() {
