@@ -21,7 +21,6 @@ use crate::CondError;
 
 /// A series-parallel conditional task expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CondExpr {
     /// A sequential job.
     Leaf {

@@ -15,7 +15,6 @@ use crate::AnalysisError;
 
 /// The execution scenario of Theorem 1 that applies to a transformed task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scenario {
     /// **Scenario 1**: `v_off` does not belong to the critical path of `G'`.
     /// Some path of `G_par` is longer than `C_off`, so the offloaded node
@@ -123,7 +122,6 @@ pub fn r_hom(task: &DagTask, m: u64) -> Result<Rational, AnalysisError> {
 
 /// The result of Theorem 1 for one transformed task and core count.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HetBound {
     scenario: Scenario,
     r_het: Rational,

@@ -35,7 +35,7 @@
 //! constraint that mattered, it only *adds* the barrier.
 
 use hetrta_dag::algo::CriticalPath;
-use hetrta_dag::{BitSet, Dag, HeteroDagTask, NodeId, Ticks};
+use hetrta_dag::{BitSet, Dag, HeteroDagTask, Labels, NodeId, Ticks};
 
 use crate::AnalysisError;
 
@@ -301,7 +301,6 @@ fn transform_with_sets(
     // the exact per-segment adjacency order of the mutation path: kept
     // original edges keep their positions, appended edges follow.
     let mut wcets = Vec::with_capacity(n + 1);
-    let mut labels = Vec::with_capacity(n + 1);
     let mut succ_off = Vec::with_capacity(n + 2);
     succ_off.push(0u32);
     let mut succs = Vec::with_capacity(dag.edge_count() + sync_succ.len() + direct_pred.len());
@@ -310,7 +309,6 @@ fn transform_with_sets(
     let mut preds = Vec::with_capacity(dag.edge_count() + sync_succ.len() + direct_pred.len());
     for u in dag.node_ids() {
         wcets.push(dag.wcet(u));
-        labels.push(dag.label(u).to_owned());
         if is_direct.contains(u) {
             // Lines 3–8 leave v_sync as the node's only successor.
             succs.push(sync);
@@ -331,7 +329,9 @@ fn transform_with_sets(
     }
     // v_sync itself: the rerouted targets out, the direct predecessors in.
     wcets.push(Ticks::ZERO);
-    labels.push("v_sync".to_owned());
+    let mut labels = Labels::with_capacity(n + 1, dag.labels().text_len() + "v_sync".len());
+    labels.extend_from(dag.labels());
+    labels.push("v_sync");
     succs.extend_from_slice(&sync_succ);
     succ_off.push(succs.len() as u32);
     preds.extend_from_slice(&direct_pred);

@@ -183,15 +183,18 @@ mod tests {
 
     #[test]
     fn deep_chain_does_not_overflow_the_stack() {
-        // A recursive DFS would need ~100k stack frames here.
-        let mut dag = Dag::new();
-        let mut prev = dag.add_node(Ticks::ONE);
+        // A recursive DFS would need ~100k stack frames here. Built
+        // through the builder: the legacy mutators copy the graph's
+        // arrays on every call.
+        let mut b = crate::DagBuilder::new();
+        let mut prev = b.unlabeled_node(Ticks::ONE);
         let first = prev;
         for _ in 0..100_000 {
-            let v = dag.add_node(Ticks::ONE);
-            dag.add_edge(prev, v).unwrap();
+            let v = b.unlabeled_node(Ticks::ONE);
+            b.edge(prev, v).unwrap();
             prev = v;
         }
+        let dag = b.build().unwrap();
         let result = enumerate_paths(&dag, 10).unwrap();
         assert_eq!(result.paths.len(), 1);
         assert!(!result.truncated);

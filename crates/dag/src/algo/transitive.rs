@@ -192,7 +192,6 @@ pub fn transitive_reduction(dag: &Dag) -> Result<Dag, DagError> {
     succ_off.push(0u32);
     let mut succs = Vec::with_capacity(dag.edge_count());
     let mut wcets = Vec::with_capacity(n);
-    let mut labels = Vec::with_capacity(n);
     for v in dag.node_ids() {
         let segment = dag.successors(v);
         if scan.trivially_reduced(segment) {
@@ -209,7 +208,6 @@ pub fn transitive_reduction(dag: &Dag) -> Result<Dag, DagError> {
         }
         succ_off.push(succs.len() as u32);
         wcets.push(dag.wcet(v));
-        labels.push(dag.label(v).to_owned());
     }
     let mut pred_off = Vec::with_capacity(n + 1);
     pred_off.push(0u32);
@@ -230,6 +228,7 @@ pub fn transitive_reduction(dag: &Dag) -> Result<Dag, DagError> {
             pred_off.push(preds.len() as u32);
         }
     }
+    let labels = dag.labels().clone();
     let reduced = Dag::from_csr_parts(wcets, labels, succ_off, succs, pred_off, preds);
     debug_assert!(is_transitively_reduced(&reduced).unwrap_or(false));
     Ok(reduced)
@@ -285,7 +284,6 @@ pub fn transitive_reduction_via_closure(dag: &Dag) -> Result<Dag, DagError> {
     succ_off.push(0u32);
     let mut succs = Vec::with_capacity(dag.edge_count());
     let mut wcets = Vec::with_capacity(n);
-    let mut labels = Vec::with_capacity(n);
     for v in dag.node_ids() {
         succs.extend(dag.successors(v).iter().copied().filter(|&w| {
             let keep = !redundant(v, w);
@@ -296,7 +294,6 @@ pub fn transitive_reduction_via_closure(dag: &Dag) -> Result<Dag, DagError> {
         }));
         succ_off.push(succs.len() as u32);
         wcets.push(dag.wcet(v));
-        labels.push(dag.label(v).to_owned());
     }
     let mut pred_off = Vec::with_capacity(n + 1);
     pred_off.push(0u32);
@@ -311,7 +308,12 @@ pub fn transitive_reduction_via_closure(dag: &Dag) -> Result<Dag, DagError> {
         pred_off.push(preds.len() as u32);
     }
     Ok(Dag::from_csr_parts(
-        wcets, labels, succ_off, succs, pred_off, preds,
+        wcets,
+        dag.labels().clone(),
+        succ_off,
+        succs,
+        pred_off,
+        preds,
     ))
 }
 

@@ -27,7 +27,6 @@ use crate::NodeId;
 /// assert_eq!(ids, vec![3, 7]);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,

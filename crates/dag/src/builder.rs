@@ -1,7 +1,7 @@
 //! Validating DAG builder.
 
 use crate::algo::{topological_order, transitive};
-use crate::{Dag, DagError, NodeId, Ticks};
+use crate::{Dag, DagError, Labels, NodeId, Ticks};
 
 /// A builder that constructs a [`Dag`] and validates the paper's structural
 /// model on [`build`](DagBuilder::build).
@@ -37,7 +37,7 @@ use crate::{Dag, DagError, NodeId, Ticks};
 #[derive(Debug, Clone, Default)]
 pub struct DagBuilder {
     wcets: Vec<Ticks>,
-    labels: Vec<String>,
+    labels: Labels,
     /// Per-node successor lists (amortized `O(1)` insertion, `O(deg)`
     /// duplicate checks) — the mutable accumulation representation.
     succs: Vec<Vec<NodeId>>,
@@ -60,7 +60,7 @@ impl DagBuilder {
     pub fn node(&mut self, label: impl Into<String>, wcet: Ticks) -> NodeId {
         let id = NodeId::from_index(self.wcets.len());
         self.wcets.push(wcet);
-        self.labels.push(label.into());
+        self.labels.push(&label.into());
         self.succs.push(Vec::new());
         id
     }
@@ -218,13 +218,13 @@ impl DagBuilder {
                 if sources.len() > 1 {
                     let src = NodeId::from_index(wcets.len());
                     wcets.push(Ticks::ZERO);
-                    labels.push("src".to_owned());
+                    labels.push("src");
                     edges.extend(sources.into_iter().map(|s| (src, s)));
                 }
                 if sinks.len() > 1 {
                     let sink = NodeId::from_index(wcets.len());
                     wcets.push(Ticks::ZERO);
-                    labels.push("sink".to_owned());
+                    labels.push("sink");
                     edges.extend(sinks.into_iter().map(|s| (s, sink)));
                 }
                 Dag::from_parts(wcets, labels, &edges)

@@ -1,8 +1,9 @@
 //! DAG storage in a compressed-sparse-row (CSR) layout.
 
 use core::fmt;
+use std::sync::{Arc, OnceLock};
 
-use crate::{BitSet, DagError, NodeId, Ticks};
+use crate::{BitSet, ContentHasher, DagError, Labels, NodeId, Ticks};
 
 /// A directed acyclic graph of jobs, each with a worst-case execution time.
 ///
@@ -26,14 +27,23 @@ use crate::{BitSet, DagError, NodeId, Ticks};
 ///
 /// Adjacency is compressed-sparse-row: one flat successor array and one
 /// flat predecessor array, each indexed by a per-node offset table, with
-/// WCETs in a parallel slice. The analysis kernels in [`crate::algo`]
-/// therefore traverse contiguous memory — [`Dag::successors`] and
-/// [`Dag::predecessors`] are slices into one allocation, and cloning a
-/// graph copies six flat vectors instead of `2·|V|` heap blocks. Because
-/// the structure never changes after freeze, nothing ever shifts inside
-/// the flat arrays: construction-side code that still needs incremental
-/// mutation (test fixtures, legacy-parity references) lives behind the
-/// `legacy-mutation` feature, off by default.
+/// WCETs in a parallel slice and the labels in one text buffer
+/// ([`Labels`]). The analysis kernels in [`crate::algo`] therefore
+/// traverse contiguous memory — [`Dag::successors`] and
+/// [`Dag::predecessors`] are slices into one allocation.
+///
+/// Every array is reference-counted, so **cloning a graph is `O(1)`**: a
+/// clone shares the arrays, and a memo cache handing out copies of a
+/// cached task or transformation copies no node data. The attribute
+/// mutators ([`Dag::set_wcet`], [`Dag::set_label`]) copy what they edit
+/// first if it is shared, so a clone never observes another clone's edits.
+/// The shared storage also memoizes the graph's structural
+/// [`Dag::digest`].
+///
+/// Because the structure never changes after freeze, nothing ever shifts
+/// inside the flat arrays: construction-side code that still needs
+/// incremental mutation (test fixtures, legacy-parity references) lives
+/// behind the `legacy-mutation` feature, off by default.
 ///
 /// # Examples
 ///
@@ -51,29 +61,39 @@ use crate::{BitSet, DagError, NodeId, Ticks};
 /// # Ok::<(), hetrta_dag::DagError>(())
 /// ```
 #[derive(Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dag {
-    wcets: Vec<Ticks>,
-    labels: Vec<String>,
+    // Each array is shared on its own, so its pointer and length sit
+    // inline here: the kernels reach node data in one hop, exactly as
+    // through a plain `Vec`.
+    wcets: Arc<[Ticks]>,
     /// Successor segment of node `i`: `succs[succ_off[i]..succ_off[i + 1]]`,
     /// in edge-insertion order.
-    succ_off: Vec<u32>,
-    succs: Vec<NodeId>,
+    succ_off: Arc<[u32]>,
+    succs: Arc<[NodeId]>,
     /// Predecessor segment of node `i`, symmetric to `succ_off`/`succs`.
-    pred_off: Vec<u32>,
-    preds: Vec<NodeId>,
+    pred_off: Arc<[u32]>,
+    preds: Arc<[NodeId]>,
+    meta: Arc<Meta>,
+}
+
+/// What the kernels never read: labels and the memoized digest.
+#[derive(Clone)]
+struct Meta {
+    labels: Labels,
+    /// Memoized [`Dag::digest`]; every mutation clears it.
+    digest: OnceLock<u128>,
 }
 
 impl Default for Dag {
     fn default() -> Self {
-        Dag {
-            wcets: Vec::new(),
-            labels: Vec::new(),
-            succ_off: vec![0],
-            succs: Vec::new(),
-            pred_off: vec![0],
-            preds: Vec::new(),
-        }
+        Dag::from_storage(
+            Vec::new(),
+            Labels::new(),
+            vec![0],
+            Vec::new(),
+            vec![0],
+            Vec::new(),
+        )
     }
 }
 
@@ -84,28 +104,37 @@ impl Dag {
         Dag::default()
     }
 
-    /// Creates an empty graph with room for `nodes` nodes.
-    ///
-    /// Part of the legacy incremental-construction API (see
-    /// [`Dag::add_edge`]); builder-first code never needs it.
-    #[cfg(any(test, feature = "legacy-mutation"))]
-    #[must_use]
-    pub fn with_capacity(nodes: usize) -> Self {
-        let mut succ_off = Vec::with_capacity(nodes + 1);
-        succ_off.push(0);
-        let mut pred_off = Vec::with_capacity(nodes + 1);
-        pred_off.push(0);
+    fn from_storage(
+        wcets: Vec<Ticks>,
+        labels: Labels,
+        succ_off: Vec<u32>,
+        succs: Vec<NodeId>,
+        pred_off: Vec<u32>,
+        preds: Vec<NodeId>,
+    ) -> Dag {
         Dag {
-            wcets: Vec::with_capacity(nodes),
-            labels: Vec::with_capacity(nodes),
-            succ_off,
-            succs: Vec::new(),
-            pred_off,
-            preds: Vec::new(),
+            wcets: wcets.into(),
+            succ_off: succ_off.into(),
+            succs: succs.into(),
+            pred_off: pred_off.into(),
+            preds: preds.into(),
+            meta: Arc::new(Meta {
+                labels,
+                digest: OnceLock::new(),
+            }),
         }
     }
 
-    /// Adds an unlabeled node with the given WCET and returns its id.
+    /// Starts a mutation: clears the memoized digest and returns the
+    /// labels for writing (copied first if another clone shares them).
+    fn begin_mutation(&mut self) -> &mut Labels {
+        let meta = Arc::make_mut(&mut self.meta);
+        meta.digest.take();
+        &mut meta.labels
+    }
+
+    /// Adds an unlabeled node with the given WCET and returns its id, in
+    /// `O(|V|)` (the shared arrays are copied).
     ///
     /// Part of the legacy incremental-construction API: production code
     /// accumulates nodes in a [`DagBuilder`](crate::DagBuilder) instead.
@@ -115,7 +144,7 @@ impl Dag {
     /// edge-by-edge construction.
     #[cfg(any(test, feature = "legacy-mutation"))]
     pub fn add_node(&mut self, wcet: Ticks) -> NodeId {
-        self.add_labeled_node(String::new(), wcet)
+        self.add_labeled_node("", wcet)
     }
 
     /// Adds a node with a human-readable label and returns its id.
@@ -123,13 +152,12 @@ impl Dag {
     /// Legacy incremental-construction API; see [`Dag::add_node`].
     #[cfg(any(test, feature = "legacy-mutation"))]
     pub fn add_labeled_node(&mut self, label: impl Into<String>, wcet: Ticks) -> NodeId {
-        let id = NodeId::from_index(self.wcets.len());
-        self.wcets.push(wcet);
-        self.labels.push(label.into());
-        self.succ_off
-            .push(*self.succ_off.last().expect("offset base"));
-        self.pred_off
-            .push(*self.pred_off.last().expect("offset base"));
+        let id = NodeId::from_index(self.node_count());
+        self.begin_mutation().push(&label.into());
+        let edges = self.edge_count() as u32;
+        edit(&mut self.wcets, |wcets| wcets.push(wcet));
+        edit(&mut self.succ_off, |off| off.push(edges));
+        edit(&mut self.pred_off, |off| off.push(edges));
         id
     }
 
@@ -181,14 +209,16 @@ impl Dag {
         self.wcets.get(id.index()).copied()
     }
 
-    /// Replaces the WCET of a node.
+    /// Replaces the WCET of a node. Copy on write: if another clone shares
+    /// the storage, the WCETs and labels are copied first.
     ///
     /// # Errors
     ///
     /// Returns [`DagError::UnknownNode`] if `id` is out of range.
     pub fn set_wcet(&mut self, id: NodeId, wcet: Ticks) -> Result<(), DagError> {
         self.check_node(id)?;
-        self.wcets[id.index()] = wcet;
+        self.begin_mutation();
+        Arc::make_mut(&mut self.wcets)[id.index()] = wcet;
         Ok(())
     }
 
@@ -199,21 +229,60 @@ impl Dag {
     /// Panics if `id` is not a node of this graph.
     #[must_use]
     pub fn label(&self, id: NodeId) -> &str {
-        &self.labels[id.index()]
+        self.meta
+            .labels
+            .get(id.index())
+            .expect("node id out of range")
     }
 
-    /// Replaces the label of a node.
+    /// All node labels, in node order.
+    #[must_use]
+    pub fn labels(&self) -> &Labels {
+        &self.meta.labels
+    }
+
+    /// Replaces the label of a node. Copy on write: if another clone shares
+    /// the labels, they are copied first.
     ///
     /// # Errors
     ///
     /// Returns [`DagError::UnknownNode`] if `id` is out of range.
     pub fn set_label(&mut self, id: NodeId, label: impl Into<String>) -> Result<(), DagError> {
         self.check_node(id)?;
-        self.labels[id.index()] = label.into();
+        self.begin_mutation().set(id.index(), &label.into());
         Ok(())
     }
 
-    /// Adds the precedence edge `(from, to)`, shifting the CSR arrays —
+    /// Structural digest: 128-bit FNV-1a ([`ContentHasher`]) over the node
+    /// count, then per node its WCET, out-degree and successor ids, each
+    /// as a little-endian `u64`.
+    ///
+    /// Labels are deliberately excluded — two graphs that differ only in
+    /// node names analyze identically. Node *numbering* is part of the
+    /// content: the generators number nodes canonically, so structurally
+    /// equal generated graphs digest equal.
+    ///
+    /// Computed once and memoized in the shared storage, so every clone of
+    /// a graph shares one computation; [`Dag::set_wcet`] (and every other
+    /// mutation) clears it.
+    #[must_use]
+    pub fn digest(&self) -> u128 {
+        *self.meta.digest.get_or_init(|| {
+            let mut h = ContentHasher::new();
+            h.write_u64(self.node_count() as u64);
+            for v in self.node_ids() {
+                h.write_u64(self.wcet(v).get());
+                let succs = self.successors(v);
+                h.write_u64(succs.len() as u64);
+                for &s in succs {
+                    h.write_u64(s.index() as u64);
+                }
+            }
+            h.finish()
+        })
+    }
+
+    /// Adds the precedence edge `(from, to)`, copying the CSR arrays —
     /// `O(|V| + |E|)` per edge.
     ///
     /// Part of the legacy incremental-construction API, gated behind the
@@ -246,14 +315,15 @@ impl Dag {
         // Append to the end of each endpoint's segment (preserving
         // edge-insertion order within a node) and shift the offsets of
         // every later node.
-        self.succs
-            .insert(self.succ_off[from.index() + 1] as usize, to);
-        for off in &mut self.succ_off[from.index() + 1..] {
+        self.begin_mutation();
+        let at = self.succ_off[from.index() + 1] as usize;
+        edit(&mut self.succs, |succs| succs.insert(at, to));
+        for off in &mut Arc::make_mut(&mut self.succ_off)[from.index() + 1..] {
             *off += 1;
         }
-        self.preds
-            .insert(self.pred_off[to.index() + 1] as usize, from);
-        for off in &mut self.pred_off[to.index() + 1..] {
+        let at = self.pred_off[to.index() + 1] as usize;
+        edit(&mut self.preds, |preds| preds.insert(at, from));
+        for off in &mut Arc::make_mut(&mut self.pred_off)[to.index() + 1..] {
             *off += 1;
         }
         Ok(())
@@ -291,31 +361,26 @@ impl Dag {
     pub fn remove_edge(&mut self, from: NodeId, to: NodeId) -> Result<(), DagError> {
         self.check_node(from)?;
         self.check_node(to)?;
-        let spos = self
-            .successors(from)
+        let Some(i) = self.successors(from).iter().position(|&v| v == to) else {
+            return Err(DagError::UnknownEdge(from, to));
+        };
+        let j = self
+            .predecessors(to)
             .iter()
-            .position(|&v| v == to)
-            .map(|i| self.succ_off[from.index()] as usize + i);
-        match spos {
-            None => Err(DagError::UnknownEdge(from, to)),
-            Some(i) => {
-                self.succs.remove(i);
-                for off in &mut self.succ_off[from.index() + 1..] {
-                    *off -= 1;
-                }
-                let j = self
-                    .predecessors(to)
-                    .iter()
-                    .position(|&v| v == from)
-                    .map(|j| self.pred_off[to.index()] as usize + j)
-                    .expect("adjacency arrays out of sync");
-                self.preds.remove(j);
-                for off in &mut self.pred_off[to.index() + 1..] {
-                    *off -= 1;
-                }
-                Ok(())
-            }
+            .position(|&v| v == from)
+            .expect("adjacency arrays out of sync");
+        self.begin_mutation();
+        let at = self.succ_off[from.index()] as usize + i;
+        edit(&mut self.succs, |succs| succs.remove(at));
+        for off in &mut Arc::make_mut(&mut self.succ_off)[from.index() + 1..] {
+            *off -= 1;
         }
+        let at = self.pred_off[to.index()] as usize + j;
+        edit(&mut self.preds, |preds| preds.remove(at));
+        for off in &mut Arc::make_mut(&mut self.pred_off)[to.index() + 1..] {
+            *off -= 1;
+        }
+        Ok(())
     }
 
     /// `true` if the edge `(from, to)` exists.
@@ -478,14 +543,14 @@ impl Dag {
     #[must_use]
     pub fn induced_subgraph(&self, nodes: &BitSet) -> (Dag, Vec<NodeId>) {
         let mut wcets = Vec::with_capacity(nodes.len());
-        let mut labels = Vec::with_capacity(nodes.len());
+        let mut labels = Labels::with_capacity(nodes.len(), self.labels().text_len());
         let mut old_of_new: Vec<NodeId> = Vec::with_capacity(nodes.len());
         let mut new_of_old: Vec<Option<NodeId>> = vec![None; self.node_count()];
         for old in nodes.iter().filter(|&v| self.contains_node(v)) {
             new_of_old[old.index()] = Some(NodeId::from_index(old_of_new.len()));
             old_of_new.push(old);
             wcets.push(self.wcet(old));
-            labels.push(self.label(old).to_owned());
+            labels.push(self.label(old));
         }
         let edges: Vec<(NodeId, NodeId)> = self
             .edges()
@@ -516,7 +581,7 @@ impl Dag {
     /// which layers per-edge validation (and, via
     /// [`build`](crate::DagBuilder::build), model validation) on top.
     #[must_use]
-    pub fn from_parts(wcets: Vec<Ticks>, labels: Vec<String>, edges: &[(NodeId, NodeId)]) -> Dag {
+    pub fn from_parts(wcets: Vec<Ticks>, labels: Labels, edges: &[(NodeId, NodeId)]) -> Dag {
         let n = wcets.len();
         let mut succ_off = vec![0u32; n + 1];
         let mut pred_off = vec![0u32; n + 1];
@@ -539,17 +604,12 @@ impl Dag {
             preds[pred_cursor[to.index()] as usize] = from;
             pred_cursor[to.index()] += 1;
         }
-        Dag {
-            wcets,
-            labels,
-            succ_off,
-            succs,
-            pred_off,
-            preds,
-        }
+        debug_assert_eq!(labels.len(), n);
+        Dag::from_storage(wcets, labels, succ_off, succs, pred_off, preds)
     }
 
-    /// Assembles a graph directly from its six CSR arrays, in `O(1)`.
+    /// Assembles a graph directly from its CSR arrays, copying each once
+    /// into shared storage.
     ///
     /// For bulk constructors that already know both adjacency views —
     /// e.g. the transitive reduction (which filters each successor and
@@ -567,7 +627,7 @@ impl Dag {
     #[must_use]
     pub fn from_csr_parts(
         wcets: Vec<Ticks>,
-        labels: Vec<String>,
+        labels: Labels,
         succ_off: Vec<u32>,
         succs: Vec<NodeId>,
         pred_off: Vec<u32>,
@@ -583,15 +643,18 @@ impl Dag {
         debug_assert!(succ_off.windows(2).all(|w| w[0] <= w[1]));
         debug_assert!(pred_off.windows(2).all(|w| w[0] <= w[1]));
         debug_assert!(succs.iter().chain(&preds).all(|v| v.index() < n));
-        Dag {
-            wcets,
-            labels,
-            succ_off,
-            succs,
-            pred_off,
-            preds,
-        }
+        Dag::from_storage(wcets, labels, succ_off, succs, pred_off, preds)
     }
+}
+
+/// Applies a length-changing edit to a shared array (legacy mutation only:
+/// it copies the whole array).
+#[cfg(any(test, feature = "legacy-mutation"))]
+fn edit<T: Clone, R>(array: &mut Arc<[T]>, op: impl FnOnce(&mut Vec<T>) -> R) -> R {
+    let mut items = array.to_vec();
+    let result = op(&mut items);
+    *array = items.into();
+    result
 }
 
 impl fmt::Debug for Dag {

@@ -21,8 +21,6 @@ use core::fmt;
 /// assert_eq!(b.index(), 1);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct NodeId(u32);
 
 impl NodeId {

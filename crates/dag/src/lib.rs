@@ -6,8 +6,9 @@
 //!
 //! It contains:
 //!
-//! * [`Dag`] — a mutable directed-acyclic-graph of jobs, each carrying a
-//!   worst-case execution time ([`Ticks`]);
+//! * [`Dag`] — a frozen directed-acyclic-graph of jobs, each carrying a
+//!   worst-case execution time ([`Ticks`]), with `O(1)` clones and a
+//!   memoized structural [`Dag::digest`];
 //! * [`DagBuilder`] — a validating builder enforcing the paper's structural
 //!   model (acyclic, single source, single sink, no transitive edges);
 //! * [`task::DagTask`] and [`task::HeteroDagTask`] — the sporadic DAG task
@@ -51,11 +52,13 @@
 pub mod algo;
 mod bitset;
 mod builder;
+mod digest;
 pub mod dot;
 mod error;
 mod graph;
 mod ids;
 pub mod io;
+mod labels;
 mod rational;
 pub mod task;
 mod time;
@@ -63,9 +66,11 @@ mod validate;
 
 pub use bitset::BitSet;
 pub use builder::DagBuilder;
+pub use digest::ContentHasher;
 pub use error::DagError;
 pub use graph::{Dag, EdgeIter, NodeIter};
 pub use ids::NodeId;
+pub use labels::Labels;
 pub use rational::Rational;
 pub use task::{DagTask, HeteroDagTask};
 pub use time::Ticks;

@@ -6,7 +6,8 @@
 //! [`Analysis::cache_params`](hetrta_api::Analysis::cache_params). Two jobs
 //! that analyze structurally identical inputs under the same parameters
 //! share one computation, whichever worker gets there first; everyone else
-//! gets a clone of the memoized value.
+//! gets a clone of the memoized value, which shares the cached graphs'
+//! storage instead of copying it.
 //!
 //! Caches are **bounded**: each [`MemoCache`] is a sharded LRU with a
 //! configurable capacity, so a long-lived engine sweeping millions of
@@ -20,93 +21,25 @@ use hetrta_api::AnalysisInput;
 use hetrta_dag::{Dag, HeteroDagTask};
 use hetrta_obs::Counter;
 
-/// 128-bit FNV-1a, the workspace's convention for deterministic content
-/// hashes (64-bit would start colliding around a few billion distinct
-/// entries; sweeps reach millions).
-#[derive(Debug, Clone)]
-pub struct ContentHasher {
-    state: u128,
-}
-
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-
-impl ContentHasher {
-    /// Creates a hasher with the FNV-1a offset basis.
-    #[must_use]
-    pub fn new() -> Self {
-        ContentHasher {
-            state: FNV128_OFFSET,
-        }
-    }
-
-    /// Feeds one byte.
-    pub fn write_u8(&mut self, byte: u8) {
-        self.state ^= u128::from(byte);
-        self.state = self.state.wrapping_mul(FNV128_PRIME);
-    }
-
-    /// Feeds a 64-bit word (little-endian).
-    pub fn write_u64(&mut self, word: u64) {
-        for byte in word.to_le_bytes() {
-            self.write_u8(byte);
-        }
-    }
-
-    /// Feeds a length-prefixed string.
-    pub fn write_str(&mut self, text: &str) {
-        self.write_u64(text.len() as u64);
-        for byte in text.bytes() {
-            self.write_u8(byte);
-        }
-    }
-
-    /// Returns the accumulated digest.
-    #[must_use]
-    pub fn finish(&self) -> u128 {
-        self.state
-    }
-}
-
-impl Default for ContentHasher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Structural hash of a DAG: node count, per-node WCET and adjacency.
-///
-/// Labels are deliberately excluded — two tasks that differ only in node
-/// names analyze identically. Node *numbering* is part of the content: the
-/// generators number nodes canonically, so structurally equal generated
-/// tasks hash equal.
-pub fn hash_dag(h: &mut ContentHasher, dag: &Dag) {
-    h.write_u64(dag.node_count() as u64);
-    for v in dag.node_ids() {
-        h.write_u64(dag.wcet(v).get());
-        let succs = dag.successors(v);
-        h.write_u64(succs.len() as u64);
-        for &s in succs {
-            h.write_u64(s.index() as u64);
-        }
-    }
-}
+pub use hetrta_dag::ContentHasher;
 
 /// Content hash of a bare DAG (structure + WCETs, no timing parameters) —
 /// the key of `m`-independent derived data shared across tasks that wrap
-/// the same graph.
+/// the same graph. This is the graph's memoized [`Dag::digest`]: labels
+/// are excluded, node numbering is part of the content.
 #[must_use]
 pub fn hash_dag_only(dag: &Dag) -> u128 {
-    let mut h = ContentHasher::new();
-    hash_dag(&mut h, dag);
-    h.finish()
+    dag.digest()
 }
 
 /// Content hash of a heterogeneous task (structure + timing parameters).
+///
+/// One FNV-1a stream over the DAG, then the offloaded node, period and
+/// deadline. FNV-1a's state is its digest, so the stream resumes from the
+/// DAG's memoized digest instead of hashing the graph again.
 #[must_use]
 pub fn hash_task(task: &HeteroDagTask) -> u128 {
-    let mut h = ContentHasher::new();
-    hash_dag(&mut h, task.dag());
+    let mut h = ContentHasher::resume(task.dag().digest());
     h.write_u64(task.offloaded().index() as u64);
     h.write_u64(task.period().get());
     h.write_u64(task.deadline().get());
@@ -255,7 +188,9 @@ impl<V> Shard<V> {
 
 /// A sharded, size-capped, content-addressed LRU memo table.
 ///
-/// Values are cloned out; computation runs *outside* the shard lock, so two
+/// Values are cloned out; for the engine's memos that copies no node data
+/// (tasks and transformations share their graphs' storage, derived data
+/// sits behind an `Arc`). Computation runs *outside* the shard lock, so two
 /// workers racing on the same fresh key may both compute (both counted as
 /// misses) — the table stays consistent because the value for a key is a
 /// pure function of the key's content. Capacity is enforced per shard

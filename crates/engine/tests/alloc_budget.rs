@@ -5,13 +5,16 @@
 //! itself**: the pre-refactor shape (fresh scratch state per call —
 //! `simulate`, `solve`) is measured next to the workspace-reusing path
 //! (`simulate_makespan`, `solve_with` on a warm workspace), and the warm
-//! path must do strictly less heap work per call. A separate budget pins
-//! the steady-state allocations per *sweep cell* of a fully warmed engine.
+//! path must do strictly less heap work per call. Separate budgets pin the
+//! steady-state allocations per *sweep cell* of a fully warmed engine, the
+//! allocations per job of a cold Figure 8 sweep, and what cloning a task
+//! or its Algorithm-1 transformation costs (graphs share their storage,
+//! so the memo caches copy no node data on a hit).
 //!
 //! The harness runs these tests in parallel, so each measurement counts
 //! only its own work: the single-thread measurements read a per-thread
-//! counter, and the engine budget (whose pool allocates on other
-//! threads) reads the process-wide counter while holding [`MEASURE`]
+//! counter, and the engine budgets (whose pool allocates on other
+//! threads) read the process-wide counter while holding [`MEASURE`]
 //! exclusively, which the other tests hold shared.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -220,5 +223,65 @@ fn steady_state_engine_cells_fit_a_fixed_allocation_budget() {
         "steady-state sweep allocated {steady} over {cells} cells \
          ({} per cell, budget {PER_CELL_BUDGET})",
         steady / cells
+    );
+}
+
+#[test]
+fn cloning_a_task_allocates_nothing() {
+    let _measure = shared_measure();
+    let task = sample_task(60, 120);
+    let (allocations, copy) = thread_allocations_during(|| task.clone());
+    assert_eq!(copy.dag().node_count(), task.dag().node_count());
+    assert_eq!(
+        allocations,
+        0,
+        "cloning a {}-node task allocated {allocations} times",
+        task.dag().node_count()
+    );
+}
+
+#[test]
+fn cloning_a_transformation_allocates_at_most_twice() {
+    let _measure = shared_measure();
+    let task = sample_task(60, 120);
+    let transformed = hetrta_core::transform(&task).unwrap();
+    // Only the parallel node set and G_par's id map are owned; the three
+    // graphs (τ, τ', G_par) are shared.
+    let (allocations, copy) = thread_allocations_during(|| transformed.clone());
+    assert_eq!(copy.sync_node(), transformed.sync_node());
+    assert!(
+        allocations <= 2,
+        "cloning the transformation of a {}-node task allocated {allocations} times",
+        task.dag().node_count()
+    );
+}
+
+#[test]
+fn cold_fig8_sweep_fits_a_per_job_allocation_budget() {
+    // The Figure 8 quick sweep (2 cores × 5 fractions × 20 tasks = 200
+    // jobs) on a fresh engine: every job generates its task, and the first
+    // core count transforms it. What the memo caches hand out must not be
+    // copied node by node.
+    let spec = SweepSpec::fractions(
+        GeneratorPreset::Custom(NfjParams::large_tasks().with_node_range(60, 120)),
+        vec![2, 8],
+        vec![0.0012, 0.02, 0.10, 0.25, 0.50],
+        20,
+        0x8008_0002,
+    );
+    let _measure = exclusive_measure();
+    let engine = Engine::new(1);
+    let (cold, out) = process_allocations_during(|| engine.run(&spec).unwrap());
+    let jobs = out.stats.jobs as u64;
+    assert_eq!(jobs, 200);
+    assert_eq!(
+        out.stats.cached_jobs, 0,
+        "a fresh engine computes every job"
+    );
+    const PER_JOB_BUDGET: u64 = 100;
+    assert!(
+        cold / jobs <= PER_JOB_BUDGET,
+        "cold sweep allocated {cold} over {jobs} jobs ({} per job, budget {PER_JOB_BUDGET})",
+        cold / jobs
     );
 }

@@ -4,7 +4,6 @@ use hetrta_dag::{NodeId, Ticks};
 
 /// Whether the returned makespan is proven minimal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Optimality {
     /// The search completed (or the incumbent met the lower bound): the
     /// makespan is the exact minimum.

@@ -18,7 +18,6 @@ use crate::GenError;
 
 /// Parameters of the layered generator.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LayeredParams {
     /// Number of layers (≥ 1).
     pub layers: usize,

@@ -1,6 +1,8 @@
 //! Nested fork-join DAG generation (the paper's generator, §5.1).
 
-use hetrta_dag::{Dag, NodeId, Ticks};
+use core::fmt;
+
+use hetrta_dag::{Dag, Labels, NodeId, Ticks};
 use rand::Rng;
 
 use crate::GenError;
@@ -30,7 +32,6 @@ use crate::GenError;
 /// assert_eq!(p.n_min(), 250);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NfjParams {
     p_par: f64,
     n_par: usize,
@@ -344,15 +345,14 @@ impl Tape {
     /// Replays the recorded attempt into node labels and edges, in the
     /// order a direct expansion adds them, and freezes it once.
     fn emit(self) -> Dag {
-        let mut labels = Vec::with_capacity(self.wcets.len());
+        let nodes = self.wcets.len();
+        // Labels are `t@d`, `fork@d` or `join@d`: 8 bytes each covers
+        // depths below 100 without regrowing the buffer.
+        let mut labels = Labels::with_capacity(nodes, 8 * nodes);
         // Every abstract node but the root hangs off one fork by two edges.
         let mut edges = Vec::with_capacity(2 * (self.shape.len() - 1));
         emit_node(&mut self.shape.iter(), 0, &mut labels, &mut edges);
-        let mut wcets = self.wcets;
-        // The graph may be cached for long; drop the slack left by
-        // larger rejected attempts.
-        wcets.shrink_to_fit();
-        Dag::from_parts(wcets, labels, &edges)
+        Dag::from_parts(self.wcets, labels, &edges)
     }
 }
 
@@ -361,20 +361,20 @@ impl Tape {
 fn emit_node(
     shape: &mut std::slice::Iter<'_, usize>,
     depth: usize,
-    labels: &mut Vec<String>,
+    labels: &mut Labels,
     edges: &mut Vec<(NodeId, NodeId)>,
 ) -> (NodeId, NodeId) {
     let branches = *shape.next().expect("an accepted attempt is fully recorded");
-    let mut node = |label: String| {
-        labels.push(label);
+    let mut node = |label: fmt::Arguments<'_>| {
+        labels.push_fmt(label);
         NodeId::from_index(labels.len() - 1)
     };
     if branches == 0 {
-        let t = node(format!("t@{depth}"));
+        let t = node(format_args!("t@{depth}"));
         return (t, t);
     }
-    let fork = node(format!("fork@{depth}"));
-    let join = node(format!("join@{depth}"));
+    let fork = node(format_args!("fork@{depth}"));
+    let join = node(format_args!("join@{depth}"));
     for _ in 0..branches {
         let (entry, exit) = emit_node(shape, depth + 1, labels, edges);
         edges.push((fork, entry));

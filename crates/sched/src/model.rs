@@ -56,7 +56,6 @@ use crate::SchedError;
 
 /// How the accelerator is shared among tasks (heterogeneous analyses only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DeviceModel {
     /// Every task owns a device (the paper's single-task model, and the
     /// platform assumption of `hetrta-core::federated`): offloads never
@@ -72,7 +71,6 @@ pub enum DeviceModel {
 
 /// Which response-time model the test uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AnalysisModel {
     /// Everything executes on the host; Eq. 1 intra-task term and full
     /// volumes as interference (the baseline the paper compares against).

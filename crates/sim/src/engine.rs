@@ -15,7 +15,6 @@ use crate::SimError;
 /// multi-device platforms support the paper's future-work direction
 /// "(ii) more devices in the heterogeneous architecture".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Platform {
     cores: usize,
     accelerators: usize,
@@ -71,7 +70,6 @@ impl Platform {
 
 /// Where a node executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Resource {
     /// A host core (0-based index).
     HostCore(usize),
@@ -85,7 +83,6 @@ pub enum Resource {
 
 /// One executed node: `[start, finish)` on a resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Interval {
     /// The node that executed.
     pub node: NodeId,
