@@ -651,11 +651,47 @@ fn bench_cmd(args: &ParsedArgs) -> Result<String, String> {
     } else {
         hetrta_bench::perf::PerfConfig::full()
     };
-    let report = hetrta_bench::perf::run(&config);
+    let mut report = hetrta_bench::perf::run(&config);
+    report.sweeps.extend(fleet_bench_rows()?);
     if let Some(path) = args.value_of("--json") {
         std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     Ok(report.render())
+}
+
+/// The fleet rows of `hetrta bench`: the Figure 8 quick sweep across two
+/// spawned `hetrta dist worker` processes of one thread each, cold over a
+/// fresh cache directory, then replayed from it by five fresh fleets
+/// timed together (one warm fleet alone is only a few milliseconds).
+/// They live here rather than in `hetrta-bench` because they spawn this
+/// binary.
+fn fleet_bench_rows() -> Result<Vec<hetrta_bench::perf::SweepResult>, String> {
+    let spec = hetrta_bench::experiments::fig8::sweep_spec(
+        &hetrta_bench::experiments::fig8::Config::quick(),
+    );
+    let dir = std::env::temp_dir().join(format!("hetrta-bench-fleet-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = hetrta_dist::DistConfig::local(2, self_launcher()?);
+    config.worker_threads = 1;
+    config.cache_dir = Some(dir.clone());
+    let timed = |name: &'static str, fleets: usize| {
+        let started = std::time::Instant::now();
+        let mut jobs = 0;
+        for _ in 0..fleets {
+            jobs += hetrta_dist::run_distributed(&spec, &config, &hetrta_obs::NOOP, None, |_| {})
+                .map_err(|e| format!("fleet bench sweep: {e}"))?
+                .completed;
+        }
+        Ok::<_, String>(hetrta_bench::perf::SweepResult {
+            name,
+            wall_ms: started.elapsed().as_secs_f64() * 1e3,
+            jobs,
+        })
+    };
+    let rows = timed("sweep/fleet_fig8_quick_cold", 1)
+        .and_then(|cold| Ok(vec![cold, timed("sweep/fleet_fig8_quick_warm5", 5)?]));
+    let _ = std::fs::remove_dir_all(&dir);
+    rows
 }
 
 /// Usage text shown on errors (generated from the command table).

@@ -772,6 +772,8 @@ fn reader_loop(
     fault: Option<Arc<FaultPlan>>,
 ) {
     let faults = fault.as_deref().map(|p| p as &dyn FrameFaults);
+    // Small frames go out at once, as on the worker's end of the link.
+    let _ = stream.set_nodelay(true);
     let mut reader = match stream.try_clone() {
         Ok(reader) => reader,
         Err(_) => return,

@@ -160,7 +160,13 @@ impl EngineCaches {
     }
 
     /// Stores one identity entry in memory and (when attached) on disk.
+    /// An entry memory already holds is not stored again: a recipe seen
+    /// under another core count misses its result and comes back here
+    /// with the same content hash.
     pub(crate) fn identity_store(&self, key: u128, content: Option<u128>) {
+        if self.identity.peek(key) == Some(content) {
+            return;
+        }
         self.identity.insert(key, content);
         if let Some(disk) = &self.disk {
             disk.store_identity(key, content);

@@ -5,9 +5,11 @@
 //! activity is reported in `EngineStats`.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use hetrta_engine::{
     AnalysisSelection, Engine, EngineBuilder, EngineError, GeneratorPreset, SweepSpec,
+    TraceRecorder,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -66,6 +68,63 @@ fn second_engine_instance_replays_from_disk_with_zero_recomputes() {
     // And a disk-free engine agrees (the disk layer changes nothing).
     let reference = Engine::new(2).run(&spec()).expect("reference run");
     assert_eq!(reference.aggregate, cold.aggregate);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn identity_entries_are_written_once_per_recipe() {
+    // Every recipe runs at m = 2 and at m = 8. The m = 8 job finds the
+    // recipe's identity in memory but misses its results, so it takes
+    // the slow path; that path must not rewrite the identity entry.
+    let spec = SweepSpec::fractions(
+        GeneratorPreset::Small,
+        vec![2, 8],
+        vec![0.1, 0.3],
+        5,
+        0xCAFE,
+    )
+    .with_analyses(AnalysisSelection::from_keys(["het", "hom"]));
+    let recipes = 2 * 5;
+    let dir = temp_dir("identity-once");
+    let recorder = Arc::new(TraceRecorder::new());
+    let cold = EngineBuilder::new()
+        .threads(1)
+        .with_cache_dir(&dir)
+        .with_recorder(Arc::clone(&recorder) as _)
+        .build()
+        .expect("cache dir opens")
+        .run(&spec)
+        .expect("cold run");
+    let spans = recorder.spans();
+    let writes = |namespace: &str| {
+        let detail = format!("ns={namespace}");
+        spans
+            .iter()
+            .filter(|span| span.name == "disk.write" && span.detail.as_ref() == Some(&detail))
+            .count()
+    };
+    assert_eq!(cold.stats.jobs, 2 * recipes);
+    assert_eq!(cold.stats.skipped_jobs, 0);
+    assert_eq!(writes("identity"), recipes, "one identity write per recipe");
+    assert_eq!(
+        writes("results"),
+        cold.stats.jobs * 2,
+        "one results write per computed (job, analysis)"
+    );
+
+    let warm = EngineBuilder::new()
+        .threads(1)
+        .with_cache_dir(&dir)
+        .build()
+        .expect("cache dir opens")
+        .run(&spec)
+        .expect("warm run");
+    assert_eq!(warm.stats.cached_jobs as usize, warm.stats.jobs);
+    assert_eq!(
+        format!("{:?}", warm.aggregate),
+        format!("{:?}", cold.aggregate),
+        "disk replay must be bitwise identical"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -131,7 +190,6 @@ fn two_engines_share_one_cache_dir_under_concurrent_gc() {
     // from the concurrent writer must never yield a torn read; the
     // outputs must match a disk-free reference bitwise.
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
     let dir = temp_dir("two-engines");
     let reference = Engine::new(2).run(&spec()).expect("reference run");

@@ -3,8 +3,12 @@
 //! partial aggregates converge on the final one, cancellation stops the
 //! sweep, and live statistics track progress.
 
+use std::sync::{Arc, Condvar, Mutex};
+
 use hetrta_engine::{
-    AnalysisSelection, Engine, EngineError, GeneratorPreset, SessionConfig, SweepEvent, SweepSpec,
+    Analysis, AnalysisContext, AnalysisOutcome, AnalysisRegistry, AnalysisRequest,
+    AnalysisSelection, ApiError, Engine, EngineError, GeneratorPreset, SessionConfig, SweepEvent,
+    SweepSpec,
 };
 
 fn spec() -> SweepSpec {
@@ -179,19 +183,81 @@ fn delta_encoded_partials_carry_fewer_cells_than_keyframes() {
 }
 
 /// Many moderately-sized jobs (tiny DAGs keep exact solves at
-/// milliseconds, not seconds) — enough runway that a cancel lands before
-/// the sweep drains.
+/// milliseconds, not seconds).
 fn cancellable_spec() -> SweepSpec {
     let tiny = GeneratorPreset::Custom(hetrta_gen::NfjParams::small_tasks().with_node_range(4, 12));
     SweepSpec::fractions(tiny, vec![2], vec![0.2], 64, 3)
         .with_analyses(AnalysisSelection::from_keys(["sim", "exact"]))
 }
 
+/// An analysis that lets a job finish only against a permit, so a
+/// cancellation test decides how many jobs complete before it cancels.
+/// Without it the test races the sweep: a fast build can run all 64 jobs
+/// before the cancel lands, and the sweep then rightly reports that it
+/// completed.
+#[derive(Debug)]
+struct Gate {
+    /// Permits left; `None` once the gate is open for good.
+    permits: Mutex<Option<usize>>,
+    changed: Condvar,
+}
+
+impl Gate {
+    /// A 1-thread engine whose `gate` analysis holds `permits`, and a
+    /// 64-job sweep that selects it.
+    fn engine(permits: usize) -> (Arc<Gate>, Engine, SweepSpec) {
+        let gate = Arc::new(Gate {
+            permits: Mutex::new(Some(permits)),
+            changed: Condvar::new(),
+        });
+        let mut registry = AnalysisRegistry::builtin();
+        registry.register(Arc::clone(&gate) as Arc<dyn Analysis>);
+        let spec = SweepSpec::fractions(GeneratorPreset::Small, vec![2], vec![0.2], 64, 3)
+            .with_analyses(AnalysisSelection::from_keys(["gate"]));
+        (gate, Engine::with_registry(1, registry), spec)
+    }
+
+    /// Lets every waiting and later job through.
+    fn open(&self) {
+        *self.permits.lock().expect("gate lock") = None;
+        self.changed.notify_all();
+    }
+}
+
+impl Analysis for Gate {
+    fn key(&self) -> &str {
+        "gate"
+    }
+
+    fn describe(&self) -> &str {
+        "waits for a permit, then reports R_hom = 0"
+    }
+
+    fn run(
+        &self,
+        _request: &AnalysisRequest,
+        _ctx: &dyn AnalysisContext,
+    ) -> Result<AnalysisOutcome, ApiError> {
+        let mut permits = self.permits.lock().expect("gate lock");
+        loop {
+            match permits.as_mut() {
+                None => break,
+                Some(0) => permits = self.changed.wait(permits).expect("gate lock"),
+                Some(left) => {
+                    *left -= 1;
+                    break;
+                }
+            }
+        }
+        Ok(AnalysisOutcome::Hom { r_hom: 0.0 })
+    }
+}
+
 #[test]
 fn cancellation_returns_cancelled_and_stops_the_sweep() {
-    // Plenty of jobs on one worker; cancel after the first finishes.
-    let spec = cancellable_spec();
-    let engine = Engine::new(1);
+    // Plenty of jobs on one worker; cancel after the first finishes,
+    // while the second waits at the gate.
+    let (gate, engine, spec) = Gate::engine(1);
     let handle = engine.submit(&spec).expect("submit");
     while let Some(event) = handle.next_event() {
         if matches!(event, SweepEvent::JobFinished { .. }) {
@@ -199,6 +265,7 @@ fn cancellation_returns_cancelled_and_stops_the_sweep() {
             break;
         }
     }
+    gate.open();
     // Drain to the terminal event.
     let mut cancelled_event = false;
     while let Some(event) = handle.next_event() {
@@ -369,8 +436,8 @@ fn hundred_thousand_job_sweep_keeps_the_event_buffer_bounded() {
 
 #[test]
 fn cancel_tokens_cancel_and_observe_from_another_thread() {
-    let spec = cancellable_spec();
-    let engine = Engine::new(1);
+    // No permits: the first job waits at the gate until the cancel lands.
+    let (gate, engine, spec) = Gate::engine(0);
     let handle = engine.submit(&spec).expect("submit");
     assert_eq!(engine.active_sessions(), 1);
     let token = handle.cancel_token();
@@ -379,7 +446,9 @@ fn cancel_tokens_cancel_and_observe_from_another_thread() {
         token.cancel();
         token.is_cancelled()
     });
-    assert!(canceller.join().expect("canceller thread"));
+    let cancelled = canceller.join().expect("canceller thread");
+    gate.open();
+    assert!(cancelled);
     while handle.next_event().is_some() {}
     assert!(matches!(handle.wait(), Err(EngineError::Cancelled)));
     assert_eq!(engine.active_sessions(), 0, "session count returns to zero");
@@ -405,8 +474,6 @@ fn panicking_analysis_closes_the_stream_and_reraises_the_payload() {
     // A worker panic must (a) close the event stream so a blocked
     // consumer terminates instead of hanging on the Condvar, and
     // (b) surface the *original* panic payload through wait().
-    use std::sync::Arc;
-
     #[derive(Debug)]
     struct Exploding;
     impl hetrta_engine::Analysis for Exploding {

@@ -10,6 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use hetrta_dag::validate_task_model;
 use hetrta_gen::{generate_nfj, GenError, NfjParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,6 +80,15 @@ fn rejected_attempts_do_not_allocate_per_node() {
         let (allocations, dag) = allocations_during(|| {
             generate_nfj(&params, &mut StdRng::seed_from_u64(seed)).expect("accepts")
         });
+        // Debug builds also check the accepted graph with
+        // `validate_task_model` (a `debug_assert!` in `generate_nfj`).
+        // Those allocations are the check's, not the generator's.
+        let validation = if cfg!(debug_assertions) {
+            allocations_during(|| validate_task_model(&dag).expect("valid task model")).0
+        } else {
+            0
+        };
+        let allocations = allocations - validation;
         let nodes = dag.node_count();
         let attempts = attempts_from(&params, seed);
         most_attempts = most_attempts.max(attempts);
