@@ -20,6 +20,7 @@ use hetrta_engine::{AnalysisSelection, Engine, EngineOutput, GeneratorPreset, Sw
 use hetrta_exact::{solve, SolverConfig};
 use hetrta_gen::layered::{generate_layered, LayeredParams};
 use hetrta_gen::offload::{make_hetero_task, CoffSizing, OffloadSelection};
+use hetrta_gen::series::BatchSpec;
 use hetrta_gen::{generate_nfj, NfjParams};
 use hetrta_sim::policy::BreadthFirst;
 use hetrta_sim::{simulate, Platform};
@@ -318,6 +319,27 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         let mut rng = StdRng::seed_from_u64(0xBE9C_0010 ^ i);
         generate_nfj(&nfj_10k, &mut rng).expect("large-graph sample accepted")
     }));
+    // Rejection sampling at the paper's sizes: one op generates one grid
+    // point's batch, 20 tasks of the Figure 8 quick clip (60–120 nodes,
+    // about 30 attempts per accepted graph) or 50 of the paper's 100–250
+    // node range (about 11), each a `BatchSpec::task` as a sweep job
+    // makes it.
+    let fig8_point = BatchSpec::new(
+        NfjParams::large_tasks().with_node_range(60, 120),
+        20,
+        0xBE9C_0040,
+    );
+    kernels.push(time_kernel("gen/nfj_fig8_point", gen_budget, |_| {
+        fig8_point.tasks_at_fraction(0.1).expect("generates")
+    }));
+    let paper_point = BatchSpec::new(
+        NfjParams::large_tasks().with_node_range(100, 250),
+        50,
+        0xBE9C_0041,
+    );
+    kernels.push(time_kernel("gen/nfj_paper_point", gen_budget, |_| {
+        paper_point.tasks_at_fraction(0.1).expect("generates")
+    }));
     let layered_10k = LayeredParams::large_graphs(10_000);
     kernels.push(time_kernel("gen/layered_build_10k", gen_budget, |i| {
         let mut rng = StdRng::seed_from_u64(0xBE9C_0020 ^ i);
@@ -461,6 +483,8 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"kernels\""));
         assert!(json.contains("sweep/fig8_quick_cold"));
+        assert!(json.contains("gen/nfj_fig8_point"));
+        assert!(json.contains("gen/nfj_paper_point"));
         assert!(json.contains("\"analysis_latency\""));
         assert!(json.contains("\"p99_ns\""));
         let table = report.render();

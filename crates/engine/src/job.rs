@@ -73,6 +73,10 @@ pub enum JobInput {
     BatchTask {
         /// Reproducible batch the task is drawn from.
         batch: Arc<BatchSpec>,
+        /// The batch's share of the identity hash,
+        /// [`JobInput::batch_prefix`] of `batch`: computed once per batch,
+        /// since every task of the batch starts its hash with it.
+        prefix: u128,
         /// Target `C_off/vol`.
         fraction: f64,
         /// Index within the batch.
@@ -113,6 +117,20 @@ pub enum JobInput {
 }
 
 impl JobInput {
+    /// The digest a batch task's [`identity_hash`](JobInput::identity_hash)
+    /// resumes from: the recipe's tag, generator parameters, base seed and
+    /// offload selection. A task adds only its fraction and index, so
+    /// formatting the parameters costs once per batch, not once per job.
+    #[must_use]
+    pub fn batch_prefix(batch: &BatchSpec) -> u128 {
+        let mut h = ContentHasher::new();
+        h.write_u8(1);
+        h.write_str(&format!("{:?}", batch.params));
+        h.write_u64(batch.base_seed);
+        h.write_str(&format!("{:?}", batch.selection));
+        h.finish()
+    }
+
     /// Hash of the input *recipe* — what to generate, not the generated
     /// content. Keyed on generator parameters and derivation scalars, so
     /// two jobs that would generate identical inputs share one identity.
@@ -121,14 +139,12 @@ impl JobInput {
         let mut h = ContentHasher::new();
         match self {
             JobInput::BatchTask {
-                batch,
+                prefix,
                 fraction,
                 task_index,
+                ..
             } => {
-                h.write_u8(1);
-                h.write_str(&format!("{:?}", batch.params));
-                h.write_u64(batch.base_seed);
-                h.write_str(&format!("{:?}", batch.selection));
+                h = ContentHasher::resume(*prefix);
                 h.write_u64(fraction.to_bits());
                 h.write_u64(*task_index as u64);
             }
@@ -174,6 +190,7 @@ impl JobInput {
                 batch,
                 fraction,
                 task_index,
+                ..
             } => match batch.task(*task_index, *fraction) {
                 Ok(task) => Ok(Some(AnalysisInput::Task(task))),
                 Err(e) => Err(format!("generation failed: {e}")),
@@ -469,6 +486,44 @@ mod tests {
         assert_eq!(again.metrics.expect("job succeeds"), metrics);
         let identity_after = caches.identity.counters();
         assert_eq!(identity_after.hits, identity_before.hits + 1);
+    }
+
+    #[test]
+    fn batch_identities_equal_the_whole_recipe_hash() {
+        // The identity a batch task had before its batch's share was
+        // hashed once per batch: everything hashed in one stream.
+        let whole = |batch: &BatchSpec, fraction: f64, task_index: usize| {
+            let mut h = ContentHasher::new();
+            h.write_u8(1);
+            h.write_str(&format!("{:?}", batch.params));
+            h.write_u64(batch.base_seed);
+            h.write_str(&format!("{:?}", batch.selection));
+            h.write_u64(fraction.to_bits());
+            h.write_u64(task_index as u64);
+            h.finish()
+        };
+        let spec = SweepSpec::fractions(GeneratorPreset::Small, vec![2, 8], vec![0.1, 0.5], 3, 7)
+            .with_seeds(vec![7, 1 << 40]);
+        let (_, jobs) = spec.expand();
+        assert_eq!(jobs.len(), 24);
+        for job in &jobs {
+            let JobInput::BatchTask {
+                batch,
+                prefix,
+                fraction,
+                task_index,
+            } = &job.payload.input
+            else {
+                panic!("a fraction sweep expands into batch tasks");
+            };
+            assert_eq!(*prefix, JobInput::batch_prefix(batch));
+            assert_eq!(
+                job.payload.input.identity_hash(),
+                whole(batch, *fraction, *task_index),
+                "job {}",
+                job.index
+            );
+        }
     }
 
     #[test]

@@ -554,25 +554,24 @@ impl SweepSpec {
         };
         match &self.grid {
             SweepGrid::OffloadFractions(fractions) => {
-                let batches: Vec<Arc<BatchSpec>> = self
+                let batches: Vec<(Arc<BatchSpec>, u128)> = self
                     .seeds
                     .iter()
                     .map(|&seed| {
-                        Arc::new(BatchSpec::new(
-                            self.preset.params(),
-                            self.jobs_per_point,
-                            seed,
-                        ))
+                        let batch = BatchSpec::new(self.preset.params(), self.jobs_per_point, seed);
+                        let prefix = JobInput::batch_prefix(&batch);
+                        (Arc::new(batch), prefix)
                     })
                     .collect();
                 for &m in &self.core_counts {
                     for &fraction in fractions {
                         let inputs = batches
                             .iter()
-                            .flat_map(|batch| {
+                            .flat_map(|(batch, prefix)| {
                                 (0..self.jobs_per_point).map(move |task_index| {
                                     JobInput::BatchTask {
                                         batch: Arc::clone(batch),
+                                        prefix: *prefix,
                                         fraction,
                                         task_index,
                                     }

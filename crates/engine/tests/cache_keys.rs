@@ -78,6 +78,7 @@ fn cache_keys_keep_their_values_across_versions() {
         batch,
         fraction,
         task_index,
+        ..
     } = &job.payload.input
     else {
         panic!("a fraction sweep expands into batch tasks");

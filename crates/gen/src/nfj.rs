@@ -1,9 +1,8 @@
 //! Nested fork-join DAG generation (the paper's generator, §5.1).
 
-use core::fmt;
-
 use hetrta_dag::{Dag, Labels, NodeId, Ticks};
-use rand::Rng;
+use rand::distributions::{Bernoulli, Distribution, Uniform};
+use rand::{Rng, RngCore};
 
 use crate::GenError;
 
@@ -243,12 +242,18 @@ impl NfjParams {
 /// draws and records them, and an *emit* pass turns the record into a
 /// [`Dag`] only for the accepted attempt. A rejected attempt therefore
 /// costs its draws and nothing else, which matters for narrow node ranges
-/// (about 30 attempts per accepted graph at 60–120 nodes). The draw pass
-/// makes the same calls in the same order as expanding a graph directly
+/// (about 30 attempts per accepted graph at 60–120 nodes).
+///
+/// The draw pass is one loop over a stack of per-depth pending counts. It
+/// makes the same draws in the same order as expanding a graph directly
 /// would (per expanded node: `gen_bool` unless at `max_depth`, then the
 /// fork WCET, the join WCET and the branch count; per terminal: its WCET),
-/// so the accepted graph and the state `rng` is left in are exactly those
-/// of building every attempt.
+/// through samplers set up once per call: a [`Bernoulli`] for expansion
+/// and a [`Uniform`] each for WCETs and branch counts, which return what
+/// the matching `gen_bool`/`gen_range` calls return. A WCET draw records
+/// its raw word, and the emit pass maps only the accepted attempt's words
+/// through the WCET sampler. So the accepted graph and the state `rng` is
+/// left in are exactly those of building every attempt.
 ///
 /// # Errors
 ///
@@ -269,14 +274,14 @@ impl NfjParams {
 /// ```
 pub fn generate_nfj<R: Rng + ?Sized>(params: &NfjParams, rng: &mut R) -> Result<Dag, GenError> {
     params.validate()?;
-    let mut tape = Tape::new(params.n_max);
+    let samplers = Samplers::new(params);
+    let mut tape = Tape::new(params);
     for _ in 0..params.max_attempts {
-        tape.clear();
-        tape.draw(0, params, rng);
+        tape.draw(&samplers, rng);
         if (params.n_min..=params.n_max).contains(&tape.nodes) {
             // Valid by construction (acyclic, single terminals, no
             // transitive edges), so the unvalidated freeze suffices.
-            let dag = tape.emit();
+            let dag = tape.emit(&samplers.wcet);
             debug_assert!(hetrta_dag::validate_task_model(&dag).is_ok());
             return Ok(dag);
         }
@@ -286,73 +291,124 @@ pub fn generate_nfj<R: Rng + ?Sized>(params: &NfjParams, rng: &mut R) -> Result<
     })
 }
 
+/// The expansion's three samplers: whether a node expands, a WCET, and a
+/// branch count.
+struct Samplers {
+    expand: Bernoulli,
+    wcet: Uniform<u64>,
+    branches: Uniform<usize>,
+}
+
+impl Samplers {
+    /// Expects validated parameters.
+    fn new(params: &NfjParams) -> Self {
+        Samplers {
+            expand: Bernoulli::new(params.p_par).expect("validated p_par lies in [0, 1]"),
+            wcet: Uniform::new_inclusive(params.c_min, params.c_max),
+            branches: Uniform::new_inclusive(2, params.n_par),
+        }
+    }
+}
+
 /// The record of one expansion attempt, reused across attempts.
 ///
-/// `wcets` holds one WCET per materialized node in node-id order (a
-/// sub-DAG's fork and join come before its branches), and `shape` one
-/// entry per abstract node in depth-first order: its branch count, or 0
-/// for a terminal. Recording stops once the attempt passes `n_max`
-/// nodes, since such an attempt is rejected whatever it draws next.
+/// `words` holds, per materialized node in node-id order (a sub-DAG's
+/// fork and join come before its branches), the random word its WCET is
+/// drawn from, and `shape` one entry per abstract node in depth-first
+/// order: its branch count, or 0 for a terminal. Recording stops once the
+/// attempt passes `n_max` nodes, since such an attempt is rejected
+/// whatever it draws next.
 struct Tape {
     n_max: usize,
+    max_depth: usize,
     nodes: usize,
-    wcets: Vec<Ticks>,
+    words: Vec<u64>,
     shape: Vec<usize>,
+    /// The draw pass's depth stack: entry `d` counts the abstract nodes
+    /// at depth `d` still to be drawn (below the innermost open fork).
+    pending: Vec<usize>,
 }
 
 impl Tape {
-    fn new(n_max: usize) -> Self {
+    fn new(params: &NfjParams) -> Self {
+        // An attempt that can be accepted nests at most `n_max / 2`
+        // levels below the root, since each level adds a fork and a join.
+        // Rejected attempts may nest deeper and grow the stack. The
+        // reservation is best effort: if both bounds are too large to
+        // reserve, the pushes grow the stack instead.
+        let mut pending = Vec::new();
+        let _ = pending.try_reserve_exact(params.max_depth.min(params.n_max / 2) + 1);
         Tape {
-            n_max,
+            n_max: params.n_max,
+            max_depth: params.max_depth,
             nodes: 0,
-            wcets: Vec::new(),
+            words: Vec::new(),
             shape: Vec::new(),
+            pending,
         }
     }
 
-    fn clear(&mut self) {
+    /// Makes the draws of one attempt, depth first from the root.
+    fn draw<R: Rng + ?Sized>(&mut self, samplers: &Samplers, rng: &mut R) {
         self.nodes = 0;
-        self.wcets.clear();
+        self.words.clear();
         self.shape.clear();
-    }
-
-    /// Makes the draws of the abstract node at `depth` and of everything
-    /// it expands into.
-    fn draw<R: Rng + ?Sized>(&mut self, depth: usize, params: &NfjParams, rng: &mut R) {
-        let wcet = |rng: &mut R| Ticks::new(rng.gen_range(params.c_min..=params.c_max));
-        if depth < params.max_depth && rng.gen_bool(params.p_par) {
-            let fork = wcet(rng);
-            let join = wcet(rng);
-            let branches = rng.gen_range(2..=params.n_par);
-            self.record(branches, &[fork, join]);
-            for _ in 0..branches {
-                self.draw(depth + 1, params, rng);
+        self.pending.clear();
+        self.pending.push(1);
+        while let Some(left) = self.pending.last_mut() {
+            if *left == 0 {
+                self.pending.pop();
+                continue;
             }
-        } else {
-            let terminal = wcet(rng);
-            self.record(0, &[terminal]);
+            *left -= 1;
+            // The node's depth is `pending.len() - 1`.
+            if self.pending.len() <= self.max_depth && samplers.expand.sample(rng) {
+                let fork = rng.next_u64();
+                let join = rng.next_u64();
+                let branches = samplers.branches.sample(rng);
+                self.record(branches, &[fork, join]);
+                self.pending.push(branches);
+            } else {
+                let terminal = rng.next_u64();
+                self.record(0, &[terminal]);
+            }
         }
     }
 
-    fn record(&mut self, branches: usize, wcets: &[Ticks]) {
-        self.nodes += wcets.len();
+    fn record(&mut self, branches: usize, words: &[u64]) {
+        self.nodes += words.len();
         if self.nodes <= self.n_max {
-            self.wcets.extend_from_slice(wcets);
+            self.words.extend_from_slice(words);
             self.shape.push(branches);
         }
     }
 
-    /// Replays the recorded attempt into node labels and edges, in the
-    /// order a direct expansion adds them, and freezes it once.
-    fn emit(self) -> Dag {
-        let nodes = self.wcets.len();
+    /// Replays the recorded attempt into WCETs, node labels and edges, in
+    /// the order a direct expansion adds them, and freezes it once.
+    fn emit(self, wcet: &Uniform<u64>) -> Dag {
+        // Collected in place: the words' buffer becomes the WCETs'.
+        let wcets: Vec<Ticks> = self
+            .words
+            .into_iter()
+            .map(|word| Ticks::new(wcet.sample(&mut Recorded(word))))
+            .collect();
+        let nodes = wcets.len();
         // Labels are `t@d`, `fork@d` or `join@d`: 8 bytes each covers
         // depths below 100 without regrowing the buffer.
         let mut labels = Labels::with_capacity(nodes, 8 * nodes);
         // Every abstract node but the root hangs off one fork by two edges.
         let mut edges = Vec::with_capacity(2 * (self.shape.len() - 1));
         emit_node(&mut self.shape.iter(), 0, &mut labels, &mut edges);
-        Dag::from_parts(self.wcets, labels, &edges)
+        Dag::from_parts(wcets, labels, &edges)
+    }
+}
+
+/// A random source that returns one recorded word: replays a draw.
+struct Recorded(u64);
+
+impl RngCore for Recorded {
+    fn next_u64(&mut self) -> u64 {
+        self.0
     }
 }
 
@@ -365,16 +421,16 @@ fn emit_node(
     edges: &mut Vec<(NodeId, NodeId)>,
 ) -> (NodeId, NodeId) {
     let branches = *shape.next().expect("an accepted attempt is fully recorded");
-    let mut node = |label: fmt::Arguments<'_>| {
-        labels.push_fmt(label);
+    let mut node = |kind: &str| {
+        push_label(labels, kind, depth);
         NodeId::from_index(labels.len() - 1)
     };
     if branches == 0 {
-        let t = node(format_args!("t@{depth}"));
+        let t = node("t");
         return (t, t);
     }
-    let fork = node(format_args!("fork@{depth}"));
-    let join = node(format_args!("join@{depth}"));
+    let fork = node("fork");
+    let join = node("join");
     for _ in 0..branches {
         let (entry, exit) = emit_node(shape, depth + 1, labels, edges);
         edges.push((fork, entry));
@@ -383,10 +439,33 @@ fn emit_node(
     (fork, join)
 }
 
+/// Appends the label `{kind}@{depth}`. The depth's digits are written by
+/// hand: `core::fmt`'s machinery costs far more than the few bytes of a
+/// label.
+fn push_label(labels: &mut Labels, kind: &str, depth: usize) {
+    // `fork@` and the 20 digits of `usize::MAX` fit.
+    let mut buf = [0u8; 32];
+    let mut start = buf.len();
+    let mut rest = depth;
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    start -= 1;
+    buf[start] = b'@';
+    start -= kind.len();
+    buf[start..start + kind.len()].copy_from_slice(kind.as_bytes());
+    labels.push(std::str::from_utf8(&buf[start..]).expect("ASCII label"));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetrta_dag::algo::{transitive, CriticalPath};
+    use hetrta_dag::algo::{topological_order, transitive, CriticalPath};
     use hetrta_dag::{validate_task_model, DagBuilder};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -459,10 +538,18 @@ mod tests {
         );
     }
 
+    /// Near-critical binary branching (mean offspring 2 · 0.48 = 0.96)
+    /// under a 200-level cap: graphs of 500 nodes or more nest far deeper
+    /// than the paper presets' 3 to 5 levels.
+    fn deep_shape() -> NfjParams {
+        NfjParams::new(2, 200, 500, 4_000).with_p_par(0.48)
+    }
+
     /// The paper's small tasks, the Figure 8 quick clip (60–120 nodes),
-    /// the paper's large-task range, both `p_par` extremes, and a budget
-    /// the 60–120 clip often exhausts.
-    fn parity_presets() -> [NfjParams; 6] {
+    /// the paper's large-task range, both `p_par` extremes, a budget the
+    /// 60–120 clip often exhausts, depth caps of 0 and 1, and the deep
+    /// shape.
+    fn parity_presets() -> [NfjParams; 9] {
         [
             NfjParams::small_tasks(),
             NfjParams::large_tasks().with_node_range(60, 120),
@@ -472,6 +559,9 @@ mod tests {
             NfjParams::large_tasks()
                 .with_node_range(60, 120)
                 .with_max_attempts(2),
+            NfjParams::new(5, 0, 1, 10),
+            NfjParams::new(5, 1, 1, 10),
+            deep_shape(),
         ]
     }
 
@@ -481,19 +571,47 @@ mod tests {
         #[test]
         fn generate_matches_the_build_every_attempt_reference(
             seed: u64,
-            preset in 0usize..6,
+            preset in 0usize..9,
         ) {
             assert_matches_reference(&parity_presets()[preset], seed, 3);
         }
 
         #[test]
-        fn single_attempt_replays_match_the_reference(seed: u64, preset in 0usize..6) {
+        fn single_attempt_replays_match_the_reference(seed: u64, preset in 0usize..9) {
             // One attempt per call on one stream, as counting attempts
             // per accepted graph does: rejected calls must consume
             // exactly the reference's draws too.
             let once = parity_presets()[preset].clone().with_max_attempts(1);
             assert_matches_reference(&once, seed, 40);
         }
+    }
+
+    /// Nodes on a longest path.
+    fn longest_path_nodes(dag: &Dag) -> usize {
+        let mut nodes = vec![1; dag.node_count()];
+        for v in topological_order(dag).expect("acyclic") {
+            for &s in dag.successors(v) {
+                nodes[s.index()] = nodes[s.index()].max(nodes[v.index()] + 1);
+            }
+        }
+        nodes.into_iter().max().unwrap_or(0)
+    }
+
+    #[test]
+    fn deep_graphs_match_the_reference() {
+        let params = deep_shape();
+        let deepest = (0..16)
+            .map(|seed| {
+                assert_matches_reference(&params, seed, 1);
+                let dag = generate_nfj(&params, &mut StdRng::seed_from_u64(seed)).expect("accepts");
+                longest_path_nodes(&dag)
+            })
+            .max()
+            .unwrap_or(0);
+        // Some graph nests more than 64 levels below the root (its longest
+        // path has more than 2·64 + 1 nodes): a fixed 64-entry depth
+        // stack cannot hold its draws.
+        assert!(deepest > 129, "deepest graph has a {deepest}-node path");
     }
 
     #[test]

@@ -71,8 +71,8 @@ fn attempts_from(params: &NfjParams, seed: u64) -> usize {
 
 #[test]
 fn rejected_attempts_do_not_allocate_per_node() {
-    // The attempt tape's growth (capped by `n_max`), the edge list and
-    // the frozen graph's buffers: 27 on every seed below.
+    // The attempt tape's growth (capped by `n_max`), its depth stack, the
+    // edge list and the frozen graph's buffers: 28 on every seed below.
     const BUDGET: u64 = 28;
     let params = NfjParams::large_tasks().with_node_range(60, 120);
     let mut most_attempts = 0;
