@@ -11,6 +11,7 @@
 
 use std::time::{Duration, Instant};
 
+use hetrta_cond::{generate_cond, r_cond, CondExpr, CondGenParams};
 use hetrta_core::{r_het, r_hom, transform, TransformedTask};
 use hetrta_dag::algo::{
     topological_order, transitive::find_transitive_edge, CriticalPath, Reachability,
@@ -22,8 +23,12 @@ use hetrta_gen::layered::{generate_layered, LayeredParams};
 use hetrta_gen::offload::{make_hetero_task, CoffSizing, OffloadSelection};
 use hetrta_gen::series::BatchSpec;
 use hetrta_gen::{generate_nfj, NfjParams};
-use hetrta_sim::policy::BreadthFirst;
+use hetrta_sched::gfp_test;
+use hetrta_sched::model::{AnalysisModel, DeviceModel};
+use hetrta_sched::taskset::{generate_task_set, sort_deadline_monotonic, TaskSetParams};
+use hetrta_sim::policy::{BreadthFirst, CriticalPathFirst};
 use hetrta_sim::{simulate, Platform};
+use hetrta_suspend::BaselineComparison;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -309,6 +314,46 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         .makespan()
     }));
 
+    // One row for each crate the rows above do not reach: the
+    // task-set test (4 tasks at m = 8), the conditional DP bound, the
+    // suspension baselines, and the critical-path-first list schedule,
+    // whose O(W) ready-queue scan is the list-schedule hotspot at scale.
+    let task_set = {
+        let mut rng = StdRng::seed_from_u64(0xBE9C_0003);
+        let params = TaskSetParams::small(4, 1.0).with_offload_fraction(0.15, 0.4);
+        let mut set = generate_task_set(&params, &mut rng).expect("task set generates");
+        sort_deadline_monotonic(&mut set);
+        set
+    };
+    let het = AnalysisModel::Heterogeneous(DeviceModel::DedicatedPerTask);
+    kernels.push(time_kernel("sched/gfp_het", budget, |_| {
+        gfp_test(&task_set, 8, het).expect("valid task set")
+    }));
+    let cond_exprs: Vec<CondExpr> = {
+        let mut rng = StdRng::seed_from_u64(0xBE9C_0004);
+        std::iter::repeat_with(|| generate_cond(&CondGenParams::small(), &mut rng))
+            .filter_map(Result::ok)
+            .take(4)
+            .collect()
+    };
+    kernels.push(time_kernel("cond/r_cond", budget, |i| {
+        r_cond(&cond_exprs[(i % cond_exprs.len() as u64) as usize], 8).expect("valid cores")
+    }));
+    kernels.push(time_kernel("suspend/baselines", budget, |i| {
+        BaselineComparison::compute(pick(i), 8).expect("transformable")
+    }));
+    kernels.push(time_kernel("sim/critical_path_first", budget, |i| {
+        let task = pick(i);
+        simulate(
+            task.dag(),
+            Some(task.offloaded()),
+            Platform::with_accelerator(4),
+            &mut CriticalPathFirst::new(),
+        )
+        .expect("simulates")
+        .makespan()
+    }));
+
     // Large-graph tier: n≈10k construction through the builder-first
     // pipeline (the pre-PR5 edge-by-edge path was 5.7 ms / 117 ms per
     // graph here), plus Algorithm 1 at that scale. One op is one whole
@@ -485,6 +530,14 @@ mod tests {
         assert!(json.contains("sweep/fig8_quick_cold"));
         assert!(json.contains("gen/nfj_fig8_point"));
         assert!(json.contains("gen/nfj_paper_point"));
+        for row in [
+            "sched/gfp_het",
+            "cond/r_cond",
+            "suspend/baselines",
+            "sim/critical_path_first",
+        ] {
+            assert!(json.contains(row), "missing kernel row {row}");
+        }
         assert!(json.contains("\"analysis_latency\""));
         assert!(json.contains("\"p99_ns\""));
         let table = report.render();

@@ -8,6 +8,8 @@
 //! registry key (including custom registrations) is a valid selection.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
+use std::time::Instant;
 
 use hetrta_core::federated::{minimum_cores, AnalysisKind};
 use hetrta_core::{transform, HeterogeneousAnalysis};
@@ -15,8 +17,8 @@ use hetrta_dag::dot::{to_dot, DotOptions};
 use hetrta_dag::io::{parse_task, render_task, TaskKind};
 use hetrta_dag::{HeteroDagTask, NodeId, Ticks};
 use hetrta_engine::{
-    AnalysisSelection, CellKind, EngineBuilder, GeneratorPreset, SweepEvent, SweepSpec, TestKind,
-    TraceRecorder,
+    AggregateUpdate, AggregateView, AnalysisSelection, CellKind, EngineBuilder, GeneratorPreset,
+    JournalConfig, SessionConfig, SweepDriver, SweepEvent, SweepSpec, TestKind, TraceRecorder,
 };
 use hetrta_exact::{lp, solve, SolverConfig};
 use hetrta_gen::offload::{make_hetero_task, CoffSizing, OffloadSelection};
@@ -317,7 +319,8 @@ pub const COMMANDS: &[CommandSpec] = &[
                     help: "fan the sweep across N worker processes (each with --threads \
                            threads, all sharing --cache-dir); bitwise the single-process \
                            aggregate",
-                    conflicts: &["--shard", "--progress", "--metrics"],
+                    // Fleet workers record no metrics yet.
+                    conflicts: &["--shard", "--metrics"],
                     ..FlagSpec::DEFAULT
                 },
                 FlagSpec {
@@ -326,7 +329,7 @@ pub const COMMANDS: &[CommandSpec] = &[
                     help: "run only the I-th of K deterministic shards in this process \
                            (zero-based; merge all K partial aggregates to reassemble the \
                            full sweep)",
-                    conflicts: &["--workers", "--progress"],
+                    conflicts: &["--workers"],
                     ..FlagSpec::DEFAULT
                 },
             ],
@@ -445,9 +448,9 @@ pub const COMMANDS: &[CommandSpec] = &[
             FlagSpec {
                 name: "--journal-dir",
                 value: Some("DIR"),
-                help: "journal every in-process sweep under DIR (one subdirectory per \
-                       spec hash); a restarted daemon resumes interrupted sweeps on \
-                       resubmit instead of recomputing finished jobs",
+                help: "journal every sweep under DIR (one subdirectory per spec hash); \
+                       a restarted daemon resumes interrupted sweeps on resubmit instead \
+                       of recomputing finished jobs",
                 ..FlagSpec::DEFAULT
             },
             FlagSpec {
@@ -1317,69 +1320,167 @@ fn build_sweep_spec(args: &ParsedArgs) -> Result<SweepSpec, String> {
 
 fn engine_sweep_cmd(args: &ParsedArgs) -> Result<String, String> {
     let threads = args.parsed_or("--threads", "thread count", 0usize)?;
+    let workers = args.parsed_or("--workers", "worker count", 0usize)?;
     let spec = build_sweep_spec(args)?;
     if args.has("--resume") && args.value_of("--journal").is_none() {
         return Err("--resume needs --journal DIR (the journal of the interrupted run)".into());
     }
-
-    let workers = args.parsed_or("--workers", "worker count", 0usize)?;
-    if workers > 0 {
-        return engine_sweep_dist(args, &spec, workers, threads);
-    }
-    if let Some(raw) = args.value_of("--shard") {
-        return engine_sweep_shard(args, &spec, raw, threads);
-    }
-
-    let chaos = chaos_plan(args)?;
-    let mut builder = EngineBuilder::new().threads(threads);
-    if let Some(plan) = &chaos {
-        builder = builder.with_fault_plan(std::sync::Arc::clone(plan));
-    }
-    if let Some(dir) = args.value_of("--cache-dir") {
-        builder = builder.with_cache_dir(dir);
-    }
+    let journal_dir = args.value_of("--journal");
+    let journal = journal_dir.map(|dir| {
+        let cfg = JournalConfig::new(dir);
+        if args.has("--resume") {
+            cfg.resuming()
+        } else {
+            cfg
+        }
+    });
+    let chaos = parse_chaos_seed(args)?.map(|seed| Arc::new(hetrta_engine::FaultPlan::new(seed)));
     // A recorder is attached only when something consumes it: a --trace
     // output file, or structured stderr logging via HETRTA_LOG. Without
-    // either, the engine keeps its zero-cost no-op recorder.
+    // either, the sweep keeps the zero-cost no-op recorder.
     let trace_path = args.value_of("--trace");
     let stderr_log = std::env::var("HETRTA_LOG").is_ok_and(|v| !v.is_empty() && v != "0");
     let recorder = (trace_path.is_some() || stderr_log)
-        .then(|| std::sync::Arc::new(TraceRecorder::new().with_stderr_log(stderr_log)));
-    if let Some(recorder) = &recorder {
-        builder = builder.with_recorder(std::sync::Arc::clone(recorder) as _);
-    }
-    let engine = builder.build().map_err(|e| e.to_string())?;
+        .then(|| Arc::new(TraceRecorder::new().with_stderr_log(stderr_log)));
+    // ~50 progress snapshots over the sweep, at least one per job for
+    // tiny runs.
+    let partial_every = args
+        .has("--progress")
+        .then(|| (spec.job_count() / 50).max(1));
+    let mut progress = ProgressLine::new(partial_every.is_some());
 
-    let (aggregate, run_summary) = if let Some(dir) = args.value_of("--journal") {
-        let mut cfg = hetrta_engine::JournalConfig::new(dir);
-        if args.has("--resume") {
-            cfg = cfg.resuming();
+    // `--workers` fans the jobs across a fleet; every other sweep runs on
+    // one local engine.
+    let engine = if workers > 0 {
+        None
+    } else {
+        let mut builder = EngineBuilder::new().threads(threads);
+        if let Some(plan) = &chaos {
+            builder = builder.with_fault_plan(Arc::clone(plan));
         }
-        let progress = args.has("--progress");
-        let out = engine
-            .run_journaled_with(&spec, &cfg, None, |completed, total, _| {
-                if progress {
-                    eprint!("\r[{completed}/{total} jobs]   ");
+        if let Some(dir) = args.value_of("--cache-dir") {
+            builder = builder.with_cache_dir(dir);
+        }
+        if let Some(recorder) = &recorder {
+            builder = builder.with_recorder(Arc::clone(recorder) as _);
+        }
+        Some(builder.build().map_err(|e| e.to_string())?)
+    };
+
+    let (aggregate, summary) = match (&engine, args.value_of("--shard")) {
+        (None, _) => {
+            let mut config = hetrta_dist::DistConfig::local(workers, self_launcher()?);
+            config.worker_threads = threads;
+            config.cache_dir = args.value_of("--cache-dir").map(Into::into);
+            config.journal = journal;
+            config.partial_every = partial_every;
+            config.fault = chaos.clone();
+            // The recorder traces the *coordinator*: the sweep span,
+            // per-worker lanes, and the byte/re-dispatch counters (workers
+            // keep their own no-op recorders).
+            let recorder: &dyn hetrta_obs::Recorder = match &recorder {
+                Some(recorder) => recorder.as_ref(),
+                None => &hetrta_obs::NOOP,
+            };
+            let out = hetrta_dist::run_distributed(&spec, &config, recorder, None, |event| {
+                if let hetrta_dist::DistProgress::Partial {
+                    completed,
+                    total,
+                    update,
+                } = event
+                {
+                    progress.show(completed, total, &update);
                 }
             })
             .map_err(|e| e.to_string())?;
-        if progress {
-            eprintln!("\r[{0}/{0} jobs] done        ", out.total);
+            progress.done(out.completed, out.total);
+            let balance: Vec<String> = out.worker_jobs.iter().map(u64::to_string).collect();
+            let mut summary = format!(
+                "dist: {} jobs across {workers} workers [{}], {} redispatched, \
+                 {} worker deaths, {} respawns, {} B tx / {} B rx\n",
+                out.completed,
+                balance.join("/"),
+                out.redispatched_jobs,
+                out.worker_deaths,
+                out.respawns,
+                out.bytes_tx,
+                out.bytes_rx,
+            );
+            if let Some(dir) = journal_dir {
+                let executed: u64 = out.worker_jobs.iter().sum();
+                let replayed = (out.completed as u64).saturating_sub(executed);
+                let _ = writeln!(
+                    summary,
+                    "journal: {replayed} of {} jobs replayed from {dir}, {executed} executed",
+                    out.completed,
+                );
+            }
+            (out.aggregate, summary)
         }
-        let summary = format!(
-            "journal: {} of {} jobs replayed from {dir}, {} executed, \
-             {} journal write failures\n",
-            out.replayed, out.total, out.executed, out.journal_write_failures,
-        );
-        (out.aggregate, summary)
-    } else {
-        let out = if args.has("--progress") {
-            run_with_progress(&engine, &spec)?
-        } else {
-            engine.run(&spec).map_err(|e| e.to_string())?
-        };
-        let summary = out.stats.render();
-        (out.aggregate, summary)
+        (Some(engine), Some(raw)) => {
+            // One deterministic shard in-process: merging every shard's
+            // results reassembles the full sweep bitwise (pinned by
+            // `crates/dist/tests/parity.rs`).
+            let (shard, shards) = hetrta_dist::parse_shard(raw)?;
+            let (driver, _) =
+                SweepDriver::open(&spec, engine.registry(), None).map_err(|e| e.to_string())?;
+            let mut driver =
+                driver.with_partials(partial_every, SessionConfig::default().keyframe_every);
+            let total = driver.total();
+            let indices = hetrta_dist::shard_indices(total, shard, shards);
+            let ran = engine
+                .run_job_subset(&spec, &indices, |result| {
+                    if let Some(update) = driver.accept(result) {
+                        progress.show(driver.completed(), total, &update);
+                    }
+                })
+                .map_err(|e| e.to_string())?;
+            progress.done(ran, total);
+            let summary = format!(
+                "shard {shard}/{shards}: ran {ran} of {total} jobs \
+                 (merge all {shards} shards for the full aggregate)\n"
+            );
+            (driver.partial(), summary)
+        }
+        (Some(engine), None) => {
+            let config = SessionConfig {
+                job_events: false,
+                partial_every,
+                journal,
+                ..SessionConfig::quiet()
+            };
+            let handle = engine
+                .submit_with(&spec, config)
+                .map_err(|e| e.to_string())?;
+            while let Some(event) = handle.next_event() {
+                if let SweepEvent::PartialAggregate {
+                    completed,
+                    total,
+                    update,
+                } = event
+                {
+                    progress.show(completed, total, &update);
+                }
+            }
+            let out = handle.wait().map_err(|e| e.to_string())?;
+            progress.done(out.stats.jobs, out.stats.jobs);
+            let mut summary = out.stats.render();
+            if let Some(dir) = journal_dir {
+                let executed: u64 = out.stats.per_worker_jobs.iter().sum();
+                let failures = engine
+                    .metrics()
+                    .snapshot()
+                    .counter("journal.write_failures")
+                    .unwrap_or(0);
+                let _ = writeln!(
+                    summary,
+                    "journal: {} of {} jobs replayed from {dir}, {executed} executed, \
+                     {failures} journal write failures",
+                    out.stats.replayed_jobs, out.stats.jobs,
+                );
+            }
+            (out.aggregate, summary)
+        }
     };
 
     let mut text = if args.has("--csv") {
@@ -1388,113 +1489,7 @@ fn engine_sweep_cmd(args: &ParsedArgs) -> Result<String, String> {
         render_cells_table(&aggregate.cells)
     };
     text.push('\n');
-    text.push_str(&run_summary);
-    if let (Some(path), Some(recorder)) = (trace_path, &recorder) {
-        recorder
-            .write_chrome_trace(path)
-            .map_err(|e| format!("cannot write trace {path}: {e}"))?;
-        text.push_str(&format!(
-            "trace: {} spans written to {path} (load in Perfetto or chrome://tracing)\n",
-            recorder.spans().len()
-        ));
-    }
-    if args.has("--metrics") {
-        text.push('\n');
-        text.push_str(&engine.metrics().snapshot().render_table());
-    }
-    if let Some(plan) = &chaos {
-        text.push('\n');
-        text.push_str(&plan.report());
-    }
-    Ok(text)
-}
-
-/// Builds the seeded fault-injection plan when `--chaos SEED` is given.
-fn chaos_plan(
-    args: &ParsedArgs,
-) -> Result<Option<std::sync::Arc<hetrta_engine::FaultPlan>>, String> {
-    Ok(
-        parse_chaos_seed(args)?
-            .map(|seed| std::sync::Arc::new(hetrta_engine::FaultPlan::new(seed))),
-    )
-}
-
-/// The worker launcher for locally spawned fleets: this very binary,
-/// re-entered as `hetrta dist worker`.
-fn self_launcher() -> Result<hetrta_dist::WorkerLauncher, String> {
-    Ok(hetrta_dist::WorkerLauncher {
-        program: std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?,
-        args: vec!["dist".into(), "worker".into()],
-    })
-}
-
-/// `engine sweep --workers N`: fan the job list across N locally
-/// spawned worker processes and merge their streams into the same
-/// bitwise aggregate a single-process run produces.
-fn engine_sweep_dist(
-    args: &ParsedArgs,
-    spec: &SweepSpec,
-    workers: usize,
-    threads: usize,
-) -> Result<String, String> {
-    let mut config = hetrta_dist::DistConfig::local(workers, self_launcher()?);
-    config.worker_threads = threads;
-    config.cache_dir = args.value_of("--cache-dir").map(Into::into);
-    if let Some(dir) = args.value_of("--journal") {
-        let mut cfg = hetrta_engine::JournalConfig::new(dir);
-        if args.has("--resume") {
-            cfg = cfg.resuming();
-        }
-        config.journal = Some(cfg);
-    }
-    let chaos = chaos_plan(args)?;
-    config.fault = chaos.clone();
-    // --trace attaches the recorder to the *coordinator*: the sweep
-    // span, per-worker lanes, and the byte/re-dispatch counters land in
-    // the Chrome trace (workers keep their own no-op recorders).
-    let trace_path = args.value_of("--trace");
-    let stderr_log = std::env::var("HETRTA_LOG").is_ok_and(|v| !v.is_empty() && v != "0");
-    let recorder = (trace_path.is_some() || stderr_log)
-        .then(|| std::sync::Arc::new(TraceRecorder::new().with_stderr_log(stderr_log)));
-    let dyn_recorder: &dyn hetrta_obs::Recorder = match &recorder {
-        Some(recorder) => recorder.as_ref(),
-        None => &hetrta_obs::NOOP,
-    };
-    let out = hetrta_dist::run_distributed(spec, &config, dyn_recorder, None, |_| {})
-        .map_err(|e| e.to_string())?;
-
-    let mut text = if args.has("--csv") {
-        render_cells_csv(&out.aggregate.cells)
-    } else {
-        render_cells_table(&out.aggregate.cells)
-    };
-    text.push('\n');
-    let balance: Vec<String> = out.worker_jobs.iter().map(u64::to_string).collect();
-    let _ = writeln!(
-        text,
-        "dist: {} jobs across {workers} workers [{}], {} redispatched, \
-         {} worker deaths, {} respawns, {} B tx / {} B rx",
-        out.completed,
-        balance.join("/"),
-        out.redispatched_jobs,
-        out.worker_deaths,
-        out.respawns,
-        out.bytes_tx,
-        out.bytes_rx,
-    );
-    if let Some(dir) = args.value_of("--journal") {
-        let executed: u64 = out.worker_jobs.iter().sum();
-        let replayed = (out.completed as u64).saturating_sub(executed);
-        let _ = writeln!(
-            text,
-            "journal: {replayed} of {} jobs replayed from {dir}, {executed} executed",
-            out.completed,
-        );
-    }
-    if let Some(plan) = &chaos {
-        text.push('\n');
-        text.push_str(&plan.report());
-    }
+    text.push_str(&summary);
     if let (Some(path), Some(recorder)) = (trace_path, &recorder) {
         recorder
             .write_chrome_trace(path)
@@ -1505,50 +1500,7 @@ fn engine_sweep_dist(
             recorder.spans().len()
         );
     }
-    Ok(text)
-}
-
-/// `engine sweep --shard I/K`: run only the I-th deterministic shard
-/// in-process, rendering its partial aggregate. Merging all K shards
-/// through one aggregator reassembles the full sweep bitwise (pinned
-/// by `crates/dist/tests/parity.rs`).
-fn engine_sweep_shard(
-    args: &ParsedArgs,
-    spec: &SweepSpec,
-    raw: &str,
-    threads: usize,
-) -> Result<String, String> {
-    let (shard, shards) = hetrta_dist::parse_shard(raw)?;
-    let chaos = chaos_plan(args)?;
-    let mut builder = EngineBuilder::new().threads(threads);
-    if let Some(plan) = &chaos {
-        builder = builder.with_fault_plan(std::sync::Arc::clone(plan));
-    }
-    if let Some(dir) = args.value_of("--cache-dir") {
-        builder = builder.with_cache_dir(dir);
-    }
-    let engine = builder.build().map_err(|e| e.to_string())?;
-    let (cells, jobs) = spec.expand();
-    let total = jobs.len();
-    let indices = hetrta_dist::shard_indices(total, shard, shards);
-    let mut aggregator = hetrta_engine::Aggregator::new(cells, total, spec.cell_shape());
-    let ran = engine
-        .run_job_subset(spec, &indices, |result| aggregator.accept(result))
-        .map_err(|e| e.to_string())?;
-    let aggregate = aggregator.partial();
-
-    let mut text = if args.has("--csv") {
-        render_cells_csv(&aggregate.cells)
-    } else {
-        render_cells_table(&aggregate.cells)
-    };
-    text.push('\n');
-    let _ = writeln!(
-        text,
-        "shard {shard}/{shards}: ran {ran} of {total} jobs \
-         (merge all {shards} shards for the full aggregate)"
-    );
-    if args.has("--metrics") {
+    if let (true, Some(engine)) = (args.has("--metrics"), &engine) {
         text.push('\n');
         text.push_str(&engine.metrics().snapshot().render_table());
     }
@@ -1557,6 +1509,15 @@ fn engine_sweep_shard(
         text.push_str(&plan.report());
     }
     Ok(text)
+}
+
+/// The worker launcher for locally spawned fleets: this very binary,
+/// re-entered as `hetrta dist worker`.
+fn self_launcher() -> Result<hetrta_dist::WorkerLauncher, String> {
+    Ok(hetrta_dist::WorkerLauncher {
+        program: std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?,
+        args: vec!["dist".into(), "worker".into()],
+    })
 }
 
 /// `dist worker`: the fleet-worker process a coordinator spawns (or an
@@ -1590,56 +1551,42 @@ fn parse_chaos_seed(args: &ParsedArgs) -> Result<Option<u64>, String> {
     Ok(Some(seed))
 }
 
-/// Submits the sweep as a session and renders `PartialAggregate`
-/// snapshots to stderr as they stream in (stdout stays clean for the
-/// final table/CSV).
-fn run_with_progress(
-    engine: &hetrta_engine::Engine,
-    spec: &SweepSpec,
-) -> Result<hetrta_engine::EngineOutput, String> {
-    let total = spec.job_count();
-    // ~50 snapshots over the sweep, at least one per job for tiny runs.
-    // Per-job events are off: the renderer only consumes the snapshots,
-    // so 2·jobs queue pushes and wakeups would be pure overhead.
-    let every = (total / 50).max(1);
-    let config = hetrta_engine::SessionConfig {
-        job_events: false,
-        ..hetrta_engine::SessionConfig::with_partials(every)
-    };
-    let handle = engine
-        .submit_with(spec, config)
-        .map_err(|e| e.to_string())?;
-    // Partial aggregates stream as changed-cell deltas with periodic
-    // keyframes; the view reassembles full snapshots.
-    let mut view = hetrta_engine::AggregateView::new();
-    while let Some(event) = handle.next_event() {
-        match event {
-            SweepEvent::PartialAggregate {
-                completed,
-                total,
-                update,
-            } => {
-                let Some(aggregate) = view.apply(&update) else {
-                    continue; // keyframe not seen yet (dropped event)
-                };
-                let populated = aggregate.cells.iter().filter(|c| c.samples > 0).count();
-                let stats = handle.stats();
-                eprint!(
-                    "\r[{completed}/{total} jobs] {populated}/{} cells populated, \
-                     {} cached, {} disk hits ({:.1?})   ",
-                    aggregate.cells.len(),
-                    stats.cached_jobs,
-                    stats.disk_cache.hits,
-                    stats.elapsed,
-                );
-            }
-            SweepEvent::SweepFinished { completed, .. } => {
-                eprintln!("\r[{completed}/{total} jobs] done{}", " ".repeat(48));
-            }
-            SweepEvent::JobStarted { .. } | SweepEvent::JobFinished { .. } => {}
+/// The one progress renderer of streaming sweeps (`engine sweep
+/// --progress` in every mode, and `submit`): redraws a stderr line from
+/// each delta-encoded partial aggregate, so stdout stays clean for the
+/// final table or CSV. A disabled renderer prints nothing.
+struct ProgressLine {
+    /// Reassembles full snapshots from the deltas; `None` when disabled.
+    view: Option<AggregateView>,
+    started: Instant,
+}
+
+impl ProgressLine {
+    fn new(enabled: bool) -> Self {
+        ProgressLine {
+            view: enabled.then(AggregateView::new),
+            started: Instant::now(),
         }
     }
-    handle.wait().map_err(|e| e.to_string())
+
+    fn show(&mut self, completed: usize, total: usize, update: &AggregateUpdate) {
+        // Unsynced until a keyframe arrives (e.g. after a dropped event).
+        let Some(aggregate) = self.view.as_mut().and_then(|view| view.apply(update)) else {
+            return;
+        };
+        let populated = aggregate.cells.iter().filter(|c| c.samples > 0).count();
+        eprint!(
+            "\r[{completed}/{total} jobs] {populated}/{} cells populated ({:.1?})   ",
+            aggregate.cells.len(),
+            self.started.elapsed(),
+        );
+    }
+
+    fn done(&self, completed: usize, total: usize) {
+        if self.view.is_some() {
+            eprintln!("\r[{completed}/{total} jobs] done{}", " ".repeat(48));
+        }
+    }
 }
 
 const DEFAULT_DAEMON_ADDR: &str = "127.0.0.1:7917";
@@ -1712,12 +1659,11 @@ fn submit_cmd(args: &ParsedArgs) -> Result<String, String> {
     // the shared jittered-exponential policy (the same one loadgen uses),
     // reconnecting per attempt like any polite client.
     let policy = hetrta_serve::RetryPolicy::new();
+    let mut progress = ProgressLine::new(true);
     let outcome = policy
         .run(
             || {
-                // Reassemble streamed deltas exactly like the local
-                // --progress path (fresh per attempt).
-                let mut view = hetrta_engine::AggregateView::new();
+                progress = ProgressLine::new(true); // fresh view per attempt
                 let mut client = hetrta_serve::ServeClient::connect(addr)?;
                 client.run_to_completion(tenant, &spec, |event| {
                     if let SweepEvent::PartialAggregate {
@@ -1726,14 +1672,7 @@ fn submit_cmd(args: &ParsedArgs) -> Result<String, String> {
                         update,
                     } = event
                     {
-                        if let Some(aggregate) = view.apply(update) {
-                            let populated =
-                                aggregate.cells.iter().filter(|c| c.samples > 0).count();
-                            eprint!(
-                                "\r[{completed}/{total} jobs] {populated}/{} cells populated   ",
-                                aggregate.cells.len()
-                            );
-                        }
+                        progress.show(*completed, *total, update);
                     }
                 })
             },
@@ -1742,12 +1681,7 @@ fn submit_cmd(args: &ParsedArgs) -> Result<String, String> {
             },
         )
         .map_err(|e| e.to_string())?;
-    eprintln!(
-        "\r[{}/{} jobs] done{}",
-        outcome.completed,
-        spec.job_count(),
-        " ".repeat(48)
-    );
+    progress.done(outcome.completed, spec.job_count());
 
     let mut text = if args.has("--csv") {
         render_cells_csv(&outcome.aggregate.cells)
@@ -2454,29 +2388,35 @@ mod tests {
     fn engine_sweep_shard_runs_its_slice_and_conflicts_are_table_driven() {
         // 2 cores × 2 fractions × 4 per point = 8 jobs; shard 0/2 owns
         // the even expansion indices.
-        let out = run(&args(&[
-            "engine",
-            "sweep",
-            "--threads",
-            "1",
-            "--cores",
-            "2",
-            "--per-point",
-            "4",
-            "--fractions",
-            "0.1,0.3",
-            "--seed",
-            "9",
-            "--shard",
-            "0/2",
-        ]))
-        .unwrap();
+        let sweep = |extra: &[&str]| {
+            let shape = ["--threads", "1", "--cores", "2", "--per-point", "4"];
+            let mut argv = args(&["engine", "sweep", "--fractions", "0.1,0.3", "--seed", "9"]);
+            argv.extend(shape.iter().chain(extra).map(|s| (*s).to_owned()));
+            run(&argv).unwrap()
+        };
+        let out = sweep(&["--shard", "0/2", "--metrics"]);
         assert!(out.contains("shard 0/2: ran 4 of 8 jobs"), "{out}");
+
+        // A journaled run goes through the same engine session: stats
+        // block and metrics included.
+        let dir = std::env::temp_dir().join(format!("hetrta-cli-journal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journaled = sweep(&["--journal", dir.to_str().unwrap(), "--metrics"]);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(journaled.contains("engine: 8 jobs"), "{journaled}");
+        assert!(
+            journaled.contains("journal: 0 of 8 jobs replayed"),
+            "{journaled}"
+        );
+        for text in [&out, &journaled] {
+            assert!(text.contains("pool.jobs"), "{text}");
+            assert!(text.contains("analysis.het.latency_ns"), "{text}");
+        }
 
         // Conflict rules come from the FlagSpec table, not handler code.
         for bad in [
             ["--workers", "2", "--shard", "0/2"],
-            ["--workers", "2", "--progress", ""],
+            ["--workers", "2", "--metrics", ""],
         ] {
             let mut argv = args(&["engine", "sweep"]);
             argv.extend(
@@ -2893,18 +2833,31 @@ mod tests {
             "9",
             "--csv",
         ]);
-        let quiet = run(&base).unwrap();
-        let mut progress = base.clone();
-        progress.push("--progress".into());
-        let streamed = run(&progress).unwrap();
-        // Progress renders to stderr; stdout's cells are untouched.
+        // Progress renders to stderr; stdout's cells are untouched — on
+        // the plain, sharded and journaled paths alike.
         let cells = |text: &str| {
             text.lines()
                 .take_while(|l| !l.is_empty())
                 .map(String::from)
                 .collect::<Vec<_>>()
         };
-        assert_eq!(cells(&quiet), cells(&streamed));
+        let dir = std::env::temp_dir().join(format!("hetrta-cli-progress-{}", std::process::id()));
+        for (tag, extra) in [
+            ("plain", vec![]),
+            ("shard", vec!["--shard", "0/2"]),
+            ("journal", vec!["--journal", dir.to_str().unwrap()]),
+        ] {
+            let mut quiet = base.clone();
+            quiet.extend(extra.iter().map(|s| (*s).to_owned()));
+            let mut streamed = quiet.clone();
+            streamed.push("--progress".into());
+            let _ = std::fs::remove_dir_all(&dir);
+            let quiet = run(&quiet).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            let streamed = run(&streamed).unwrap();
+            assert_eq!(cells(&quiet), cells(&streamed), "{tag}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -49,7 +49,9 @@ fn fig8_with_four_workers_is_bitwise_the_threads_only_run() {
         "--threads",
         "1",
         "--csv",
+        "--progress",
     ]);
+    // Progress streams to stderr; the cells on stdout are untouched.
     assert_eq!(cells(&local), cells(&dist), "fig8 dist != local");
     assert!(dist.contains("dist: "), "{dist}");
     assert!(dist.contains("0 redispatched, 0 worker deaths"), "{dist}");
@@ -108,6 +110,10 @@ fn daemon_in_fleet_mode_answers_with_the_local_cells() {
         "--csv",
     ];
 
+    // Fleet sweeps journal too: one directory per spec hash.
+    let journal =
+        std::env::temp_dir().join(format!("hetrta-dist-cli-journal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&journal);
     let mut serve = Command::new(env!("CARGO_BIN_EXE_hetrta"))
         .args([
             "serve",
@@ -118,6 +124,8 @@ fn daemon_in_fleet_mode_answers_with_the_local_cells() {
             "--threads",
             "1",
         ])
+        .arg("--journal-dir")
+        .arg(&journal)
         .stderr(Stdio::piped())
         .stdout(Stdio::null())
         .spawn()
@@ -147,4 +155,17 @@ fn daemon_in_fleet_mode_answers_with_the_local_cells() {
     hetrta(&["submit", "--addr", &addr, "--shutdown"]);
     let status = serve.wait().expect("daemon exit");
     assert!(status.success(), "daemon exited {status:?}");
+
+    // Every job of the sweep left a `done` record (lines are
+    // `<checksum> <payload>`) in the spec's journal directory.
+    let done: usize = std::fs::read_dir(&journal)
+        .expect("journal root")
+        .flatten()
+        .flat_map(|spec_dir| std::fs::read_dir(spec_dir.path()).expect("spec journal"))
+        .flatten()
+        .filter_map(|file| std::fs::read_to_string(file.path()).ok())
+        .map(|text| text.lines().filter(|l| l.contains(" done ")).count())
+        .sum();
+    assert_eq!(done, 8, "fleet sweep journaled every job");
+    let _ = std::fs::remove_dir_all(&journal);
 }

@@ -5,8 +5,8 @@
 //!
 //! The coordinator never reorders floating-point work. It feeds every
 //! [`JobDone`](crate::protocol::DistMsg::JobDone) into the engine's
-//! [`Aggregator`], which stores results in expansion-order slots and
-//! replays them in expansion order at finalize — so the distributed
+//! [`SweepDriver`], whose aggregator stores results in expansion-order
+//! slots and replays them in expansion order at finalize — so the distributed
 //! aggregate is **bitwise identical** to a single-process run of the
 //! same spec, for any worker count, any arrival order, and any number
 //! of mid-sweep worker deaths (the parity and fault integration tests
@@ -22,7 +22,7 @@
 //! replacement (exponential back-off, at most
 //! [`DistConfig::max_respawns`] times per slot), or — when respawning
 //! is impossible — to the least-loaded surviving worker. Re-dispatch is
-//! idempotent: a done-bitmask drops any duplicate result that raced the
+//! idempotent: the driver drops any duplicate result that raced the
 //! death, so each expansion slot is aggregated exactly once.
 
 use std::collections::BTreeSet;
@@ -37,8 +37,8 @@ use std::time::{Duration, Instant};
 
 use hetrta_api::wire::{self, FrameFaults, WireError};
 use hetrta_engine::{
-    AggregateUpdate, Aggregator, Engine, FaultPlan, JournalConfig, SweepAggregate, SweepJournal,
-    SweepSpec,
+    AggregateUpdate, AnalysisRegistry, FaultPlan, JournalConfig, SessionConfig, SweepAggregate,
+    SweepDriver, SweepSpec,
 };
 use hetrta_obs::{span, Recorder};
 
@@ -188,7 +188,8 @@ pub enum DistProgress {
         completed: usize,
         /// Total jobs of the sweep.
         total: usize,
-        /// Keyframe snapshot of the aggregate so far.
+        /// The aggregate so far, delta-encoded like the engine's session
+        /// partials (a full keyframe every 16th snapshot).
         update: AggregateUpdate,
     },
     /// A worker was declared dead and its unfinished jobs re-dispatched.
@@ -221,7 +222,7 @@ pub struct DistOutcome {
     pub redispatched_jobs: u64,
     /// Worker processes respawned.
     pub respawns: u64,
-    /// Duplicate results dropped by the done-bitmask.
+    /// Duplicate results the driver dropped.
     pub duplicates: u64,
     /// Frame bytes sent to workers.
     pub bytes_tx: u64,
@@ -295,31 +296,16 @@ pub fn run_distributed(
         return Err(DistError::Config("a fleet needs at least 1 worker".into()));
     }
     // Validate exactly like a local run would (spec rules + registry
-    // compatibility) before any process is spawned: an empty subset
-    // runs the full validation path and no jobs.
-    Engine::new(1).run_job_subset(spec, &[], |_| {})?;
-
-    let (cells, jobs) = spec.expand();
-    let total = jobs.len();
-    drop(jobs); // workers re-expand; the coordinator only needs the count
-    let mut aggregator = Aggregator::new(cells, total, spec.cell_shape());
-    let mut done = vec![false; total];
-
-    // Open the durable journal (if configured) before any process is
-    // spawned: replayed jobs are marked done up front so the shards
+    // compatibility against the workers' builtin registry) and replay the
+    // journal, if any, before any process is spawned: the shards
     // dispatched below only ever contain the remainder.
-    let journal = match &config.journal {
-        Some(cfg) => {
-            let (journal, replay) = SweepJournal::open(cfg, spec, total)?;
-            for result in replay.results {
-                done[result.index] = true;
-                aggregator.accept(result);
-            }
-            Some(journal)
-        }
-        None => None,
-    };
-    let replayed = done.iter().filter(|d| **d).count();
+    let (driver, _pending) =
+        SweepDriver::open(spec, &AnalysisRegistry::builtin(), config.journal.as_ref())?;
+    let mut driver = driver.with_partials(
+        config.partial_every,
+        SessionConfig::default().keyframe_every,
+    );
+    let total = driver.total();
 
     let listener = match &config.launch {
         Launch::Spawn(_) => TcpListener::bind("127.0.0.1:0"),
@@ -346,36 +332,42 @@ pub fn run_distributed(
     };
     drop(tx); // reader threads hold their own clones
 
-    let mut slots: Vec<WorkerSlot> = (0..config.workers)
-        .map(|w| WorkerSlot {
-            writer: None,
-            conn: None,
-            child: None,
-            assigned: shard_indices(total, w, config.workers)
-                .into_iter()
-                .filter(|&index| !done[index])
-                .collect(),
-            last_seen: Instant::now(),
-            connected_once: false,
-            respawns: 0,
-            jobs: 0,
-        })
-        .collect();
-    for (w, slot) in slots.iter_mut().enumerate() {
+    let mut fleet = Fleet {
+        spec,
+        config,
+        addr,
+        recorder,
+        slots: (0..config.workers)
+            .map(|w| WorkerSlot {
+                writer: None,
+                conn: None,
+                child: None,
+                assigned: shard_indices(total, w, config.workers)
+                    .into_iter()
+                    .filter(|&index| driver.is_pending(index))
+                    .collect(),
+                last_seen: Instant::now(),
+                connected_once: false,
+                respawns: 0,
+                jobs: 0,
+            })
+            .collect(),
+        stats: Stats::default(),
+    };
+    for (w, slot) in fleet.slots.iter_mut().enumerate() {
         recorder.name_lane(
             u32::try_from(w).unwrap_or(u32::MAX).saturating_add(1),
             &format!("dist worker {w}"),
         );
         // A fully-replayed sweep needs no fleet at all.
-        if replayed < total {
+        if driver.completed() < total {
             if let Launch::Spawn(launcher) = &config.launch {
-                slot.child = Some(launcher.spawn(config, &addr, w)?);
+                slot.child = Some(launcher.spawn(config, &fleet.addr, w)?);
                 slot.last_seen = Instant::now();
             }
         }
     }
 
-    let mut stats = Stats::default();
     // The explicit kill-at-job-K hook wins; otherwise a fault plan
     // draws a deterministic (worker, K) from its own stream.
     let mut chaos = config.chaos_kill_after.or_else(|| {
@@ -384,13 +376,10 @@ pub fn run_distributed(
             ((bits as usize) % config.workers, 1 + (bits >> 16) % 4)
         })
     });
-    let mut seq = 0u64;
-    let mut since_partial = 0usize;
-    let mut completed = replayed;
     let mut cancelled = false;
     let tick = config.heartbeat_timeout.min(Duration::from_millis(100));
 
-    while completed < total {
+    while driver.completed() < total {
         if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
             cancelled = true;
             break;
@@ -401,58 +390,42 @@ pub fn run_distributed(
                 conn,
                 writer,
             }) => {
-                let Some(slot) = slots.get_mut(worker) else {
+                let Some(slot) = fleet.slots.get_mut(worker) else {
                     continue; // unknown slot: drop the connection
                 };
                 slot.last_seen = Instant::now();
                 slot.connected_once = true;
                 slot.writer = Some(writer);
                 slot.conn = Some(conn);
-                let assign = DistMsg::Assign {
-                    indices: slot.assigned.iter().copied().collect(),
-                    spec: Box::new(spec.clone()),
-                };
-                if let Err(e) = send(slot, &assign, &mut stats, frame_faults(config)) {
-                    handle_death(
-                        spec,
-                        config,
-                        &addr,
-                        &mut slots,
-                        worker,
-                        &format!("assign failed: {e}"),
-                        &mut stats,
-                        recorder,
-                        &mut progress,
-                    )?;
+                let indices = slot.assigned.iter().copied().collect();
+                if let Err(e) = fleet.assign(worker, indices) {
+                    fleet.handle_death(worker, &format!("assign failed: {e}"), &mut progress)?;
                 }
             }
             Ok(Event::Msg { worker, conn, msg }) => {
-                let Some(slot) = slots.get_mut(worker) else {
+                let Some(slot) = fleet.slots.get_mut(worker) else {
                     continue;
                 };
                 // Only the live connection vouches for the slot; results
                 // still in flight from a written-off one are kept (they
-                // are deterministic), and the done-bitmask dedups them.
+                // are deterministic), and the driver dedups them.
                 if slot.conn == Some(conn) {
                     slot.last_seen = Instant::now();
                 }
                 if let DistMsg::JobDone(result) = msg {
                     let index = result.index;
-                    if index >= total || done[index] {
-                        stats.duplicates += 1;
+                    if !driver.is_pending(index) {
+                        fleet.stats.duplicates += 1;
                         recorder.record_counter("dist.duplicate", 1);
                         continue;
                     }
-                    done[index] = true;
                     // Whichever slot owes it (a re-dispatched job may
                     // arrive from its first owner's dead connection).
-                    for owner in &mut slots {
+                    for owner in &mut fleet.slots {
                         owner.assigned.remove(&index);
                     }
-                    let slot = &mut slots[worker];
+                    let slot = &mut fleet.slots[worker];
                     slot.jobs += 1;
-                    completed += 1;
-                    since_partial += 1;
                     recorder.record_counter("dist.jobs", 1);
                     progress(DistProgress::Job {
                         index,
@@ -461,34 +434,15 @@ pub fn run_distributed(
                         cache_hit: result.cache_hit,
                         wall_time: result.wall_time,
                     });
-                    let result = result.into_result(worker);
-                    // Write-ahead: the journal records the job before the
-                    // aggregate absorbs it, so a crash between the two
-                    // replays (dedups) rather than loses it.
-                    let keyframe_due = journal.as_ref().is_some_and(|j| j.record_done(&result));
-                    aggregator.accept(result);
-                    if keyframe_due && completed < total {
-                        if let Some(j) = &journal {
-                            j.record_keyframe(completed, aggregator.partial());
-                        }
-                    }
-                    if config
-                        .partial_every
-                        .is_some_and(|every| since_partial >= every)
-                    {
-                        since_partial = 0;
+                    if let Some(update) = driver.accept(result.into_result(worker)) {
                         progress(DistProgress::Partial {
-                            completed,
+                            completed: driver.completed(),
                             total,
-                            update: AggregateUpdate::Keyframe {
-                                seq,
-                                aggregate: aggregator.partial(),
-                            },
+                            update,
                         });
-                        seq += 1;
                     }
-                    if chaos.is_some_and(|(w, after)| w == worker && slots[worker].jobs >= after)
-                        && slots[worker].child.is_some()
+                    if chaos.is_some_and(|(w, after)| w == worker && slot.jobs >= after)
+                        && slot.child.is_some()
                     {
                         chaos = None;
                         // SIGKILL, not a polite shutdown: the fault
@@ -498,17 +452,7 @@ pub fn run_distributed(
                         // has not yet accepted from this worker is
                         // orphaned, however far the worker had got, so
                         // the kill lands mid-shard by construction.
-                        handle_death(
-                            spec,
-                            config,
-                            &addr,
-                            &mut slots,
-                            worker,
-                            "killed by the chaos hook",
-                            &mut stats,
-                            recorder,
-                            &mut progress,
-                        )?;
+                        fleet.handle_death(worker, "killed by the chaos hook", &mut progress)?;
                     }
                 }
                 // Heartbeat/ShardDone only refresh last_seen (above);
@@ -519,24 +463,15 @@ pub fn run_distributed(
                 conn,
                 reason,
             }) => {
-                if slots.get(worker).is_none_or(|s| s.conn != Some(conn)) {
+                if fleet.slots.get(worker).is_none_or(|s| s.conn != Some(conn)) {
                     continue; // a connection already written off
                 }
-                handle_death(
-                    spec,
-                    config,
-                    &addr,
-                    &mut slots,
-                    worker,
-                    &reason,
-                    &mut stats,
-                    recorder,
-                    &mut progress,
-                )?;
+                fleet.handle_death(worker, &reason, &mut progress)?;
             }
             Err(RecvTimeoutError::Timeout) => {
                 let now = Instant::now();
-                let stale: Vec<usize> = slots
+                let stale: Vec<usize> = fleet
+                    .slots
                     .iter()
                     .enumerate()
                     .filter(|(_, s)| {
@@ -550,17 +485,7 @@ pub fn run_distributed(
                     .map(|(w, _)| w)
                     .collect();
                 for worker in stale {
-                    handle_death(
-                        spec,
-                        config,
-                        &addr,
-                        &mut slots,
-                        worker,
-                        "heartbeat timeout",
-                        &mut stats,
-                        recorder,
-                        &mut progress,
-                    )?;
+                    fleet.handle_death(worker, "heartbeat timeout", &mut progress)?;
                 }
             }
             Err(RecvTimeoutError::Disconnected) => {
@@ -572,7 +497,7 @@ pub fn run_distributed(
     // Tear the fleet down: a polite shutdown to every worker first,
     // then reap the children, so the workers exit side by side rather
     // than each waiting for the one before it.
-    for slot in &mut slots {
+    for slot in &mut fleet.slots {
         let told = slot.writer.take().is_some_and(|mut writer| {
             let ok = DistMsg::Shutdown.write_to(&mut writer).is_ok();
             let _ = writer.flush();
@@ -587,34 +512,30 @@ pub fn run_distributed(
             }
         }
     }
-    for child in slots.iter_mut().filter_map(|s| s.child.as_mut()) {
+    for child in fleet.slots.iter_mut().filter_map(|s| s.child.as_mut()) {
         let _ = child.wait();
     }
     // Unblock the accept thread (it checks the flag after each accept).
     accept_done.store(true, Ordering::Relaxed);
-    let _ = TcpStream::connect(&addr);
+    let _ = TcpStream::connect(&fleet.addr);
     let _ = accept_thread.join();
 
-    // Seal the journal's active segment so every record written so far
-    // sits in a durable, atomically renamed file — whether the sweep
-    // completed or was cancelled mid-flight.
-    if let Some(j) = &journal {
-        j.seal();
-    }
-
+    let stats = &fleet.stats;
     recorder.record_counter("dist.bytes_tx", stats.bytes_tx);
     recorder.record_counter("dist.bytes_rx", bytes_rx.load(Ordering::Relaxed));
+    let completed = driver.completed();
+    // The driver seals the journal on every way out of this function.
     let aggregate = if cancelled {
-        aggregator.partial()
+        driver.partial()
     } else {
-        aggregator.finalize()?
+        driver.finish()?
     };
     Ok(DistOutcome {
         aggregate,
         completed,
         total,
         cancelled,
-        worker_jobs: slots.iter().map(|s| s.jobs).collect(),
+        worker_jobs: fleet.slots.iter().map(|s| s.jobs).collect(),
         worker_deaths: stats.deaths,
         redispatched_jobs: stats.redispatched,
         respawns: stats.respawns,
@@ -633,112 +554,110 @@ struct Stats {
     duplicates: u64,
 }
 
-fn send(
-    slot: &mut WorkerSlot,
-    msg: &DistMsg,
-    stats: &mut Stats,
-    faults: Option<&dyn FrameFaults>,
-) -> Result<(), WireError> {
-    let Some(writer) = &mut slot.writer else {
-        return Err(WireError::Io("worker has no connection".into()));
-    };
-    let (kind, payload) = msg.encode();
-    stats.bytes_tx += (payload.len() + FRAME_OVERHEAD) as u64;
-    wire::write_frame_with(writer, kind, &payload, faults)
+/// The fleet one sweep runs on: its fixed context, its worker slots, and
+/// the counters its outcome reports.
+struct Fleet<'a> {
+    spec: &'a SweepSpec,
+    config: &'a DistConfig,
+    /// The coordinator's listen address, handed to spawned workers.
+    addr: String,
+    recorder: &'a dyn Recorder,
+    slots: Vec<WorkerSlot>,
+    stats: Stats,
 }
 
-/// The coordinator-side frame-fault seam: present only when a fault
-/// plan is configured.
-fn frame_faults(config: &DistConfig) -> Option<&dyn FrameFaults> {
-    config.fault.as_deref().map(|p| p as &dyn FrameFaults)
-}
-
-/// Declares `worker` dead and re-homes its unfinished indices: a
-/// respawned replacement when the launcher and budget allow, else the
-/// least-loaded surviving worker.
-#[allow(clippy::too_many_arguments)] // one cohesive death path, called thrice
-fn handle_death(
-    spec: &SweepSpec,
-    config: &DistConfig,
-    addr: &str,
-    slots: &mut [WorkerSlot],
-    worker: usize,
-    reason: &str,
-    stats: &mut Stats,
-    recorder: &dyn Recorder,
-    progress: &mut impl FnMut(DistProgress),
-) -> Result<(), DistError> {
-    let slot = &mut slots[worker];
-    slot.writer = None;
-    slot.conn = None;
-    if let Some(child) = &mut slot.child {
-        let _ = child.kill();
-        let _ = child.wait();
+impl Fleet<'_> {
+    /// Sends `worker` its `indices` to run (with frame faults when a
+    /// fault plan is configured).
+    fn assign(&mut self, worker: usize, indices: Vec<usize>) -> Result<(), WireError> {
+        let Some(writer) = &mut self.slots[worker].writer else {
+            return Err(WireError::Io("worker has no connection".into()));
+        };
+        let msg = DistMsg::Assign {
+            indices,
+            spec: Box::new(self.spec.clone()),
+        };
+        let (kind, payload) = msg.encode();
+        self.stats.bytes_tx += (payload.len() + FRAME_OVERHEAD) as u64;
+        let faults = self.config.fault.as_deref().map(|p| p as &dyn FrameFaults);
+        wire::write_frame_with(writer, kind, &payload, faults)
     }
-    slot.child = None;
-    let orphans = slot.assigned.len();
-    if orphans == 0 {
-        // Nothing outstanding (e.g. hangup after its shard finished):
-        // not a fault, nothing to re-dispatch.
-        return Ok(());
-    }
-    stats.deaths += 1;
-    stats.redispatched += orphans as u64;
-    recorder.record_counter("dist.worker_death", 1);
-    recorder.record_counter("dist.redispatch", orphans as u64);
-    progress(DistProgress::WorkerDown {
-        worker,
-        redispatched: orphans,
-        reason: reason.to_string(),
-    });
 
-    if let Launch::Spawn(launcher) = &config.launch {
-        if slot.respawns < config.max_respawns {
-            let backoff = config.respawn_backoff * 2u32.saturating_pow(slot.respawns as u32);
-            std::thread::sleep(backoff);
-            slot.respawns += 1;
-            stats.respawns += 1;
-            recorder.record_counter("dist.respawn", 1);
-            slot.child = Some(launcher.spawn(config, addr, worker)?);
-            slot.last_seen = Instant::now();
-            slot.connected_once = false;
-            // The orphans stay on this slot; the replacement receives
-            // them in the Assign sent on its hello.
+    /// Declares `worker` dead and re-homes its unfinished indices: a
+    /// respawned replacement when the launcher and budget allow, else the
+    /// least-loaded surviving worker.
+    fn handle_death(
+        &mut self,
+        worker: usize,
+        reason: &str,
+        progress: &mut impl FnMut(DistProgress),
+    ) -> Result<(), DistError> {
+        let (config, recorder) = (self.config, self.recorder);
+        let slot = &mut self.slots[worker];
+        slot.writer = None;
+        slot.conn = None;
+        if let Some(child) = &mut slot.child {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        slot.child = None;
+        let orphans = slot.assigned.len();
+        if orphans == 0 {
+            // Nothing outstanding (e.g. hangup after its shard finished):
+            // not a fault, nothing to re-dispatch.
             return Ok(());
         }
-    }
+        self.stats.deaths += 1;
+        self.stats.redispatched += orphans as u64;
+        recorder.record_counter("dist.worker_death", 1);
+        recorder.record_counter("dist.redispatch", orphans as u64);
+        progress(DistProgress::WorkerDown {
+            worker,
+            redispatched: orphans,
+            reason: reason.to_string(),
+        });
 
-    // No replacement possible: hand the orphans to the least-loaded
-    // survivor (fewest outstanding jobs).
-    let orphaned: Vec<usize> = std::mem::take(&mut slots[worker].assigned)
-        .into_iter()
-        .collect();
-    let heir = slots
-        .iter()
-        .enumerate()
-        .filter(|(w, s)| *w != worker && s.writer.is_some())
-        .min_by_key(|(_, s)| s.assigned.len())
-        .map(|(w, _)| w);
-    let Some(heir) = heir else {
-        return Err(DistError::WorkersLost(format!(
-            "worker {worker} died ({reason}) with {orphans} jobs outstanding, \
-             its respawn budget is spent, and no live worker remains"
-        )));
-    };
-    slots[heir].assigned.extend(orphaned.iter().copied());
-    let assign = DistMsg::Assign {
-        indices: orphaned,
-        spec: Box::new(spec.clone()),
-    };
-    if let Err(e) = send(&mut slots[heir], &assign, stats, frame_faults(config)) {
-        // The heir is dying too; recurse so *its* death path (which now
-        // owns the orphans) tries the next candidate.
-        let reason = format!("assign of re-dispatched jobs failed: {e}");
-        return handle_death(
-            spec, config, addr, slots, heir, &reason, stats, recorder, progress,
-        );
+        if let Launch::Spawn(launcher) = &config.launch {
+            if slot.respawns < config.max_respawns {
+                let backoff = config.respawn_backoff * 2u32.saturating_pow(slot.respawns as u32);
+                std::thread::sleep(backoff);
+                slot.respawns += 1;
+                self.stats.respawns += 1;
+                recorder.record_counter("dist.respawn", 1);
+                slot.child = Some(launcher.spawn(config, &self.addr, worker)?);
+                slot.last_seen = Instant::now();
+                slot.connected_once = false;
+                // The orphans stay on this slot; the replacement receives
+                // them in the Assign sent on its hello.
+                return Ok(());
+            }
+        }
+
+        // No replacement possible: hand the orphans to the least-loaded
+        // survivor (fewest outstanding jobs).
+        let orphaned: Vec<usize> = std::mem::take(&mut slot.assigned).into_iter().collect();
+        let heir = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(w, s)| *w != worker && s.writer.is_some())
+            .min_by_key(|(_, s)| s.assigned.len())
+            .map(|(w, _)| w);
+        let Some(heir) = heir else {
+            return Err(DistError::WorkersLost(format!(
+                "worker {worker} died ({reason}) with {orphans} jobs outstanding, \
+                 its respawn budget is spent, and no live worker remains"
+            )));
+        };
+        self.slots[heir].assigned.extend(orphaned.iter().copied());
+        if let Err(e) = self.assign(heir, orphaned) {
+            // The heir is dying too; recurse so *its* death path (which
+            // now owns the orphans) tries the next candidate.
+            let reason = format!("assign of re-dispatched jobs failed: {e}");
+            return self.handle_death(heir, &reason, progress);
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 fn accept_loop(

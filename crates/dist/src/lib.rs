@@ -9,14 +9,15 @@
 //! ([`Engine::run_job_subset`](hetrta_engine::Engine::run_job_subset))
 //! and stream results back over the workspace's checksummed frame
 //! layer ([`protocol`]), and the coordinator merges them through the
-//! engine's expansion-ordered [`Aggregator`](hetrta_engine::Aggregator)
-//! — so `--workers 8` produces *bitwise* the aggregate of a
+//! engine's [`SweepDriver`](hetrta_engine::SweepDriver) — the same
+//! journal, dedup and expansion-ordered aggregation path every local
+//! sweep takes — so `--workers 8` produces *bitwise* the aggregate of a
 //! single-process run.
 //!
 //! Robustness is the coordinator's job: per-worker heartbeats with a
 //! configurable timeout, crash/disconnect detection, exponential
 //! back-off respawn, and idempotent re-dispatch of a dead worker's
-//! unfinished shard (a done-bitmask drops duplicates). Workers pointed
+//! unfinished shard (the driver drops duplicates). Workers pointed
 //! at one `--cache-dir` share a disk-cache namespace, so a cell warmed
 //! by any fleet member never recomputes anywhere.
 //!

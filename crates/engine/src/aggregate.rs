@@ -433,6 +433,11 @@ impl Aggregator {
         self.slots[index] = Some(result);
     }
 
+    /// Whether the result of job `index` was accepted already.
+    pub(crate) fn contains(&self, index: usize) -> bool {
+        self.slots[index].is_some()
+    }
+
     /// Results accepted so far (progress indicator).
     #[must_use]
     pub fn received(&self) -> usize {

@@ -6,7 +6,7 @@ use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -14,10 +14,12 @@ use hetrta_api::{AnalysisInput, AnalysisOutcome, AnalysisRegistry, DerivedData};
 use hetrta_core::TransformedTask;
 use hetrta_obs::{span, Histogram, MetricsRegistry, NoopRecorder, Recorder};
 
-use crate::aggregate::{Aggregator, SweepAggregate};
+use crate::aggregate::SweepAggregate;
 use crate::cache::{CacheCounters, MemoCache};
 use crate::disk::DiskCache;
+use crate::driver::{expand_checked, SweepDriver};
 use crate::job::{self, Job, JobMetrics, JobResult};
+use crate::journal::{JournalConfig, JournalOutcome};
 use crate::pool;
 use crate::session::{
     EventQueue, ProgressCounters, SessionConfig, SessionShared, SweepEvent, SweepHandle,
@@ -301,7 +303,8 @@ impl CostModel {
 pub struct EngineStats {
     /// Worker threads used.
     pub threads: usize,
-    /// Jobs executed (the spec's full expansion).
+    /// Jobs of the sweep (the spec's full expansion, replayed ones
+    /// included).
     pub jobs: usize,
     /// Jobs executed per worker.
     pub per_worker_jobs: Vec<u64>,
@@ -311,6 +314,9 @@ pub struct EngineStats {
     pub cached_jobs: u64,
     /// Jobs whose sample the generator declined (skipped by aggregation).
     pub skipped_jobs: u64,
+    /// Jobs replayed from the session's journal instead of executed
+    /// (always zero without [`SessionConfig::journal`]).
+    pub replayed_jobs: usize,
     /// Transformation-cache activity during this run.
     pub transform_cache: CacheCounters,
     /// Derived-data-cache activity during this run (critical path,
@@ -641,13 +647,15 @@ impl EngineBuilder {
             plan.bind_observability(&metrics);
         }
         Ok(Engine {
-            threads: pool::resolve_threads(self.threads),
-            caches: Arc::new(caches),
-            registry: Arc::new(self.registry),
-            injection: self.injection,
-            cost_model: Arc::new(CostModel::default()),
-            metrics,
-            recorder,
+            exec: Executor {
+                threads: pool::resolve_threads(self.threads),
+                caches: Arc::new(caches),
+                registry: Arc::new(self.registry),
+                injection: self.injection,
+                cost_model: Arc::new(CostModel::default()),
+                metrics,
+                recorder,
+            },
             active_sessions: Arc::new(AtomicUsize::new(0)),
         })
     }
@@ -674,13 +682,7 @@ impl Default for EngineBuilder {
 /// identical aggregates.
 #[derive(Debug)]
 pub struct Engine {
-    threads: usize,
-    caches: Arc<EngineCaches>,
-    registry: Arc<AnalysisRegistry>,
-    injection: InjectionOrder,
-    cost_model: Arc<CostModel>,
-    metrics: Arc<MetricsRegistry>,
-    recorder: Arc<dyn Recorder>,
+    exec: Executor,
     active_sessions: Arc<AtomicUsize>,
 }
 
@@ -716,32 +718,32 @@ impl Engine {
     /// Overrides the injector seeding order.
     #[must_use]
     pub fn with_injection_order(mut self, injection: InjectionOrder) -> Self {
-        self.injection = injection;
+        self.exec.injection = injection;
         self
     }
 
     /// Worker threads this engine uses.
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.threads
+        self.exec.threads
     }
 
     /// The engine's caches (counters survive across runs).
     #[must_use]
     pub fn caches(&self) -> &EngineCaches {
-        &self.caches
+        &self.exec.caches
     }
 
     /// The registry jobs resolve their analysis keys against.
     #[must_use]
     pub fn registry(&self) -> &AnalysisRegistry {
-        &self.registry
+        &self.exec.registry
     }
 
     /// The learned per-key cost model feeding the injector order.
     #[must_use]
     pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
+        &self.exec.cost_model
     }
 
     /// The engine's metrics registry: cache hit/miss counters, pool
@@ -749,14 +751,14 @@ impl Engine {
     /// histograms, accumulated across every run of this engine.
     #[must_use]
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
+        &self.exec.metrics
     }
 
     /// The recorder structured spans are routed to (a no-op recorder
     /// unless one was attached via [`EngineBuilder::with_recorder`]).
     #[must_use]
     pub fn recorder(&self) -> &Arc<dyn Recorder> {
-        &self.recorder
+        &self.exec.recorder
     }
 
     /// Sessions currently running on this engine (submitted, not yet
@@ -797,94 +799,110 @@ impl Engine {
         self.submit_with(spec, SessionConfig::default())
     }
 
-    /// Submits `spec` with explicit observability knobs.
+    /// Submits `spec` with explicit observability knobs. With
+    /// [`SessionConfig::journal`] set, the journal is opened (and replayed)
+    /// here: replayed jobs count toward progress and partials but emit no
+    /// job events, and only the remainder runs.
     ///
     /// # Errors
     ///
-    /// [`EngineError::InvalidSpec`] (see [`Engine::submit`]).
+    /// [`EngineError::InvalidSpec`] (see [`Engine::submit`]), plus the
+    /// journal errors of [`SweepJournal::open`](crate::SweepJournal::open).
     pub fn submit_with(
         &self,
         spec: &SweepSpec,
         config: SessionConfig,
     ) -> Result<SweepHandle, EngineError> {
-        let _span = span!(self.recorder.as_ref(), "sweep.submit");
-        self.validate_spec(spec)?;
-
-        let (cells, mut jobs) = spec.expand();
-        let job_count = jobs.len();
-        if self.injection == InjectionOrder::CostDescending {
-            self.order_by_cost(&mut jobs);
-        }
-        let shape = spec.cell_shape();
-
+        let _span = span!(self.exec.recorder.as_ref(), "sweep.submit");
+        let (driver, jobs) = SweepDriver::open(spec, &self.exec.registry, config.journal.as_ref())?;
+        let driver = driver
+            .with_partials(config.partial_every, config.keyframe_every)
+            .with_recorder(Arc::clone(&self.exec.recorder));
         let shared = Arc::new(SessionShared {
             events: EventQueue::new(config.max_buffered_events),
             cancel: AtomicBool::new(false),
-            progress: ProgressCounters::default(),
-            caches: Arc::clone(&self.caches),
-            baseline: CacheBaseline::snapshot(&self.caches),
-            threads: self.threads.min(job_count.max(1)),
-            total_jobs: job_count,
+            progress: ProgressCounters {
+                done: AtomicU64::new(driver.completed() as u64),
+                cached: AtomicU64::new(driver.cache_hits()),
+                skipped: AtomicU64::new(driver.skipped()),
+            },
+            caches: Arc::clone(&self.exec.caches),
+            baseline: CacheBaseline::snapshot(&self.exec.caches),
+            threads: self.exec.threads.min(jobs.len().max(1)),
+            total_jobs: driver.total(),
+            replayed_jobs: driver.replayed(),
             started: Instant::now(),
         });
         let result = Arc::new(Mutex::new(None));
 
         let session = SessionTask {
-            caches: Arc::clone(&self.caches),
-            registry: Arc::clone(&self.registry),
-            cost_model: Arc::clone(&self.cost_model),
-            metrics: Arc::clone(&self.metrics),
-            recorder: Arc::clone(&self.recorder),
+            exec: self.exec.clone(),
             shared: Arc::clone(&shared),
             result: Arc::clone(&result),
-            config,
-            cells,
-            jobs,
-            shape,
+            job_events: config.job_events,
             _active: ActiveGuard::enter(Arc::clone(&self.active_sessions)),
         };
         let thread = std::thread::Builder::new()
             .name("hetrta-sweep".into())
-            .spawn(move || session.run())
+            .spawn(move || session.run(driver, jobs))
             .expect("spawn sweep session thread");
         Ok(SweepHandle::new(shared, result, thread))
     }
 
-    /// Validates a spec against this engine's registry: spec-internal
-    /// consistency first, then every analysis key must consume the input
-    /// kind this grid produces (a mismatch would deterministically fail
-    /// every job, so it is refused before any work starts).
-    fn validate_spec(&self, spec: &SweepSpec) -> Result<(), EngineError> {
-        spec.validate()?;
-        let produced = spec.input_kind();
-        for key in spec.analyses.keys() {
-            let analysis = self
-                .registry
-                .get(key)
-                .map_err(|e| EngineError::InvalidSpec(e.to_string()))?;
-            // A key whose input kind cannot come out of this grid would
-            // deterministically fail every job; refuse before any work.
-            if analysis.input_kind() != produced {
-                let compatible: Vec<&str> = self
-                    .registry
-                    .keys()
-                    .into_iter()
-                    .filter(|k| {
-                        self.registry
-                            .get(k)
-                            .is_ok_and(|a| a.input_kind() == produced)
-                    })
-                    .collect();
-                return Err(EngineError::InvalidSpec(format!(
-                    "analysis `{key}` expects a {}, but this grid produces a {} \
-                     (analyses of this grid: {})",
-                    analysis.input_kind().describe(),
-                    produced.describe(),
-                    compatible.join(", ")
-                )));
-            }
+    /// Runs `spec` write-ahead journaled into `cfg.dir`: previously
+    /// completed jobs (from an interrupted earlier run) are replayed
+    /// from the journal, only the remainder executes, and the final
+    /// aggregate is bitwise identical to an uninterrupted
+    /// [`Engine::run`] — the expansion-order replay inside the
+    /// aggregator is indifferent to where results come from.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Engine::run`] can return, plus [`EngineError::Cache`]
+    /// for an unusable journal directory / spec-mismatched journal and
+    /// [`EngineError::InvalidSpec`] for an unresumed non-empty journal.
+    pub fn run_journaled(
+        &self,
+        spec: &SweepSpec,
+        cfg: &JournalConfig,
+    ) -> Result<JournalOutcome, EngineError> {
+        self.run_journaled_with(spec, cfg, None, |_, _, _| {})
+    }
+
+    /// [`Engine::run_journaled`] with cooperative cancellation and a
+    /// per-job progress hook `(completed, total, result)`, run on the
+    /// calling thread. Cancellation returns [`EngineError::Cancelled`],
+    /// but everything journaled so far stays durable: a later resume
+    /// continues from it.
+    ///
+    /// # Errors
+    ///
+    /// See [`Engine::run_journaled`]; plus [`EngineError::Cancelled`].
+    pub fn run_journaled_with(
+        &self,
+        spec: &SweepSpec,
+        cfg: &JournalConfig,
+        cancel: Option<&AtomicBool>,
+        mut progress: impl FnMut(usize, usize, &JobResult),
+    ) -> Result<JournalOutcome, EngineError> {
+        let _span = span!(self.exec.recorder.as_ref(), "sweep");
+        let (mut driver, jobs) = SweepDriver::open(spec, &self.exec.registry, Some(cfg))?;
+        let (total, executed) = (driver.total(), jobs.len());
+        self.exec.run(jobs, cancel, &|_| {}, |result| {
+            progress(driver.completed() + 1, total, &result);
+            driver.accept(result);
+        });
+        if driver.completed() < total && cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+            return Err(EngineError::Cancelled);
         }
-        Ok(())
+        driver.seal();
+        Ok(JournalOutcome {
+            replayed: driver.replayed(),
+            executed,
+            total,
+            journal_write_failures: driver.journal_write_failures().unwrap_or(0),
+            aggregate: driver.finish()?,
+        })
     }
 
     /// Runs only the jobs whose expansion index is in `indices`, streaming
@@ -893,12 +911,12 @@ impl Engine {
     /// `hetrta-dist` worker loop.
     ///
     /// Results carry the same content-addressed identity, metrics and
-    /// timings a full run produces (an [`Aggregator`](crate::aggregate::Aggregator)
-    /// fed subset results from *every* shard finalizes to the bitwise
-    /// aggregate of a single-process run — expansion order, not arrival
-    /// order, drives the reduction). `sink` runs on the calling thread;
-    /// the jobs themselves run on this engine's worker pool and hit the
-    /// same memo/disk caches as any other run.
+    /// timings a full run produces (a [`SweepDriver`] fed subset results
+    /// from *every* shard finalizes to the bitwise aggregate of a
+    /// single-process run — expansion order, not arrival order, drives
+    /// the reduction). `sink` runs on the calling thread; the jobs
+    /// themselves run on this engine's worker pool, hit the same
+    /// memo/disk caches and feed the same metrics as any other run.
     ///
     /// Returns the number of jobs run.
     ///
@@ -912,29 +930,8 @@ impl Engine {
         indices: &[usize],
         sink: impl FnMut(JobResult),
     ) -> Result<usize, EngineError> {
-        self.run_job_subset_cancellable(spec, indices, None, sink)
-    }
-
-    /// [`Engine::run_job_subset`] with cooperative cancellation: once
-    /// `cancel` flips, queued jobs are skipped (in-flight jobs finish
-    /// and still reach `sink`). Returns the number of jobs *selected*;
-    /// callers observing a cancel decide for themselves whether a short
-    /// run is an error (the journaled path turns it into
-    /// [`EngineError::Cancelled`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::run_job_subset`].
-    pub fn run_job_subset_cancellable(
-        &self,
-        spec: &SweepSpec,
-        indices: &[usize],
-        cancel: Option<&std::sync::atomic::AtomicBool>,
-        mut sink: impl FnMut(JobResult),
-    ) -> Result<usize, EngineError> {
-        let _span = span!(self.recorder.as_ref(), "sweep.subset");
-        self.validate_spec(spec)?;
-        let (_cells, jobs) = spec.expand();
+        let _span = span!(self.exec.recorder.as_ref(), "sweep.subset");
+        let (_cells, jobs) = expand_checked(spec, &self.exec.registry)?;
         let job_count = jobs.len();
         let mut wanted = vec![false; job_count];
         for &index in indices {
@@ -945,31 +942,109 @@ impl Engine {
             }
             wanted[index] = true;
         }
-        let mut jobs: Vec<Job> = jobs.into_iter().filter(|job| wanted[job.index]).collect();
+        let jobs: Vec<Job> = jobs.into_iter().filter(|job| wanted[job.index]).collect();
         let ran = jobs.len();
+        self.exec.run(jobs, None, &|_| {}, sink);
+        Ok(ran)
+    }
+}
+
+/// What an [`Engine`] runs jobs with: its threads, caches, registry and
+/// instrumentation. A clone shares all of them (a session thread holds
+/// one).
+#[derive(Debug, Clone)]
+struct Executor {
+    threads: usize,
+    caches: Arc<EngineCaches>,
+    registry: Arc<AnalysisRegistry>,
+    injection: InjectionOrder,
+    cost_model: Arc<CostModel>,
+    metrics: Arc<MetricsRegistry>,
+    recorder: Arc<dyn Recorder>,
+}
+
+impl Executor {
+    /// Runs `jobs` on the worker pool and hands each result to `consume`
+    /// on the calling thread; `on_start` runs on the worker as it picks a
+    /// job up. Feeds the cost model, the per-analysis latency histograms,
+    /// the queue-depth gauge and (once per call) the `pool.*` counters and
+    /// `cost.ewma_us.*` gauges. Once `cancel` flips, queued jobs are
+    /// skipped; in-flight jobs finish and still reach `consume`.
+    fn run(
+        &self,
+        mut jobs: Vec<Job>,
+        cancel: Option<&AtomicBool>,
+        on_start: &(dyn Fn(usize) + Sync),
+        mut consume: impl FnMut(JobResult),
+    ) -> Vec<pool::WorkerStats> {
         if self.injection == InjectionOrder::CostDescending {
             self.order_by_cost(&mut jobs);
         }
-        let caches = &self.caches;
-        let registry = &self.registry;
+        let threads = self.threads.min(jobs.len().max(1));
+        let (caches, registry, metrics) = (&self.caches, &self.registry, &self.metrics);
         let recorder: &dyn Recorder = self.recorder.as_ref();
-        pool::run_jobs_cancellable(
+        // Lane 1+k is worker k on the trace timeline.
+        if recorder.enabled() {
+            for worker in 0..threads {
+                recorder.name_lane(worker as u32 + 1, &format!("worker {worker}"));
+            }
+        }
+        let queue_gauge = metrics.gauge("pool.queue_depth");
+        let observe_depth = |depth: usize| {
+            queue_gauge.set(depth as u64);
+            recorder.record_counter("pool.queue_depth", depth as u64);
+        };
+        // Per-analysis latency histograms are fed here on the
+        // single-threaded consume path, through a local handle cache, so
+        // workers never touch (or contend on) the registry.
+        let mut latency: HashMap<Arc<str>, Histogram> = HashMap::new();
+        let worker_stats = pool::run_jobs(
             jobs,
-            self.threads.min(ran.max(1)),
+            threads,
             cancel,
+            Some(&observe_depth),
             |worker, job: Job| {
                 hetrta_obs::set_thread_lane(worker as u32 + 1);
+                on_start(job.index);
                 let _span = span!(recorder, "job", index = job.index, cell = job.cell);
                 job::execute(caches, registry, &job, worker, recorder)
             },
             |_, result| {
                 for (key, elapsed) in &result.timings {
                     self.cost_model.observe(key, *elapsed);
+                    latency
+                        .entry(Arc::clone(key))
+                        .or_insert_with(|| metrics.histogram(&format!("analysis.{key}.latency_ns")))
+                        .record_duration(*elapsed);
                 }
-                sink(result);
+                consume(result);
             },
         );
-        Ok(ran)
+
+        // Pool-level totals and the learned per-key cost EWMAs land on
+        // the registry once per call.
+        let micros = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        metrics
+            .counter("pool.jobs")
+            .add(worker_stats.iter().map(|w| w.jobs).sum());
+        metrics
+            .counter("pool.steals")
+            .add(worker_stats.iter().map(|w| w.steals).sum());
+        metrics
+            .counter("pool.busy_us")
+            .add(worker_stats.iter().map(|w| micros(w.busy)).sum());
+        metrics
+            .counter("pool.idle_us")
+            .add(worker_stats.iter().map(|w| micros(w.idle)).sum());
+        for key in latency.keys() {
+            if let Some(micros) = self.cost_model.measured_micros(key) {
+                #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+                metrics
+                    .gauge(&format!("cost.ewma_us.{key}"))
+                    .set(micros.max(0.0) as u64);
+            }
+        }
+        worker_stats
     }
 
     /// Stable-sorts jobs so the heaviest analysis kinds enter the injector
@@ -993,20 +1068,13 @@ impl Engine {
     }
 }
 
-/// Everything one session thread owns: it executes the jobs, feeds the
-/// aggregator and cost model, emits events, and deposits the result.
+/// Everything one session thread owns besides its driver and jobs: it
+/// executes the jobs, emits events, and deposits the result.
 struct SessionTask {
-    caches: Arc<EngineCaches>,
-    registry: Arc<AnalysisRegistry>,
-    cost_model: Arc<CostModel>,
-    metrics: Arc<MetricsRegistry>,
-    recorder: Arc<dyn Recorder>,
+    exec: Executor,
     shared: Arc<SessionShared>,
     result: Arc<Mutex<Option<Result<EngineOutput, EngineError>>>>,
-    config: SessionConfig,
-    cells: Vec<crate::spec::CellInfo>,
-    jobs: Vec<Job>,
-    shape: crate::spec::CellShape,
+    job_events: bool,
     _active: ActiveGuard,
 }
 
@@ -1029,7 +1097,7 @@ impl Drop for ActiveGuard {
 }
 
 impl SessionTask {
-    fn run(mut self) {
+    fn run(self, driver: SweepDriver, jobs: Vec<Job>) {
         // Close the event stream even if a worker (or the aggregation
         // callback) panics: a consumer blocked in `next_event()` must
         // wake up and fall through to `wait()`, which re-raises the
@@ -1041,81 +1109,44 @@ impl SessionTask {
             }
         }
         let _close = CloseOnDrop(Arc::clone(&self.shared));
-        let outcome = self.execute();
+        let outcome = self.execute(driver, jobs);
         *self.result.lock().expect("session result") = Some(outcome);
     }
 
-    fn execute(&mut self) -> Result<EngineOutput, EngineError> {
+    fn execute(
+        &self,
+        mut driver: SweepDriver,
+        jobs: Vec<Job>,
+    ) -> Result<EngineOutput, EngineError> {
         let shared = &self.shared;
-        let jobs = std::mem::take(&mut self.jobs);
-        let job_count = jobs.len();
-        let mut aggregator =
-            Aggregator::new(std::mem::take(&mut self.cells), job_count, self.shape);
-        let caches = &self.caches;
-        let registry = &self.registry;
-        let config = &self.config;
-        let cost_model = &self.cost_model;
-        let metrics = &self.metrics;
-        let recorder: &dyn Recorder = self.recorder.as_ref();
+        let job_events = self.job_events;
+        let total = driver.total();
+        let recorder: &dyn Recorder = self.exec.recorder.as_ref();
 
-        // Name the timeline lanes (lane 0 = this session thread, lane
-        // 1+k = worker k) and open the root span covering the whole run.
+        // Lane 0 is this session thread; the root span covers the run.
         if recorder.enabled() {
             recorder.name_lane(0, "session");
-            for worker in 0..shared.threads {
-                recorder.name_lane(worker as u32 + 1, &format!("worker {worker}"));
-            }
         }
         hetrta_obs::set_thread_lane(0);
-        let sweep_span = span!(recorder, "sweep", jobs = job_count);
+        let sweep_span = span!(recorder, "sweep", jobs = total);
 
-        let queue_gauge = metrics.gauge("pool.queue_depth");
-        let observe_depth = |depth: usize| {
-            queue_gauge.set(depth as u64);
-            recorder.record_counter("pool.queue_depth", depth as u64);
+        let on_start = |index| {
+            if job_events {
+                shared.events.push(SweepEvent::JobStarted { index });
+            }
         };
-
-        // Per-analysis latency histograms are fed here on the
-        // single-threaded consume path, through a local handle cache, so
-        // workers never touch (or contend on) the registry.
-        let mut latency_handles: HashMap<Arc<str>, Histogram> = HashMap::new();
-
-        let mut delta_encoder = config
-            .partial_every
-            .map(|_| crate::aggregate::AggregateDeltaEncoder::new(config.keyframe_every));
-        let delta_encoder = &mut delta_encoder;
-        let latency = &mut latency_handles;
-        let worker_stats = pool::run_jobs_observed(
-            jobs,
-            shared.threads,
-            Some(&shared.cancel),
-            Some(&observe_depth),
-            move |worker, j: Job| {
-                hetrta_obs::set_thread_lane(worker as u32 + 1);
-                if config.job_events {
-                    shared
-                        .events
-                        .push(SweepEvent::JobStarted { index: j.index });
-                }
-                let _span = span!(recorder, "job", index = j.index, cell = j.cell);
-                job::execute(caches, registry, &j, worker, recorder)
-            },
-            |_, result| {
-                for (key, elapsed) in &result.timings {
-                    cost_model.observe(key, *elapsed);
-                    latency
-                        .entry(Arc::clone(key))
-                        .or_insert_with(|| metrics.histogram(&format!("analysis.{key}.latency_ns")))
-                        .record_duration(*elapsed);
-                }
-                shared.progress.done.fetch_add(1, Ordering::Relaxed);
+        let worker_stats = self
+            .exec
+            .run(jobs, Some(&shared.cancel), &on_start, |result| {
+                let progress = &shared.progress;
+                progress.done.fetch_add(1, Ordering::Relaxed);
                 if result.cache_hit {
-                    shared.progress.cached.fetch_add(1, Ordering::Relaxed);
+                    progress.cached.fetch_add(1, Ordering::Relaxed);
                 }
                 if matches!(result.metrics, Ok(JobMetrics::Skipped)) {
-                    shared.progress.skipped.fetch_add(1, Ordering::Relaxed);
+                    progress.skipped.fetch_add(1, Ordering::Relaxed);
                 }
-                if config.job_events {
+                if job_events {
                     shared.events.push(SweepEvent::JobFinished {
                         index: result.index,
                         cell: result.cell,
@@ -1124,70 +1155,27 @@ impl SessionTask {
                         wall_time: result.wall_time,
                     });
                 }
-                // Journal before the aggregator consumes the result: the
-                // done record is the durability point for this job.
-                let journal_keyframe_due = config
-                    .journal
-                    .as_deref()
-                    .is_some_and(|journal| journal.record_done(&result));
-                aggregator.accept(result);
-                if journal_keyframe_due && aggregator.received() < job_count {
-                    if let Some(journal) = &config.journal {
-                        journal.record_keyframe(aggregator.received(), aggregator.partial());
-                    }
+                if let Some(update) = driver.accept(result) {
+                    shared.events.push(SweepEvent::PartialAggregate {
+                        completed: driver.completed(),
+                        total,
+                        update,
+                    });
                 }
-                if let Some(every) = config.partial_every {
-                    let received = aggregator.received();
-                    if received.is_multiple_of(every) && received < job_count {
-                        let _span = span!(recorder, "session.emit_partial");
-                        let encoder = delta_encoder.as_mut().expect("encoder exists");
-                        shared.events.push(SweepEvent::PartialAggregate {
-                            completed: received,
-                            total: job_count,
-                            update: encoder.encode(aggregator.partial()),
-                        });
-                    }
-                }
-            },
-        );
-
-        // Pool-level totals and the learned per-key cost EWMAs land on
-        // the registry once per run.
-        metrics
-            .counter("pool.jobs")
-            .add(worker_stats.iter().map(|w| w.jobs).sum());
-        metrics
-            .counter("pool.steals")
-            .add(worker_stats.iter().map(|w| w.steals).sum());
-        metrics.counter("pool.busy_us").add(
-            worker_stats
-                .iter()
-                .map(|w| u64::try_from(w.busy.as_micros()).unwrap_or(u64::MAX))
-                .sum(),
-        );
-        metrics.counter("pool.idle_us").add(
-            worker_stats
-                .iter()
-                .map(|w| u64::try_from(w.idle.as_micros()).unwrap_or(u64::MAX))
-                .sum(),
-        );
-        for key in latency_handles.keys() {
-            if let Some(micros) = cost_model.measured_micros(key) {
-                #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-                metrics
-                    .gauge(&format!("cost.ewma_us.{key}"))
-                    .set(micros.max(0.0) as u64);
-            }
-        }
+            });
 
         // Seal the journal tail whether the sweep finished or was
         // cancelled — either way its records must survive this process.
-        if let Some(journal) = &self.config.journal {
-            journal.seal();
+        driver.seal();
+        if let Some(failures) = driver.journal_write_failures() {
+            self.exec
+                .metrics
+                .counter("journal.write_failures")
+                .add(failures);
         }
 
-        let completed = aggregator.received();
-        let cancelled = shared.cancel.load(Ordering::Relaxed) && completed < job_count;
+        let completed = driver.completed();
+        let cancelled = shared.cancel.load(Ordering::Relaxed) && completed < total;
         shared
             .events
             .push_with_dropped(|events_dropped| SweepEvent::SweepFinished {
@@ -1199,28 +1187,14 @@ impl SessionTask {
             return Err(EngineError::Cancelled);
         }
 
-        let cached_jobs = aggregator.cache_hits();
-        let skipped_jobs = aggregator.skipped();
         let finalize_span = span!(recorder, "aggregate.finalize");
-        let aggregate = aggregator.finalize()?;
+        let aggregate = driver.finish()?;
         drop(finalize_span);
         drop(sweep_span);
-        let baseline = shared.baseline;
         let stats = EngineStats {
-            threads: worker_stats.len(),
-            jobs: job_count,
             per_worker_jobs: worker_stats.iter().map(|w| w.jobs).collect(),
             per_worker_steals: worker_stats.iter().map(|w| w.steals).collect(),
-            cached_jobs,
-            skipped_jobs,
-            transform_cache: caches.transform.counters().since(baseline.transform),
-            derived_cache: caches.derived.counters().since(baseline.derived),
-            result_cache: caches.results.counters().since(baseline.results),
-            identity_cache: caches.identity.counters().since(baseline.identity),
-            input_cache: caches.inputs.counters().since(baseline.inputs),
-            disk_cache: caches.disk_counters().since(baseline.disk),
-            events_dropped: shared.events.dropped(),
-            elapsed: shared.started.elapsed(),
+            ..shared.stats()
         };
         Ok(EngineOutput { aggregate, stats })
     }

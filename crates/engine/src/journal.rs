@@ -18,12 +18,12 @@
 //! records carry each finished job's full outcome payload so resume
 //! replays it *without re-executing anything*; periodic `keyframe`
 //! records (which also seal the active segment) snapshot the aggregate
-//! for observers. Because the [`Aggregator`] replays expansion order at
+//! for observers. Because the aggregator replays expansion order at
 //! finalize, a resumed sweep's aggregate is **bitwise identical** to an
 //! uninterrupted run's — regardless of where the crash landed.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -31,8 +31,8 @@ use hetrta_api::wire::fnv64;
 use hetrta_api::AnalysisOutcome;
 use hetrta_fault::{escape, unescape, RecordLog};
 
-use crate::aggregate::{AggregateUpdate, Aggregator, SweepAggregate};
-use crate::engine::{Engine, EngineError};
+use crate::aggregate::{AggregateUpdate, SweepAggregate};
+use crate::engine::EngineError;
 use crate::job::{JobMetrics, JobResult};
 use crate::spec::SweepSpec;
 use crate::wire::{encode_spec, encode_update};
@@ -332,93 +332,12 @@ pub struct JournalOutcome {
     pub journal_write_failures: u64,
 }
 
-impl Engine {
-    /// Runs `spec` write-ahead journaled into `cfg.dir`: previously
-    /// completed jobs (from an interrupted earlier run) are replayed
-    /// from the journal, only the remainder executes, and the final
-    /// aggregate is bitwise identical to an uninterrupted
-    /// [`Engine::run`] — the expansion-order replay inside
-    /// [`Aggregator`] is indifferent to where results come from.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Engine::run`] can return, plus [`EngineError::Cache`]
-    /// for an unusable journal directory / spec-mismatched journal and
-    /// [`EngineError::InvalidSpec`] for an unresumed non-empty journal.
-    pub fn run_journaled(
-        &self,
-        spec: &SweepSpec,
-        cfg: &JournalConfig,
-    ) -> Result<JournalOutcome, EngineError> {
-        self.run_journaled_with(spec, cfg, None, |_, _, _| {})
-    }
-
-    /// [`Engine::run_journaled`] with cooperative cancellation and a
-    /// per-job progress hook `(completed, total, result)` — the daemon's
-    /// restart-recovery path. Cancellation returns
-    /// [`EngineError::Cancelled`], but everything journaled so far stays
-    /// durable: a later resume continues from it.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::run_journaled`]; plus [`EngineError::Cancelled`].
-    pub fn run_journaled_with(
-        &self,
-        spec: &SweepSpec,
-        cfg: &JournalConfig,
-        cancel: Option<&AtomicBool>,
-        mut progress: impl FnMut(usize, usize, &JobResult),
-    ) -> Result<JournalOutcome, EngineError> {
-        spec.validate()?;
-        let (cells, jobs) = spec.expand();
-        let total = jobs.len();
-        drop(jobs);
-        let (journal, replay) = SweepJournal::open(cfg, spec, total)?;
-
-        let mut aggregator = Aggregator::new(cells, total, spec.cell_shape());
-        let mut done = vec![false; total];
-        let replayed = replay.results.len();
-        for result in replay.results {
-            done[result.index] = true;
-            aggregator.accept(result);
-        }
-        let remainder: Vec<usize> = (0..total).filter(|&i| !done[i]).collect();
-        let executed = remainder.len();
-
-        let aggregator_cell = &mut aggregator;
-        let journal_ref = &journal;
-        let progress_ref = &mut progress;
-        self.run_job_subset_cancellable(spec, &remainder, cancel, |result| {
-            let keyframe_due = journal_ref.record_done(&result);
-            let completed = aggregator_cell.received() + 1;
-            progress_ref(completed, total, &result);
-            aggregator_cell.accept(result);
-            if keyframe_due && completed < total {
-                journal_ref.record_keyframe(completed, aggregator_cell.partial());
-            }
-        })?;
-
-        let completed = aggregator.received();
-        if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) && completed < total {
-            journal.seal();
-            return Err(EngineError::Cancelled);
-        }
-        journal.seal();
-        let aggregate = aggregator.finalize()?;
-        Ok(JournalOutcome {
-            aggregate,
-            replayed,
-            executed,
-            total,
-            journal_write_failures: journal.write_failures(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::GeneratorPreset;
+    use crate::Engine;
+    use std::sync::atomic::AtomicBool;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hetrta-journal-{tag}-{}", std::process::id()));
@@ -519,26 +438,85 @@ mod tests {
     #[test]
     fn streaming_sessions_journal_too() {
         use crate::session::SessionConfig;
-        use std::sync::Arc;
+        use crate::SweepEvent;
 
+        // A session resumes from the middle of a sweep: 5 jobs are
+        // journaled directly (the stand-in for a killed run), then a
+        // fresh engine submits the whole sweep against that journal.
         let dir = temp_dir("session");
-        let engine = Engine::new(2);
+        let full = Engine::new(2).run(&spec()).unwrap();
         let total = spec().job_count();
         let (journal, _) = SweepJournal::open(&JournalConfig::new(&dir), &spec(), total).unwrap();
-        let config = SessionConfig {
-            journal: Some(Arc::new(journal)),
-            ..SessionConfig::default()
-        };
-        let out = engine.submit_with(&spec(), config).unwrap().wait().unwrap();
+        Engine::new(2)
+            .run_job_subset(&spec(), &[0, 3, 7, 11, 15], |result| {
+                journal.record_done(&result);
+            })
+            .unwrap();
+        drop(journal);
 
-        // Everything the session ran is replayable: a resume in a fresh
-        // engine re-executes nothing and reproduces the aggregate.
+        let config = SessionConfig {
+            journal: Some(JournalConfig::new(&dir).resuming()),
+            ..SessionConfig::with_partials(1)
+        };
+        let handle = Engine::new(2).submit_with(&spec(), config).unwrap();
+        let mut finished = 0usize;
+        let mut partials = Vec::new();
+        while let Some(event) = handle.next_event() {
+            match event {
+                SweepEvent::JobFinished { .. } => finished += 1,
+                SweepEvent::PartialAggregate { completed, .. } => partials.push(completed),
+                _ => {}
+            }
+        }
+        let out = handle.wait().unwrap();
+        assert_eq!(finished, total - 5, "replayed jobs emit no job events");
+        assert_eq!(out.stats.replayed_jobs, 5);
+        // One partial per executed job but the last, each counting the
+        // 5 replayed jobs.
+        assert_eq!(partials, (6..total).collect::<Vec<_>>());
+        assert_eq!(
+            format!("{:?}", out.aggregate),
+            format!("{:?}", full.aggregate),
+            "bitwise the uninterrupted run"
+        );
+
+        // The session journaled what it ran: a resume in a fresh engine
+        // re-executes nothing.
         let resumed = Engine::new(2)
             .run_journaled(&spec(), &JournalConfig::new(&dir).resuming())
             .unwrap();
         assert_eq!(resumed.executed, 0);
         assert_eq!(resumed.replayed, total);
-        assert_eq!(resumed.aggregate, out.aggregate);
+        assert_eq!(resumed.aggregate, full.aggregate);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_refused_spec_leaves_the_journal_directory_unwritten() {
+        use crate::session::SessionConfig;
+        use crate::spec::AnalysisSelection;
+
+        // `acceptance` needs a task set; a fraction grid makes tasks. The
+        // registry refuses the spec, and it must do so before the journal
+        // directory holds a `start` record pinning it to this spec.
+        let dir = temp_dir("refused");
+        let refused = spec().with_analyses(AnalysisSelection::from_keys(["acceptance"]));
+        let err = Engine::new(1)
+            .run_journaled(&refused, &JournalConfig::new(&dir))
+            .unwrap_err();
+        assert!(err.to_string().contains("expects a task set"), "{err}");
+        let config = SessionConfig {
+            journal: Some(JournalConfig::new(&dir)),
+            ..SessionConfig::quiet()
+        };
+        assert!(Engine::new(1).submit_with(&refused, config).is_err());
+        assert!(RecordLog::read_all(&dir).unwrap().is_empty());
+
+        // The directory is still free for a valid spec.
+        let out = Engine::new(1)
+            .run_journaled(&spec(), &JournalConfig::new(&dir))
+            .unwrap();
+        assert_eq!(out.executed, out.total);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -66,6 +66,7 @@
 pub mod aggregate;
 pub mod cache;
 pub mod disk;
+mod driver;
 mod engine;
 pub mod job;
 pub mod journal;
@@ -80,6 +81,7 @@ pub use aggregate::{
 };
 pub use cache::CacheCounters;
 pub use disk::{DiskCache, GcStats, ReadPin};
+pub use driver::SweepDriver;
 pub use engine::{
     CostModel, Engine, EngineBuilder, EngineCaches, EngineError, EngineOutput, EngineStats,
     InjectionOrder, DEFAULT_CACHE_CAPACITY, INPUT_CACHE_CAP,

@@ -46,55 +46,18 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// `consume` on the calling thread as they complete.
 ///
 /// `consume` observes results in nondeterministic completion order; the
-/// submission `index` lets the caller rebuild input order. Returns the
-/// per-worker counters.
+/// submission `index` lets the caller rebuild input order. Once `cancel`
+/// (when present) reads `true`, workers stop dequeuing: jobs already
+/// executing finish and their results are still delivered, the rest never
+/// run. `queue_depth` (when present) is called with the injector's
+/// remaining length after every batch refill, letting an observer sample
+/// how fast the shared queue drains; it runs on worker threads under no
+/// lock and must be cheap. Returns the per-worker counters.
 ///
 /// # Panics
 ///
 /// Propagates worker panics (via [`std::thread::scope`]).
-pub fn run_jobs<J, R, E, C>(jobs: Vec<J>, threads: usize, exec: E, consume: C) -> Vec<WorkerStats>
-where
-    J: Send,
-    R: Send,
-    E: Fn(usize, J) -> R + Sync,
-    C: FnMut(usize, R),
-{
-    run_jobs_cancellable(jobs, threads, None, exec, consume)
-}
-
-/// Like [`run_jobs`], with cooperative cancellation: once `cancel` reads
-/// `true`, workers stop dequeuing (jobs already executing finish and their
-/// results are still delivered), so remaining jobs are simply never run.
-///
-/// # Panics
-///
-/// Propagates worker panics (via [`std::thread::scope`]).
-pub fn run_jobs_cancellable<J, R, E, C>(
-    jobs: Vec<J>,
-    threads: usize,
-    cancel: Option<&AtomicBool>,
-    exec: E,
-    consume: C,
-) -> Vec<WorkerStats>
-where
-    J: Send,
-    R: Send,
-    E: Fn(usize, J) -> R + Sync,
-    C: FnMut(usize, R),
-{
-    run_jobs_observed(jobs, threads, cancel, None, exec, consume)
-}
-
-/// Like [`run_jobs_cancellable`], with an observation hook: `queue_depth`
-/// (when present) is called with the injector's remaining length after
-/// every batch refill, letting an observer sample how fast the shared
-/// queue drains. The hook runs on worker threads under no lock and must
-/// be cheap.
-///
-/// # Panics
-///
-/// Propagates worker panics (via [`std::thread::scope`]).
-pub fn run_jobs_observed<J, R, E, C>(
+pub fn run_jobs<J, R, E, C>(
     jobs: Vec<J>,
     threads: usize,
     cancel: Option<&AtomicBool>,
@@ -240,6 +203,8 @@ mod tests {
         let stats = run_jobs(
             (0..500u64).collect(),
             4,
+            None,
+            None,
             |_, j| {
                 executed.fetch_add(1, Ordering::Relaxed);
                 j * 2
@@ -261,6 +226,8 @@ mod tests {
         run_jobs(
             (0..50usize).collect(),
             1,
+            None,
+            None,
             |_, j| j,
             |index, _| order.push(index),
         );
@@ -272,6 +239,8 @@ mod tests {
         let stats = run_jobs(
             Vec::<u8>::new(),
             3,
+            None,
+            None,
             |_, j| j,
             |_, _| unreachable!("no jobs"),
         );
@@ -288,6 +257,8 @@ mod tests {
         let stats = run_jobs(
             (0..64u64).collect(),
             4,
+            None,
+            None,
             |_, j| {
                 if j == 0 {
                     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
@@ -318,10 +289,11 @@ mod tests {
     fn cancellation_stops_dequeuing() {
         let cancel = AtomicBool::new(false);
         let mut delivered = 0usize;
-        let stats = run_jobs_cancellable(
+        let stats = run_jobs(
             (0..500u64).collect(),
             2,
             Some(&cancel),
+            None,
             |_, j| {
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 j
@@ -343,10 +315,11 @@ mod tests {
     #[test]
     fn cancelled_before_start_runs_nothing() {
         let cancel = AtomicBool::new(true);
-        let stats = run_jobs_cancellable(
+        let stats = run_jobs(
             (0..64u64).collect(),
             4,
             Some(&cancel),
+            None,
             |_, j| j,
             |_, _| panic!("no job may run"),
         );

@@ -103,9 +103,12 @@ pub struct SessionConfig {
     pub max_buffered_events: usize,
     /// Write-ahead journal for crash-safe resume: every finished job is
     /// recorded (with periodic aggregate keyframes) before it enters the
-    /// aggregator, so a killed process resumes from the journal instead
-    /// of re-running completed work. `None` = no journaling.
-    pub journal: Option<Arc<crate::journal::SweepJournal>>,
+    /// aggregator. Jobs an earlier run already journaled are replayed
+    /// (with [`JournalConfig::resume`](crate::JournalConfig::resume) set):
+    /// they count toward progress and partial aggregates, emit no job
+    /// events, and show up in [`EngineStats::replayed_jobs`]. `None` = no
+    /// journaling.
+    pub journal: Option<crate::journal::JournalConfig>,
 }
 
 impl Default for SessionConfig {
@@ -174,14 +177,7 @@ impl EventQueue {
     }
 
     pub(crate) fn push(&self, event: SweepEvent) {
-        let mut state = self.state.lock().expect("event queue");
-        if state.events.len() >= self.cap {
-            state.events.pop_front();
-            state.dropped += 1;
-        }
-        state.events.push_back(event);
-        drop(state);
-        self.ready.notify_one();
+        self.push_with_dropped(|_| event);
     }
 
     /// Pushes an event built from the queue's exact drop count, with
@@ -227,8 +223,9 @@ impl EventQueue {
     }
 }
 
-/// Live progress counters shared between the orchestrator and the handle.
-#[derive(Debug, Default)]
+/// Live progress counters shared between the orchestrator and the handle
+/// (replayed jobs included).
+#[derive(Debug)]
 pub(crate) struct ProgressCounters {
     pub(crate) done: AtomicU64,
     pub(crate) cached: AtomicU64,
@@ -245,7 +242,40 @@ pub(crate) struct SessionShared {
     pub(crate) baseline: crate::engine::CacheBaseline,
     pub(crate) threads: usize,
     pub(crate) total_jobs: usize,
+    pub(crate) replayed_jobs: usize,
     pub(crate) started: Instant,
+}
+
+impl SessionShared {
+    /// Statistics as of now, without per-worker counters (workers report
+    /// those on join).
+    pub(crate) fn stats(&self) -> EngineStats {
+        let (caches, baseline) = (&self.caches, &self.baseline);
+        EngineStats {
+            threads: self.threads,
+            jobs: self.total_jobs,
+            per_worker_jobs: Vec::new(),
+            per_worker_steals: Vec::new(),
+            cached_jobs: self.progress.cached.load(Ordering::Relaxed),
+            skipped_jobs: self.progress.skipped.load(Ordering::Relaxed),
+            replayed_jobs: self.replayed_jobs,
+            transform_cache: caches.transform_counters().since(baseline.transform),
+            derived_cache: caches.derived_counters().since(baseline.derived),
+            result_cache: caches.result_counters().since(baseline.results),
+            identity_cache: caches.identity_counters().since(baseline.identity),
+            input_cache: caches.input_counters().since(baseline.inputs),
+            disk_cache: caches.disk_counters().since(baseline.disk),
+            events_dropped: self.events.dropped(),
+            elapsed: self.started.elapsed(),
+        }
+    }
+
+    /// Jobs completed so far (replayed ones included) and the total.
+    fn progress(&self) -> (usize, usize) {
+        let done =
+            usize::try_from(self.progress.done.load(Ordering::Relaxed)).unwrap_or(usize::MAX);
+        (done, self.total_jobs)
+    }
 }
 
 /// A handle on one submitted sweep: event stream, live statistics,
@@ -330,12 +360,11 @@ impl SweepHandle {
         self.shared.cancel.store(true, Ordering::Relaxed);
     }
 
-    /// Jobs completed so far out of the sweep's total.
+    /// Jobs completed so far (replayed ones included) out of the sweep's
+    /// total.
     #[must_use]
     pub fn progress(&self) -> (usize, usize) {
-        let done = usize::try_from(self.shared.progress.done.load(Ordering::Relaxed))
-            .unwrap_or(usize::MAX);
-        (done, self.shared.total_jobs)
+        self.shared.progress()
     }
 
     /// `true` once the final result is available.
@@ -350,36 +379,7 @@ impl SweepHandle {
     /// [`EngineOutput`] returned by [`SweepHandle::wait`].
     #[must_use]
     pub fn stats(&self) -> EngineStats {
-        let shared = &self.shared;
-        let progress = &shared.progress;
-        EngineStats {
-            threads: shared.threads,
-            jobs: shared.total_jobs,
-            per_worker_jobs: Vec::new(),
-            per_worker_steals: Vec::new(),
-            cached_jobs: progress.cached.load(Ordering::Relaxed),
-            skipped_jobs: progress.skipped.load(Ordering::Relaxed),
-            transform_cache: shared
-                .caches
-                .transform_counters()
-                .since(shared.baseline.transform),
-            derived_cache: shared
-                .caches
-                .derived_counters()
-                .since(shared.baseline.derived),
-            result_cache: shared
-                .caches
-                .result_counters()
-                .since(shared.baseline.results),
-            identity_cache: shared
-                .caches
-                .identity_counters()
-                .since(shared.baseline.identity),
-            input_cache: shared.caches.input_counters().since(shared.baseline.inputs),
-            disk_cache: shared.caches.disk_counters().since(shared.baseline.disk),
-            events_dropped: shared.events.dropped(),
-            elapsed: shared.started.elapsed(),
-        }
+        self.shared.stats()
     }
 
     /// Blocks until the sweep finishes and returns its result — exactly
@@ -443,9 +443,7 @@ impl SweepCancelToken {
     /// Jobs completed so far out of the sweep's total.
     #[must_use]
     pub fn progress(&self) -> (usize, usize) {
-        let done = usize::try_from(self.shared.progress.done.load(Ordering::Relaxed))
-            .unwrap_or(usize::MAX);
-        (done, self.shared.total_jobs)
+        self.shared.progress()
     }
 
     /// Events this session has discarded so far.

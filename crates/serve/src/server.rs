@@ -8,7 +8,9 @@
 //! The pump runs the sweep on the shared engine, streams its events to
 //! the connection's writer thread, and finishes with `Done` carrying the
 //! final aggregate. A client that disconnects mid-sweep has its sweep
-//! cancelled through [`SweepCancelToken`]; `Shutdown` (and SIGTERM on
+//! cancelled through its session's
+//! [`SweepCancelToken`](hetrta_engine::SweepCancelToken) (or the flag a
+//! fleet's coordinator polls); `Shutdown` (and SIGTERM on
 //! unix) drains every admitted sweep before the daemon exits.
 
 use std::net::{Shutdown as SocketShutdown, SocketAddr, TcpListener, TcpStream};
@@ -22,7 +24,7 @@ use std::time::Duration;
 use hetrta_api::wire::WireError;
 use hetrta_engine::{
     spec_hash, Engine, EngineBuilder, EngineError, FaultPlan, JournalConfig, SessionConfig,
-    SweepCancelToken, SweepEvent, SweepSpec,
+    SweepEvent, SweepSpec,
 };
 
 use crate::admission::{Admission, AdmissionConfig, Offer};
@@ -47,7 +49,7 @@ pub struct ServerConfig {
     /// fleet shares this daemon's cache directory, so tenants still
     /// warm each other's cells.
     pub dist: Option<hetrta_dist::DistConfig>,
-    /// `Some` journals every engine-mode sweep into
+    /// `Some` journals every sweep — in-process or fleet — into
     /// `<dir>/<spec_hash:016x>` (one directory per distinct spec) and
     /// always resumes: a daemon killed mid-sweep replays the journaled
     /// jobs on resubmit and executes only the remainder. Concurrent
@@ -128,11 +130,9 @@ enum Out {
 /// threads running its sweeps.
 struct ConnShared {
     out: mpsc::Sender<Out>,
-    /// Cancel token of the in-flight sweep, when one is running.
-    cancel: Mutex<Option<SweepCancelToken>>,
-    /// Cancel flag of the in-flight *distributed* sweep (dist mode has
-    /// no session token; the coordinator polls this flag instead).
-    dist_cancel: Mutex<Option<Arc<AtomicBool>>>,
+    /// Cancels the in-flight sweep (its session token, or the flag a
+    /// fleet's coordinator polls), when one is running.
+    cancel: Mutex<Option<Canceller>>,
     /// Set by the reader on EOF/error; pumps skip or cancel accordingly.
     disconnected: AtomicBool,
     /// Set by a `Cancel` frame arriving before the sweep was granted.
@@ -158,7 +158,33 @@ impl ConnShared {
             let _ = ack_rx.recv();
         }
     }
+
+    /// Whether the client has gone or asked to cancel.
+    fn wants_cancel(&self) -> bool {
+        self.disconnected.load(Ordering::SeqCst) || self.cancel_requested.load(Ordering::SeqCst)
+    }
+
+    /// Cancels the in-flight sweep, if one is running.
+    fn cancel_sweep(&self) {
+        if let Some(cancel) = self.cancel.lock().expect("cancel slot").as_ref() {
+            cancel();
+        }
+    }
+
+    /// Publishes how to cancel the sweep that is starting. The reader may
+    /// have observed a disconnect before the publication, so the check
+    /// runs after it: the cancel is never lost.
+    fn arm_cancel(&self, cancel: Canceller) {
+        let mut slot = self.cancel.lock().expect("cancel slot");
+        let cancel = slot.insert(cancel);
+        if self.wants_cancel() {
+            cancel();
+        }
+    }
 }
+
+/// Stops one in-flight sweep.
+type Canceller = Box<dyn Fn() + Send>;
 
 /// One pending sweep travelling from reader to scheduler to pump.
 struct PendingSweep {
@@ -392,7 +418,6 @@ fn spawn_connection(
     let conn = Arc::new(ConnShared {
         out: out_tx,
         cancel: Mutex::new(None),
-        dist_cancel: Mutex::new(None),
         disconnected: AtomicBool::new(false),
         cancel_requested: AtomicBool::new(false),
         in_flight: AtomicBool::new(false),
@@ -402,12 +427,7 @@ fn spawn_connection(
         // Reader exit = client gone (or daemon closing the socket):
         // cancel whatever is still running for this connection.
         conn.disconnected.store(true, Ordering::SeqCst);
-        if let Some(token) = conn.cancel.lock().expect("cancel slot").as_ref() {
-            token.cancel();
-        }
-        if let Some(flag) = conn.dist_cancel.lock().expect("dist cancel").as_ref() {
-            flag.store(true, Ordering::SeqCst);
-        }
+        conn.cancel_sweep();
     });
     Ok((stream, reader, writer))
 }
@@ -449,12 +469,7 @@ fn serve_connection(
             }
             Request::Cancel => {
                 conn.cancel_requested.store(true, Ordering::SeqCst);
-                if let Some(token) = conn.cancel.lock().expect("cancel slot").as_ref() {
-                    token.cancel();
-                }
-                if let Some(flag) = conn.dist_cancel.lock().expect("dist cancel").as_ref() {
-                    flag.store(true, Ordering::SeqCst);
-                }
+                conn.cancel_sweep();
             }
             Request::Stats => {
                 let mut text = metrics.snapshot().render_table();
@@ -533,64 +548,70 @@ fn handle_submit(
 }
 
 /// Runs one granted sweep — on the shared engine, or fanned across the
-/// worker fleet when dist mode is configured — and streams it back.
+/// worker fleet when dist mode is configured — streams it back, and
+/// finishes with its terminal frame.
 fn pump_sweep(engine: &Arc<Engine>, pending: PendingSweep, config: &ServerConfig) {
     let PendingSweep { tenant, spec, conn } = pending;
-    let partial_every = config.partial_every;
-    let metrics = Arc::clone(engine.metrics());
-    let finish = |conn: &ConnShared, reply: Reply| {
-        // Release the connection's sweep slot before the terminal frame
-        // goes out: the moment the client sees it, a resubmit is legal.
-        *conn.cancel.lock().expect("cancel slot") = None;
-        *conn.dist_cancel.lock().expect("dist cancel") = None;
-        conn.in_flight.store(false, Ordering::SeqCst);
-        conn.send_flushed(reply);
+    // Journal mode: resume whatever an earlier (possibly killed) daemon
+    // journaled for this spec, and execute only the remainder.
+    let journal = config
+        .journal_dir
+        .as_ref()
+        .map(|dir| JournalConfig::new(dir.join(format!("{:016x}", spec_hash(&spec)))).resuming());
+    let journaled = journal.is_some();
+    let outcome = if conn.wants_cancel() {
+        Err("sweep cancelled before it started".to_string())
+    } else if let Some(dist) = &config.dist {
+        let dist = hetrta_dist::DistConfig {
+            partial_every: config.partial_every,
+            journal,
+            ..dist.clone()
+        };
+        run_on_fleet(engine, &spec, &conn, &dist)
+    } else {
+        let session = SessionConfig {
+            job_events: false,
+            partial_every: config.partial_every,
+            journal,
+            ..SessionConfig::quiet()
+        };
+        run_on_engine(engine, &spec, &conn, session)
     };
-
-    if conn.disconnected.load(Ordering::SeqCst) || conn.cancel_requested.load(Ordering::SeqCst) {
-        finish(
-            &conn,
-            Reply::Error {
-                message: "sweep cancelled before it started".into(),
-            },
-        );
-        return;
-    }
-
-    if let Some(dist) = &config.dist {
-        pump_sweep_dist(engine, &tenant, &spec, &conn, dist, partial_every, finish);
-        return;
-    }
-
-    if let Some(dir) = &config.journal_dir {
-        pump_sweep_journaled(engine, &tenant, &spec, &conn, dir, finish);
-        return;
-    }
-
-    let session = SessionConfig {
-        job_events: false,
-        partial_every,
-        ..SessionConfig::quiet()
-    };
-    let handle = match engine.submit_with(&spec, session) {
-        Ok(handle) => handle,
-        Err(err) => {
-            finish(
-                &conn,
-                Reply::Error {
-                    message: format!("engine rejected sweep: {err}"),
-                },
-            );
-            return;
+    let reply = match outcome {
+        Ok((done, replayed, executed)) => {
+            let metrics = engine.metrics();
+            metrics
+                .counter(&format!("serve.tenant.{tenant}.completed"))
+                .incr();
+            if journaled {
+                metrics.counter("serve.journal.replayed").add(replayed);
+                metrics.counter("serve.journal.executed").add(executed);
+            }
+            done
         }
+        Err(message) => Reply::Error { message },
     };
-    *conn.cancel.lock().expect("cancel slot") = Some(handle.cancel_token());
-    // The reader may have observed a disconnect between the pre-check and
-    // the token publication; re-check so the cancel is never lost.
-    if conn.disconnected.load(Ordering::SeqCst) || conn.cancel_requested.load(Ordering::SeqCst) {
-        handle.cancel();
-    }
+    // Release the connection's sweep slot before the terminal frame goes
+    // out: the moment the client sees it, a resubmit is legal.
+    *conn.cancel.lock().expect("cancel slot") = None;
+    conn.in_flight.store(false, Ordering::SeqCst);
+    conn.send_flushed(reply);
+}
 
+/// Runs the sweep as a session on the shared engine, streaming its
+/// events as `Event` frames. Returns the terminal `Done` frame with the
+/// sweep's replayed and executed job counts.
+fn run_on_engine(
+    engine: &Engine,
+    spec: &SweepSpec,
+    conn: &ConnShared,
+    session: SessionConfig,
+) -> Result<(Reply, u64, u64), String> {
+    let handle = engine
+        .submit_with(spec, session)
+        .map_err(|err| format!("engine rejected sweep: {err}"))?;
+    let token = handle.cancel_token();
+    conn.arm_cancel(Box::new(move || token.cancel()));
     let mut terminal = None;
     while let Some(event) = handle.next_event() {
         match event {
@@ -605,173 +626,57 @@ fn pump_sweep(engine: &Arc<Engine>, pending: PendingSweep, config: &ServerConfig
         }
     }
     let (completed, cancelled, events_dropped) = terminal.unwrap_or((0, true, 0));
-    match handle.wait() {
-        Ok(output) => {
-            metrics
-                .counter(&format!("serve.tenant.{tenant}.completed"))
-                .incr();
-            finish(
-                &conn,
-                Reply::Done {
+    let output = handle
+        .wait()
+        .map_err(|err| format!("sweep failed: {err}"))?;
+    let replayed = output.stats.replayed_jobs;
+    let done = Reply::Done {
+        completed,
+        cancelled,
+        events_dropped,
+        aggregate: output.aggregate,
+    };
+    Ok((done, replayed as u64, (output.stats.jobs - replayed) as u64))
+}
+
+/// Fans the sweep across the worker fleet, streaming the coordinator's
+/// delta-encoded partials as `Event` frames so clients reassemble
+/// progress exactly as in engine mode. Returns the terminal `Done` frame
+/// with the sweep's replayed and executed job counts.
+fn run_on_fleet(
+    engine: &Engine,
+    spec: &SweepSpec,
+    conn: &ConnShared,
+    config: &hetrta_dist::DistConfig,
+) -> Result<(Reply, u64, u64), String> {
+    let cancel = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&cancel);
+    conn.arm_cancel(Box::new(move || flag.store(true, Ordering::SeqCst)));
+    let out =
+        hetrta_dist::run_distributed(spec, config, &hetrta_obs::NOOP, Some(&cancel), |progress| {
+            match progress {
+                hetrta_dist::DistProgress::Partial {
                     completed,
-                    cancelled,
-                    events_dropped,
-                    aggregate: output.aggregate,
-                },
-            );
-        }
-        Err(err) => {
-            finish(
-                &conn,
-                Reply::Error {
-                    message: format!("sweep failed: {err}"),
-                },
-            );
-        }
-    }
-}
-
-/// Journal-mode pump: run the sweep write-ahead journaled under
-/// `<journal_dir>/<spec_hash:016x>` with resume always on — the daemon
-/// restart-recovery path. A sweep the previous daemon process was
-/// SIGKILLed out of replays its journaled jobs and executes only the
-/// remainder; the aggregate stays bitwise identical to an
-/// uninterrupted run. Executed jobs stream as `JobFinished` events.
-fn pump_sweep_journaled(
-    engine: &Arc<Engine>,
-    tenant: &str,
-    spec: &SweepSpec,
-    conn: &Arc<ConnShared>,
-    journal_dir: &std::path::Path,
-    finish: impl Fn(&ConnShared, Reply),
-) {
-    let metrics = Arc::clone(engine.metrics());
-    let cancel = Arc::new(AtomicBool::new(false));
-    // Journal mode cancels through the same polled flag dist mode uses
-    // (there is no session token on this path).
-    *conn.dist_cancel.lock().expect("dist cancel") = Some(Arc::clone(&cancel));
-    if conn.disconnected.load(Ordering::SeqCst) || conn.cancel_requested.load(Ordering::SeqCst) {
-        cancel.store(true, Ordering::SeqCst);
-    }
-
-    let cfg = JournalConfig::new(journal_dir.join(format!("{:016x}", spec_hash(spec)))).resuming();
-    let outcome = engine.run_journaled_with(spec, &cfg, Some(&cancel), |_, _, result| {
-        conn.send(Reply::Event(SweepEvent::JobFinished {
-            index: result.index,
-            cell: result.cell,
-            key: result.identity,
-            cache_hit: result.cache_hit,
-            wall_time: result.wall_time,
-        }));
-    });
-    match outcome {
-        Ok(out) => {
-            metrics
-                .counter(&format!("serve.tenant.{tenant}.completed"))
-                .incr();
-            metrics
-                .counter("serve.journal.replayed")
-                .add(out.replayed as u64);
-            metrics
-                .counter("serve.journal.executed")
-                .add(out.executed as u64);
-            finish(
-                conn,
-                Reply::Done {
-                    completed: out.total,
-                    cancelled: false,
-                    events_dropped: 0,
-                    aggregate: out.aggregate,
-                },
-            );
-        }
-        Err(EngineError::Cancelled) => {
-            finish(
-                conn,
-                Reply::Error {
-                    message: "sweep cancelled (journal keeps the finished jobs; \
-                              resubmitting resumes)"
-                        .into(),
-                },
-            );
-        }
-        Err(err) => {
-            finish(
-                conn,
-                Reply::Error {
-                    message: format!("sweep failed: {err}"),
-                },
-            );
-        }
-    }
-}
-
-/// Dist-mode pump: fan the sweep across the worker fleet, streaming
-/// the coordinator's partial keyframes as ordinary `Event` frames so
-/// clients reassemble progress exactly as in engine mode.
-fn pump_sweep_dist(
-    engine: &Arc<Engine>,
-    tenant: &str,
-    spec: &SweepSpec,
-    conn: &Arc<ConnShared>,
-    dist: &hetrta_dist::DistConfig,
-    partial_every: Option<usize>,
-    finish: impl Fn(&ConnShared, Reply),
-) {
-    let metrics = Arc::clone(engine.metrics());
-    let cancel = Arc::new(AtomicBool::new(false));
-    *conn.dist_cancel.lock().expect("dist cancel") = Some(Arc::clone(&cancel));
-    // The reader may have observed a disconnect between the pre-check
-    // and the flag publication; re-check so the cancel is never lost.
-    if conn.disconnected.load(Ordering::SeqCst) || conn.cancel_requested.load(Ordering::SeqCst) {
-        cancel.store(true, Ordering::SeqCst);
-    }
-
-    let mut config = dist.clone();
-    config.partial_every = partial_every;
-    let outcome = hetrta_dist::run_distributed(
-        spec,
-        &config,
-        &hetrta_obs::NOOP,
-        Some(&cancel),
-        |progress| match progress {
-            hetrta_dist::DistProgress::Partial {
-                completed,
-                total,
-                update,
-            } => conn.send(Reply::Event(SweepEvent::PartialAggregate {
-                completed,
-                total,
-                update,
-            })),
-            hetrta_dist::DistProgress::WorkerDown { .. } => {
-                metrics.counter("serve.dist.worker_deaths").incr();
+                    total,
+                    update,
+                } => conn.send(Reply::Event(SweepEvent::PartialAggregate {
+                    completed,
+                    total,
+                    update,
+                })),
+                hetrta_dist::DistProgress::WorkerDown { .. } => {
+                    engine.metrics().counter("serve.dist.worker_deaths").incr();
+                }
+                hetrta_dist::DistProgress::Job { .. } => {}
             }
-            hetrta_dist::DistProgress::Job { .. } => {}
-        },
-    );
-    match outcome {
-        Ok(out) => {
-            metrics
-                .counter(&format!("serve.tenant.{tenant}.completed"))
-                .incr();
-            finish(
-                conn,
-                Reply::Done {
-                    completed: out.completed,
-                    cancelled: out.cancelled,
-                    events_dropped: 0,
-                    aggregate: out.aggregate,
-                },
-            );
-        }
-        Err(err) => {
-            finish(
-                conn,
-                Reply::Error {
-                    message: format!("distributed sweep failed: {err}"),
-                },
-            );
-        }
-    }
+        })
+        .map_err(|err| format!("distributed sweep failed: {err}"))?;
+    let executed: u64 = out.worker_jobs.iter().sum();
+    let done = Reply::Done {
+        completed: out.completed,
+        cancelled: out.cancelled,
+        events_dropped: 0,
+        aggregate: out.aggregate,
+    };
+    Ok((done, out.completed as u64 - executed, executed))
 }
