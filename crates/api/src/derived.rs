@@ -8,10 +8,14 @@
 //! kind of a sweep, while the plain `DirectContext` computes them on the
 //! spot.
 //!
+//! The critical path also feeds Algorithm 1: the batch engine hands it to
+//! [`hetrta_core::transform_with_critical_path`], which computes
+//! Theorem 1's numbers from its head/tail distances in one pass.
+//!
 //! The bundle deliberately does *not* include the all-pairs reachability
 //! closure: its `O(V²/64)` rows would dominate the cache at n = 10⁵–10⁶,
-//! and Algorithm 1 now derives the two per-node sets it needs directly
-//! (see [`hetrta_dag::algo::node_reach_sets`]).
+//! and Algorithm 1 derives the two per-node sets it needs directly
+//! (see [`hetrta_dag::algo::reach_sets`]).
 //!
 //! [`AnalysisContext`]: crate::AnalysisContext
 

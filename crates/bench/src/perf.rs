@@ -401,8 +401,14 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         )
         .expect("offload assignment succeeds")
     };
+    // Theorem 1's numbers alone (what sweeps compute), then the same with
+    // G' and G_par built, so the graph construction path stays gated.
     kernels.push(time_kernel("core/transform_10k", gen_budget, |_| {
         transform(&large_task).expect("transformable")
+    }));
+    kernels.push(time_kernel("core/transform_10k_graphs", gen_budget, |_| {
+        let t = transform(&large_task).expect("transformable");
+        (t.transformed().edge_count(), t.g_par().edge_count())
     }));
     // The tier this PR opens: n≈10⁵ construction must stay closure-free
     // (the old bitset-closure reduction alone would be seconds and ≈1.2

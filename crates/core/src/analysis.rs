@@ -1,9 +1,10 @@
 //! One-call analysis façade.
 
+use hetrta_dag::algo::CriticalPath;
 use hetrta_dag::{HeteroDagTask, Rational, Ticks};
 
-use crate::rta::{r_het, r_hom_dag, HetBound, Scenario};
-use crate::transform::{transform, TransformedTask};
+use crate::rta::{r_het, r_hom_parts, HetBound, Scenario};
+use crate::transform::{transform_with_critical_path, TransformedTask};
 use crate::AnalysisError;
 
 /// Entry point combining Algorithm 1 and Theorem 1.
@@ -66,10 +67,17 @@ impl HeterogeneousAnalysis {
         if m == 0 {
             return Err(AnalysisError::ZeroCores);
         }
-        let transformed = transform(task)?;
+        // One critical path of G feeds Algorithm 1 and Eq. 1 on τ; Eq. 1
+        // on τ' reads the transformation's numbers (vol(G) = vol(G')).
+        let cp = CriticalPath::try_of(task.dag())?;
+        let transformed = transform_with_critical_path(task, &cp)?;
         let het = r_het(&transformed, m)?;
-        let r_hom_original = r_hom_dag(task.dag(), m)?;
-        let r_hom_transformed = r_hom_dag(transformed.transformed(), m)?;
+        let r_hom_original = r_hom_parts(cp.length(), transformed.vol_transformed(), m)?;
+        let r_hom_transformed = r_hom_parts(
+            transformed.len_transformed(),
+            transformed.vol_transformed(),
+            m,
+        )?;
         Ok(AnalysisReport {
             transformed,
             het,

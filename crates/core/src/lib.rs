@@ -60,4 +60,6 @@ pub use analysis::{AnalysisReport, HeterogeneousAnalysis};
 pub use error::AnalysisError;
 pub use multi::r_het_multi;
 pub use rta::{r_het, r_hom, r_hom_dag, r_hom_parts, HetBound, Scenario};
-pub use transform::{transform, transform_with_reachability, TransformedTask};
+pub use transform::{
+    transform, transform_with_critical_path, transform_with_reachability, TransformedTask,
+};

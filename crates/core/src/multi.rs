@@ -27,11 +27,11 @@
 //!
 //! [`hetrta-sim`]: https://docs.rs/hetrta-sim
 
-use hetrta_dag::algo::topological_order;
+use hetrta_dag::algo::{topological_order, CriticalPath};
 use hetrta_dag::{Dag, DagError, HeteroDagTask, NodeId, Rational, Ticks};
 
 use crate::rta::r_het;
-use crate::transform::transform;
+use crate::transform::{transform_with_critical_path, TransformedTask};
 use crate::AnalysisError;
 
 /// A deployment option produced by the candidate analysis: transform the
@@ -221,27 +221,30 @@ pub fn r_het_multi(
     devices: u64,
 ) -> Result<MultiOffloadBound, AnalysisError> {
     let typed = typed_graham_bound(dag, offloaded, m, devices)?;
-    let mut candidate: Option<CandidatePlan> = None;
+    let mut best: Option<(TransformedTask, Rational)> = None;
     if !offloaded.is_empty() && devices >= offloaded.len() as u64 {
+        // Every candidate transforms the same graph: one critical path
+        // feeds them all, and only the winner's G' is ever built.
+        let cp = CriticalPath::try_of(dag)?;
+        let vol = dag.volume();
         for &v in offloaded {
             // Treat the other offloaded nodes as host nodes (conservative:
             // they never wait for a device when d ≥ |O|, and counting them
             // as host interference only adds pessimism).
-            let vol = dag.volume();
             let task = HeteroDagTask::new(dag.clone(), v, vol, vol)?;
-            let t = transform(&task)?;
-            let bound = r_het(&t, m)?;
-            let value = bound.tight_value();
-            if candidate.as_ref().is_none_or(|best| value < best.bound) {
-                candidate = Some(CandidatePlan {
-                    node: v,
-                    bound: value,
-                    sync: t.sync_node(),
-                    transformed: t.transformed().clone(),
-                });
+            let t = transform_with_critical_path(&task, &cp)?;
+            let value = r_het(&t, m)?.tight_value();
+            if best.as_ref().is_none_or(|(_, bound)| value < *bound) {
+                best = Some((t, value));
             }
         }
     }
+    let candidate = best.map(|(t, bound)| CandidatePlan {
+        node: t.offloaded(),
+        bound,
+        sync: t.sync_node(),
+        transformed: t.transformed().clone(),
+    });
     Ok(MultiOffloadBound {
         typed,
         candidate,

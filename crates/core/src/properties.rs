@@ -6,7 +6,7 @@
 //! DAGs) and are available to downstream users who want to audit a
 //! transformation — e.g. after deserializing a task from disk.
 
-use hetrta_dag::algo::{is_acyclic, Reachability};
+use hetrta_dag::algo::{is_acyclic, CriticalPath, Reachability};
 use hetrta_dag::{DagError, HeteroDagTask};
 
 use crate::transform::TransformedTask;
@@ -45,7 +45,11 @@ macro_rules! ensure {
 /// 6. `G_par`'s nodes/edges agree with `V_par` and the original edge set;
 /// 7. host-side precedence is preserved: every edge of `G` has a
 ///    corresponding path in `G'` (rerouting strengthens, never drops,
-///    ordering).
+///    ordering);
+/// 8. the numbers Theorem 1 reads, which the transformation computes
+///    without building a graph, agree with the graphs: `len(G')`,
+///    `vol(G')`, `len(G_par)`, `vol(G_par)`, whether `v_off` is on a
+///    critical path of `G'`, and whether `V_par` is empty.
 ///
 /// # Errors
 ///
@@ -139,6 +143,46 @@ pub fn check_transform_invariants(
             "original precedence ({a}, {b}) lost in the transformed graph"
         );
     }
+
+    // The eager numbers against the graphs they describe.
+    let cp2 = CriticalPath::of(g2);
+    let cp_par = CriticalPath::of(t.g_par());
+    ensure!(
+        t.len_transformed() == cp2.length(),
+        "len(G') = {} but the graph's critical path is {}",
+        t.len_transformed(),
+        cp2.length()
+    );
+    ensure!(
+        t.vol_transformed() == g2.volume(),
+        "vol(G') = {} but the graph's volume is {}",
+        t.vol_transformed(),
+        g2.volume()
+    );
+    ensure!(
+        t.len_g_par() == cp_par.length(),
+        "len(G_par) = {} but the graph's critical path is {}",
+        t.len_g_par(),
+        cp_par.length()
+    );
+    ensure!(
+        t.vol_g_par() == t.g_par().volume(),
+        "vol(G_par) = {} but the graph's volume is {}",
+        t.vol_g_par(),
+        t.g_par().volume()
+    );
+    ensure!(
+        t.off_on_critical_path() == cp2.on_critical_path(v_off, g2),
+        "v_off on a critical path of G': reported {}, the graph says {}",
+        t.off_on_critical_path(),
+        !t.off_on_critical_path()
+    );
+    ensure!(
+        t.is_degenerate() == t.par_nodes().is_empty(),
+        "is_degenerate() = {} but |V_par| = {}",
+        t.is_degenerate(),
+        t.par_nodes().len()
+    );
     Ok(())
 }
 

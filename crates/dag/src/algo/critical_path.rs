@@ -23,6 +23,10 @@ use crate::{Dag, DagError, NodeId, Ticks};
 /// sources/sinks (needed for the parallel sub-DAG `G_par`). The length of an
 /// empty graph is zero.
 ///
+/// The topological order the computation walks is kept
+/// ([`order`](CriticalPath::order)), so a holder of a `CriticalPath` also
+/// holds a proof that the graph is acyclic and an order to sweep it in.
+///
 /// # Examples
 ///
 /// ```
@@ -46,6 +50,7 @@ pub struct CriticalPath {
     path: Vec<NodeId>,
     head: Vec<Ticks>,
     tail: Vec<Ticks>,
+    order: Vec<NodeId>,
 }
 
 impl CriticalPath {
@@ -126,6 +131,7 @@ impl CriticalPath {
             path,
             head,
             tail,
+            order,
         })
     }
 
@@ -139,6 +145,13 @@ impl CriticalPath {
     #[must_use]
     pub fn path(&self) -> &[NodeId] {
         &self.path
+    }
+
+    /// The topological order of the analyzed graph the head/tail sweeps
+    /// walked ([`topological_order`]'s order).
+    #[must_use]
+    pub fn order(&self) -> &[NodeId] {
+        &self.order
     }
 
     /// Longest-path length ending at `v`, including `C_v`.
@@ -260,6 +273,13 @@ mod tests {
         for w in cp.path().windows(2) {
             assert!(dag.has_edge(w[0], w[1]));
         }
+    }
+
+    #[test]
+    fn keeps_the_topological_order_it_walked() {
+        let (dag, _) = figure1();
+        let cp = CriticalPath::of(&dag);
+        assert_eq!(cp.order(), topological_order(&dag).unwrap().as_slice());
     }
 
     #[test]

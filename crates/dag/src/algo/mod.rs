@@ -20,6 +20,6 @@ mod width;
 
 pub use critical_path::CriticalPath;
 pub use paths::{count_paths, enumerate_paths, PathEnumeration};
-pub use reach::{node_reach_sets, Reachability};
+pub use reach::{node_reach_sets, reach_sets, Reachability};
 pub use topo::{is_acyclic, topological_order};
 pub use width::{max_antichain, width};

@@ -158,9 +158,27 @@ pub fn node_reach_sets(dag: &Dag, v: NodeId) -> Result<(BitSet, BitSet), DagErro
     // Typed acyclicity check up front: a cyclic graph must error, not
     // yield traversal sets that silently mean something else.
     topological_order(dag)?;
+    Ok(reach_sets(dag, v))
+}
+
+/// [`node_reach_sets`] without its acyclicity check, for callers that
+/// already hold a proof (a topological order or a
+/// [`CriticalPath`](crate::algo::CriticalPath) of `dag`).
+///
+/// On a cyclic graph the two traversals still terminate, but a node on a
+/// cycle through `v` lands in both sets (and `v` in each).
+///
+/// # Panics
+///
+/// Panics if `v` is not a node of `dag`.
+#[must_use]
+pub fn reach_sets(dag: &Dag, v: NodeId) -> (BitSet, BitSet) {
     let n = dag.node_count();
     let mut ancestors = BitSet::new(n);
-    let mut stack = vec![v];
+    // Each node is pushed at most once per traversal: one allocation, no
+    // regrowth.
+    let mut stack = Vec::with_capacity(n);
+    stack.push(v);
     while let Some(x) = stack.pop() {
         for &p in dag.predecessors(x) {
             if ancestors.insert(p) {
@@ -177,7 +195,7 @@ pub fn node_reach_sets(dag: &Dag, v: NodeId) -> Result<(BitSet, BitSet), DagErro
             }
         }
     }
-    Ok((ancestors, descendants))
+    (ancestors, descendants)
 }
 
 #[cfg(test)]

@@ -279,9 +279,10 @@ pub struct JobResult {
 
 /// The engine's [`AnalysisContext`]: Algorithm 1 transformations and the
 /// per-DAG derived data (critical path, volume) are memoized by content,
-/// shared across core counts and analysis kinds. The transformation is
-/// closure-free (per-node reach sets), so memoizing the result alone is
-/// enough — no reachability closure is cached.
+/// shared across core counts and analysis kinds. A transformation is
+/// computed from the derived critical path (one pass, no graph built), so
+/// memoizing the two results is enough — no reachability closure is
+/// cached.
 struct EngineContext<'a> {
     caches: &'a EngineCaches,
     recorder: &'a dyn Recorder,
@@ -291,9 +292,13 @@ impl AnalysisContext for EngineContext<'_> {
     fn transform(&self, task: &HeteroDagTask) -> Result<TransformedTask, String> {
         let key = key_with_params(hash_task(task), TAG_TRANSFORM, 0);
         let (value, _hit) = self.caches.transform.get_or_compute(key, || {
+            // The derived lookup runs (and closes its own span) before the
+            // transform span opens, so the two spans never nest.
+            let derived = self.derived(task)?;
             // Span only on actual computes: memo hits cost no clock reads.
             let _span = span!(self.recorder, "ctx.transform");
-            hetrta_core::transform(task).map_err(|e| e.to_string())
+            hetrta_core::transform_with_critical_path(task, &derived.critical_path)
+                .map_err(|e| e.to_string())
         });
         value
     }

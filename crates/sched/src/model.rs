@@ -47,7 +47,7 @@
 //! empirical cross-check lives in `tests/empirical.rs`: sets accepted by
 //! these tests never miss a deadline in the sporadic simulator.
 
-use hetrta_core::{r_hom, r_hom_dag, transform, TransformedTask};
+use hetrta_core::{r_hom, r_hom_parts, transform, TransformedTask};
 use hetrta_dag::{HeteroDagTask, Rational, Ticks};
 
 use crate::taskset::{interference_heterogeneous, interference_homogeneous};
@@ -146,7 +146,11 @@ pub(crate) struct TaskCtx {
 impl TaskCtx {
     pub(crate) fn build(task: &HeteroDagTask, m: u64) -> Result<TaskCtx, SchedError> {
         let transformed = transform(task)?;
-        let r_hom_transformed = r_hom_dag(transformed.transformed(), m)?;
+        let r_hom_transformed = r_hom_parts(
+            transformed.len_transformed(),
+            transformed.vol_transformed(),
+            m,
+        )?;
         Ok(TaskCtx {
             deadline: task.deadline(),
             r_hom: r_hom(&task.as_homogeneous(), m)?,
