@@ -9,6 +9,7 @@
 //! machine comparison (the CI perf-smoke job and the committed
 //! `BENCH_*.json` files).
 
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use hetrta_cond::{generate_cond, r_cond, CondExpr, CondGenParams};
@@ -17,7 +18,10 @@ use hetrta_dag::algo::{
     topological_order, transitive::find_transitive_edge, CriticalPath, Reachability,
 };
 use hetrta_dag::HeteroDagTask;
-use hetrta_engine::{AnalysisSelection, Engine, EngineOutput, GeneratorPreset, SweepSpec};
+use hetrta_engine::{
+    AnalysisOutcome, AnalysisSelection, DiskCache, Engine, EngineOutput, GeneratorPreset,
+    SimOutcome, SweepSpec,
+};
 use hetrta_exact::{solve, SolverConfig};
 use hetrta_gen::layered::{generate_layered, LayeredParams};
 use hetrta_gen::offload::{make_hetero_task, CoffSizing, OffloadSelection};
@@ -245,6 +249,56 @@ fn timed_sweep(name: &'static str, engine: &Engine, spec: &SweepSpec) -> SweepRe
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
         jobs: out.stats.jobs,
     }
+}
+
+/// The disk cache's cost model. One op of `disk/write_600` is 600 result
+/// writes into a fresh directory (a cold paper-preset sweep makes 600);
+/// one op of `disk/open_lookup_100k` opens a fresh handle on a directory
+/// already holding 100k entries and looks up 300 of them, so it slows
+/// down with the directory if opening ever reads the entries.
+fn disk_kernels(budget: Duration) -> Vec<KernelResult> {
+    let root = std::env::temp_dir().join(format!("hetrta-bench-disk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let entry = |i: u64| {
+        let key = u128::from(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) << 64 | u128::from(i);
+        let outcome = AnalysisOutcome::Sim(SimOutcome {
+            makespan: 1_000 + i,
+            transformed_makespan: Some(900 + i),
+        });
+        (key, outcome)
+    };
+    let open = |dir: PathBuf| DiskCache::open(dir).expect("bench cache dir opens");
+    let mut fresh = 0u64;
+    let write = time_kernel("disk/write_600", budget, |_| {
+        fresh += 1;
+        let cache = open(root.join(format!("write-{fresh}")));
+        for i in 0..600 {
+            let (key, outcome) = entry(i);
+            cache.store_result(key, &outcome);
+        }
+        cache.write_failed()
+    });
+    let filled = root.join("filled-100k");
+    let cache = open(filled.clone());
+    for i in 0..100_000 {
+        let (key, outcome) = entry(i);
+        cache.store_result(key, &outcome);
+    }
+    drop(cache);
+    let lookup = time_kernel("disk/open_lookup_100k", budget, |op| {
+        let cache = open(filled.clone());
+        let hits = (0..300)
+            .filter(|j| {
+                cache
+                    .load_result(entry((op * 300 + j) * 7_919 % 100_000).0)
+                    .is_some()
+            })
+            .count();
+        assert_eq!(hits, 300, "every prefilled entry reads back");
+        hits
+    });
+    let _ = std::fs::remove_dir_all(&root);
+    vec![write, lookup]
 }
 
 /// Runs the full harness: kernels on a fixed seeded task batch, then the
@@ -506,6 +560,8 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         sweeps.push(timed_sweep("sweep/n1m_sampled_cold", &engine1m, &n1m_spec));
     }
 
+    // Last, so the disk rows' write-back does not land in the sweep rows.
+    kernels.extend(disk_kernels(gen_budget));
     PerfReport {
         kernels,
         sweeps,
@@ -541,6 +597,8 @@ mod tests {
             "cond/r_cond",
             "suspend/baselines",
             "sim/critical_path_first",
+            "disk/write_600",
+            "disk/open_lookup_100k",
         ] {
             assert!(json.contains(row), "missing kernel row {row}");
         }

@@ -580,7 +580,7 @@ pub const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "cache gc",
         args: "",
-        help: "bound a disk cache directory, sweeping oldest result entries first",
+        help: "compact a disk cache directory, keeping the newest result entries that fit",
         flags: &[
             FlagSpec {
                 name: "--cache-dir",
@@ -591,7 +591,7 @@ pub const COMMANDS: &[CommandSpec] = &[
             FlagSpec {
                 name: "--max-bytes",
                 value: Some("N"),
-                help: "target size bound in bytes (identity memo entries are never deleted)",
+                help: "bound on record bytes (identity memo entries are never dropped)",
                 ..FlagSpec::DEFAULT
             },
         ],
@@ -1396,10 +1396,11 @@ fn engine_sweep_cmd(args: &ParsedArgs) -> Result<String, String> {
             progress.done(out.completed, out.total);
             let balance: Vec<String> = out.worker_jobs.iter().map(u64::to_string).collect();
             let mut summary = format!(
-                "dist: {} jobs across {workers} workers [{}], {} redispatched, \
+                "dist: {} jobs across {workers} workers [{}], {} cached, {} redispatched, \
                  {} worker deaths, {} respawns, {} B tx / {} B rx\n",
                 out.completed,
                 balance.join("/"),
+                out.cached_jobs,
                 out.redispatched_jobs,
                 out.worker_deaths,
                 out.respawns,

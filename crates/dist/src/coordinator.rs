@@ -216,6 +216,10 @@ pub struct DistOutcome {
     pub cancelled: bool,
     /// Jobs aggregated per fleet slot (fleet-balance evidence).
     pub worker_jobs: Vec<u64>,
+    /// Aggregated jobs their worker served from cache (`JobDone`'s
+    /// `cache_hit`); a warm fleet over a shared cache directory serves
+    /// all of them.
+    pub cached_jobs: u64,
     /// Worker-death events handled.
     pub worker_deaths: u64,
     /// Unfinished jobs re-dispatched across all deaths.
@@ -424,6 +428,7 @@ pub fn run_distributed(
                     for owner in &mut fleet.slots {
                         owner.assigned.remove(&index);
                     }
+                    fleet.stats.cached += u64::from(result.cache_hit);
                     let slot = &mut fleet.slots[worker];
                     slot.jobs += 1;
                     recorder.record_counter("dist.jobs", 1);
@@ -536,6 +541,7 @@ pub fn run_distributed(
         total,
         cancelled,
         worker_jobs: fleet.slots.iter().map(|s| s.jobs).collect(),
+        cached_jobs: stats.cached,
         worker_deaths: stats.deaths,
         redispatched_jobs: stats.redispatched,
         respawns: stats.respawns,
@@ -548,6 +554,7 @@ pub fn run_distributed(
 #[derive(Default)]
 struct Stats {
     bytes_tx: u64,
+    cached: u64,
     deaths: u64,
     redispatched: u64,
     respawns: u64,

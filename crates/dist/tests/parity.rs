@@ -94,6 +94,10 @@ fn distributed_aggregate_is_bitwise_the_single_process_one() {
         warm_hits, warm.total,
         "every warm job came from the shared cache"
     );
+    assert_eq!(
+        warm.cached_jobs as usize, warm_hits,
+        "the outcome counts them"
+    );
 
     // Worker-count invariance: 3 workers over the warm cache, same bits.
     let mut wide = config.clone();

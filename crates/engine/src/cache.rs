@@ -15,7 +15,7 @@
 //! linearly with distinct content.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex};
 
 use hetrta_api::AnalysisInput;
 use hetrta_dag::{Dag, HeteroDagTask};
@@ -111,8 +111,8 @@ pub fn result_key(content: u128, analysis_key: &str, param_digest: u64) -> u128 
 pub struct CacheCounters {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to compute (includes the rare concurrent
-    /// double-compute of the same key).
+    /// Lookups that had to compute. A lookup that waited for another
+    /// caller's computation of the same key counts as a hit.
     pub misses: u64,
 }
 
@@ -139,12 +139,62 @@ impl CacheCounters {
     }
 }
 
-/// One LRU shard: the value map plus a stamp-ordered eviction index.
+/// One LRU shard: the value map, a stamp-ordered eviction index, and the
+/// keys being computed right now.
 #[derive(Debug)]
 struct Shard<V> {
     map: HashMap<u128, (V, u64)>,
     order: BTreeMap<u64, u128>,
     clock: u64,
+    /// At most one entry per thread computing in this shard, so a list.
+    in_flight: Vec<(u128, Arc<Flight>)>,
+}
+
+/// One in-flight computation: waiters sleep until its leader finishes
+/// (or unwinds).
+#[derive(Debug, Default)]
+struct Flight {
+    done: Mutex<bool>,
+    finished: Condvar,
+}
+
+impl Flight {
+    fn wait(&self) {
+        let mut done = self.done.lock().expect("cache flight");
+        while !*done {
+            done = self.finished.wait(done).expect("cache flight");
+        }
+    }
+}
+
+/// Clears its key's in-flight marker and wakes the waiters when the
+/// leader's computation ends, unwinding included.
+struct Leader<'a, V: Clone> {
+    cache: &'a MemoCache<V>,
+    key: u128,
+    flight: Arc<Flight>,
+}
+
+impl<V: Clone> Drop for Leader<'_, V> {
+    fn drop(&mut self) {
+        if let Ok(mut shard) = self.cache.shard(self.key).lock() {
+            shard.in_flight.retain(|(key, _)| *key != self.key);
+        }
+        // Once the marker is gone nobody new can take a reference, so a
+        // count of one means no waiters: skip the wake-up system call
+        // most misses would otherwise pay.
+        if Arc::strong_count(&self.flight) == 1 {
+            return;
+        }
+        // A bool is valid at every step, so a poisoned guard is safe to
+        // take back; a drop must not panic.
+        *self
+            .flight
+            .done
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
+        self.flight.finished.notify_all();
+    }
 }
 
 impl<V> Shard<V> {
@@ -153,6 +203,7 @@ impl<V> Shard<V> {
             map: HashMap::new(),
             order: BTreeMap::new(),
             clock: 0,
+            in_flight: Vec::new(),
         }
     }
 
@@ -190,11 +241,11 @@ impl<V> Shard<V> {
 ///
 /// Values are cloned out; for the engine's memos that copies no node data
 /// (tasks and transformations share their graphs' storage, derived data
-/// sits behind an `Arc`). Computation runs *outside* the shard lock, so two
-/// workers racing on the same fresh key may both compute (both counted as
-/// misses) — the table stays consistent because the value for a key is a
-/// pure function of the key's content. Capacity is enforced per shard
-/// (`capacity / 32`, at least 1), evicting least-recently-used entries.
+/// sits behind an `Arc`). Computation runs *outside* the shard lock under
+/// an in-flight marker, so a second caller missing the same key waits for
+/// the first one's value instead of computing it again. Capacity is
+/// enforced per shard (`capacity / 32`, at least 1), evicting
+/// least-recently-used entries.
 #[derive(Debug)]
 pub struct MemoCache<V> {
     shards: Vec<Mutex<Shard<V>>>,
@@ -242,8 +293,13 @@ impl<V: Clone> MemoCache<V> {
 
     /// Looks up `key`, computing and memoizing with `compute` on a miss.
     /// Returns the value and whether it was a hit.
+    ///
+    /// Single-flight: while one caller computes a key, others that miss
+    /// it wait and then take its value as a hit. A hit costs one shard
+    /// lock round trip. A computation that panics clears its marker, and
+    /// its waiters retry.
     pub fn get_or_compute(&self, key: u128, compute: impl FnOnce() -> V) -> (V, bool) {
-        {
+        let leader = loop {
             let mut shard = self.shard(key).lock().expect("cache shard");
             if let Some((v, _)) = shard.map.get(&key) {
                 let v = v.clone();
@@ -251,17 +307,27 @@ impl<V: Clone> MemoCache<V> {
                 self.hits.incr();
                 return (v, true);
             }
-        }
+            let in_flight = shard.in_flight.iter().find(|(k, _)| *k == key);
+            if let Some(flight) = in_flight.map(|(_, flight)| Arc::clone(flight)) {
+                drop(shard);
+                flight.wait();
+                continue;
+            }
+            let flight = Arc::new(Flight::default());
+            shard.in_flight.push((key, Arc::clone(&flight)));
+            break Leader {
+                cache: self,
+                key,
+                flight,
+            };
+        };
         self.misses.incr();
         let value = compute();
-        let mut shard = self.shard(key).lock().expect("cache shard");
-        if let Some((v, _)) = shard.map.get(&key) {
-            // A sibling raced us to the computation; keep its value.
-            let v = v.clone();
-            shard.touch(key);
-            return (v, false);
-        }
-        shard.insert(key, value.clone(), self.per_shard_cap);
+        self.shard(key)
+            .lock()
+            .expect("cache shard")
+            .insert(key, value.clone(), self.per_shard_cap);
+        drop(leader);
         (value, false)
     }
 
@@ -399,6 +465,86 @@ mod tests {
         assert_eq!(cache.counters(), CacheCounters { hits: 1, misses: 1 });
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
+    }
+
+    #[test]
+    fn concurrent_misses_of_one_key_compute_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::Duration;
+
+        let cache: Arc<MemoCache<u64>> = Arc::new(MemoCache::new());
+        let computed = Arc::new(AtomicUsize::new(0));
+        let (started, leading) = std::sync::mpsc::channel();
+        let leader = {
+            let (cache, computed) = (Arc::clone(&cache), Arc::clone(&computed));
+            std::thread::spawn(move || {
+                cache.get_or_compute(9, || {
+                    started.send(()).unwrap();
+                    computed.fetch_add(1, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(50));
+                    7
+                })
+            })
+        };
+        // The leader's marker is in place before its compute starts, so
+        // this caller must wait for it rather than compute.
+        leading.recv().unwrap();
+        let follower = cache.get_or_compute(9, || {
+            computed.fetch_add(1, Ordering::SeqCst);
+            8
+        });
+        assert_eq!(leader.join().unwrap(), (7, false));
+        assert_eq!(follower, (7, true));
+        assert_eq!(computed.load(Ordering::SeqCst), 1);
+        assert_eq!(cache.counters(), CacheCounters { hits: 1, misses: 1 });
+
+        // Two threads released together by a barrier: one computes.
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let racers: Vec<_> = (0..2)
+            .map(|_| {
+                let (cache, computed, barrier) = (
+                    Arc::clone(&cache),
+                    Arc::clone(&computed),
+                    Arc::clone(&barrier),
+                );
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    cache.get_or_compute(10, || {
+                        computed.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_millis(20));
+                        3
+                    })
+                })
+            })
+            .collect();
+        for racer in racers {
+            assert_eq!(racer.join().unwrap().0, 3);
+        }
+        assert_eq!(computed.load(Ordering::SeqCst), 2, "key 10 computed once");
+    }
+
+    #[test]
+    fn a_panicking_compute_wakes_its_waiters() {
+        let cache: Arc<MemoCache<u64>> = Arc::new(MemoCache::new());
+        let (started, leading) = std::sync::mpsc::channel();
+        let leader = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                cache.get_or_compute(4, || {
+                    started.send(()).unwrap();
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    panic!("compute failed");
+                })
+            })
+        };
+        leading.recv().unwrap();
+        // Waits on the leader, then computes itself once it unwound.
+        assert_eq!(cache.get_or_compute(4, || 5), (5, false));
+        assert!(leader.join().is_err());
+        assert_eq!(
+            cache.get_or_compute(4, || unreachable!("memoized")),
+            (5, true)
+        );
     }
 
     #[test]

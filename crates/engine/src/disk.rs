@@ -1,57 +1,383 @@
 //! Disk-persistent layer under the in-memory result caches.
 //!
-//! The unit of persistence is one cache entry per file, addressed by the
-//! same stable 128-bit content keys the in-memory [`MemoCache`]s use —
-//! `results/` holds analysis outcomes keyed by content hash × registry key
-//! × parameter digest, `identity/` holds the job-recipe → content-hash
-//! memo (including "the generator declined this sample"). Because keys are
+//! Entries are addressed by the same stable 128-bit content keys the
+//! in-memory [`MemoCache`](crate::MemoCache)s use, in two namespaces:
+//! `results` holds analysis outcomes keyed by content hash × registry key
+//! × parameter digest, `identity` holds the job-recipe → content-hash memo
+//! (including "the generator declined this sample"). Because keys are
 //! content hashes, entries never go stale with respect to their inputs;
-//! the only invalidation is the format version in each file's magic line,
-//! which a newer build bumps to orphan old entries.
+//! the only invalidation is the format version in each record's namespace
+//! tag, which a newer build bumps to orphan (never misread) old entries.
+//!
+//! Layout under the cache directory:
+//!
+//! ```text
+//! <dir>/CURRENT            names the live generation (absent: gen-0)
+//! <dir>/gen-<n>/log        append-only records, one per entry written
+//! <dir>/gen-<n>/index      slot index: key → (offset, len, check)
+//! ```
+//!
+//! Each record is a `hetrta-fault` record line
+//! ([`hetrta_fault::encode`]) whose payload is `<ns>.v2 <key:032x>
+//! <value>`. The index is a sparse file of levels: level `L` holds
+//! `LEVEL0_WINDOWS · 4^L` windows of 16 32-byte slots, and a key hashes to
+//! one window per level. A lookup reads its level-0 window and goes on to
+//! the next level only while the window it read is full without holding
+//! the key, then reads the record and verifies its checksum, namespace
+//! and key — two positioned reads in the common case, and opening a
+//! handle reads nothing in proportion to the directory.
+//!
+//! A write appends the record and claims a slot (a fresh one, or the
+//! key's own when it is rewritten) under one exclusive lock on the index
+//! file, so every process sharing the directory takes its turn. Nothing is
+//! fsynced: a lost entry is only a miss.
 //!
 //! Robustness contract: a corrupt, truncated, stale-versioned, or
 //! concurrently half-written entry **reads as a miss** (the engine
 //! recomputes and rewrites it), and write failures are counted, never
 //! fatal — a full disk degrades to an in-memory-only engine.
 //!
-//! Layout under the cache directory:
-//!
-//! ```text
-//! <dir>/results/<hh>/<032x key>    one analysis outcome per file
-//! <dir>/identity/<hh>/<032x key>   recipe → content hash (or "skip")
-//! ```
-//!
-//! where `<hh>` is the top byte of the key in hex (256-way fan-out) and
-//! each file is `magic line \n payload \n fnv64(payload)`.
-//! Writes go through a temp file + atomic rename, so concurrent engines
-//! sharing a directory never observe torn entries.
+//! [`DiskCache::gc`] compacts the live generation into a fresh one and
+//! publishes it by renaming `CURRENT`. Nothing rewrites a live generation,
+//! so a handle still reading a retired one stays correct (its open files
+//! outlive the directory) and follows the flip on its next write, or
+//! within a second otherwise.
 
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex, Once, RwLock};
+use std::time::Instant;
 
+use hetrta_api::wire::fnv64;
 use hetrta_api::AnalysisOutcome;
 use hetrta_fault::FaultPlan;
 use hetrta_obs::{span, Counter, MetricsRegistry, NoopRecorder, Recorder};
 
 use crate::cache::CacheCounters;
 
-/// First line of every entry file; bumping the version orphans (never
-/// misreads) entries written by older builds.
-const MAGIC: &str = "hetrta-cache v1";
-
-/// Identity-entry payload for a declined sample.
+/// Identity-entry value for a declined sample.
 const SKIP: &str = "skip";
 
-/// FNV-1a over the payload bytes — the per-entry corruption check.
-fn fnv64(payload: &str) -> u64 {
-    let mut state: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in payload.bytes() {
-        state ^= u64::from(byte);
-        state = state.wrapping_mul(0x0000_0100_0000_01b3);
+/// Bytes per index slot: key (16), record offset (8), record length (4),
+/// check (4).
+const SLOT: usize = 32;
+
+/// Slots per probe window (one positioned read).
+const WINDOW_SLOTS: usize = 16;
+
+/// Bytes per probe window.
+const WINDOW: usize = SLOT * WINDOW_SLOTS;
+
+/// Windows in level 0 of the index (2 MiB of sparse file); each further
+/// level has four times as many.
+const LEVEL0_WINDOWS: u64 = 4096;
+
+/// Levels an index may grow to: `LEVEL0_WINDOWS · 16 · (4^16 − 1) / 3`
+/// slots, far beyond any directory a disk can hold.
+const MAX_LEVELS: u32 = 16;
+
+/// Longest record a slot may point at (a defect guard, far above any
+/// encoded outcome).
+const MAX_RECORD: u32 = 1 << 26;
+
+/// How often a handle that only reads checks whether gc retired its
+/// generation.
+const FOLLOW_EVERY_MS: u64 = 1000;
+
+/// The two entry namespaces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Ns {
+    Results,
+    Identity,
+}
+
+impl Ns {
+    /// Span detail name.
+    fn name(self) -> &'static str {
+        match self {
+            Ns::Results => "results",
+            Ns::Identity => "identity",
+        }
     }
-    state
+
+    /// Record tag: the namespace and the format version. Bumping the
+    /// version makes every older record fail verification.
+    fn tag(self) -> &'static str {
+        match self {
+            Ns::Results => "results.v2",
+            Ns::Identity => "identity.v2",
+        }
+    }
+
+    fn from_tag(tag: &str) -> Option<Ns> {
+        [Ns::Results, Ns::Identity]
+            .into_iter()
+            .find(|ns| ns.tag() == tag)
+    }
+}
+
+/// One record's payload, `<tag> <key:032x> <value>`.
+fn record_payload(ns: Ns, key: u128, value: &str) -> String {
+    format!("{} {key:032x} {value}", ns.tag())
+}
+
+/// Splits a verified record payload into namespace, key and value.
+fn parse_payload(payload: &str) -> Option<(Ns, u128, &str)> {
+    let (tag, rest) = payload.split_once(' ')?;
+    let (key, value) = rest.split_once(' ')?;
+    let key = (key.len() == 32)
+        .then(|| u128::from_str_radix(key, 16).ok())
+        .flatten()?;
+    Some((Ns::from_tag(tag)?, key, value))
+}
+
+/// Where a record sits in the log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    key: u128,
+    offset: u64,
+    len: u32,
+}
+
+impl Slot {
+    fn encode(self, ns: Ns) -> [u8; SLOT] {
+        let mut bytes = [0u8; SLOT];
+        bytes[..16].copy_from_slice(&self.key.to_le_bytes());
+        bytes[16..24].copy_from_slice(&self.offset.to_le_bytes());
+        bytes[24..28].copy_from_slice(&self.len.to_le_bytes());
+        let check = slot_check(ns, &bytes[..28]);
+        bytes[28..].copy_from_slice(&check.to_le_bytes());
+        bytes
+    }
+
+    /// The slot's contents when its check verifies for `ns`; empty, torn
+    /// and other-namespace slots are `None`.
+    fn decode(bytes: &[u8], ns: Ns) -> Option<Slot> {
+        let check = u32::from_le_bytes(bytes[28..32].try_into().ok()?);
+        (check != 0 && check == slot_check(ns, &bytes[..28])).then(|| Slot {
+            key: u128::from_le_bytes(bytes[..16].try_into().expect("16 bytes")),
+            offset: u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")),
+            len: u32::from_le_bytes(bytes[24..28].try_into().expect("4 bytes")),
+        })
+    }
+}
+
+/// Never zero, so a zero check marks an empty slot.
+fn slot_check(ns: Ns, body: &[u8]) -> u32 {
+    let mut bytes = [0u8; 29];
+    bytes[0] = ns as u8 + 1;
+    bytes[1..].copy_from_slice(body);
+    let sum = fnv64(&bytes);
+    ((sum ^ (sum >> 32)) as u32).max(1)
+}
+
+/// `true` when a slot was never claimed.
+fn slot_is_empty(bytes: &[u8]) -> bool {
+    bytes[28..32] == [0; 4]
+}
+
+/// Byte offset of the first window of `level`.
+fn level_base(level0: u64, level: u32) -> u64 {
+    level0 * ((1u64 << (2 * level)) - 1) / 3 * WINDOW as u64
+}
+
+/// Byte offset of `key`'s probe window in `level`.
+fn window_offset(level0: u64, level: u32, ns: Ns, key: u128) -> u64 {
+    let mut z =
+        (key as u64) ^ ((key >> 64) as u64).rotate_left(29) ^ (u64::from(level) << 56) ^ ns as u64;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^= z >> 31;
+    level_base(level0, level) + (z % (level0 << (2 * level))) * WINDOW as u64
+}
+
+/// One generation's open files.
+#[derive(Debug)]
+struct Generation {
+    name: String,
+    log: File,
+    index: File,
+}
+
+impl Generation {
+    /// Opens (creating if needed) the generation directory `name`.
+    fn open(root: &Path, name: String) -> std::io::Result<Generation> {
+        let dir = root.join(&name);
+        std::fs::create_dir_all(&dir)?;
+        let log = File::options()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(dir.join("log"))?;
+        let index = File::options()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(dir.join("index"))?;
+        Ok(Generation { name, log, index })
+    }
+
+    /// One probe window; bytes past the end of the sparse index read as
+    /// empty slots.
+    fn window(&self, offset: u64) -> std::io::Result<[u8; WINDOW]> {
+        let mut window = [0u8; WINDOW];
+        read_at(&self.index, &mut window, offset)?;
+        Ok(window)
+    }
+
+    /// The slot holding `key`, walking levels while windows are full.
+    fn find(&self, level0: u64, ns: Ns, key: u128) -> std::io::Result<Option<Slot>> {
+        for level in 0..MAX_LEVELS {
+            let window = self.window(window_offset(level0, level, ns, key))?;
+            for bytes in window.chunks_exact(SLOT) {
+                if slot_is_empty(bytes) {
+                    return Ok(None);
+                }
+                if let Some(slot) = Slot::decode(bytes, ns).filter(|s| s.key == key) {
+                    return Ok(Some(slot));
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// Points `slot.key`'s index entry at `slot`: its own slot when the
+    /// key is already indexed, else the first empty slot on its probe
+    /// path. The caller holds the index lock.
+    fn claim(&self, level0: u64, ns: Ns, slot: Slot) -> std::io::Result<()> {
+        for level in 0..MAX_LEVELS {
+            let at = window_offset(level0, level, ns, slot.key);
+            let window = self.window(at)?;
+            for (i, bytes) in window.chunks_exact(SLOT).enumerate() {
+                let ours = Slot::decode(bytes, ns).is_some_and(|s| s.key == slot.key);
+                if ours || slot_is_empty(bytes) {
+                    return write_at(&self.index, &slot.encode(ns), at + (i * SLOT) as u64);
+                }
+            }
+        }
+        Err(std::io::Error::other("cache index full"))
+    }
+
+    /// Reads the record `slot` points at and returns its value when the
+    /// record verifies for `ns` and `key`. `flip` injects read corruption
+    /// (`disk.read.bitflip`) before verification.
+    fn record(
+        &self,
+        ns: Ns,
+        key: u128,
+        slot: Slot,
+        flip: impl FnOnce() -> Option<u64>,
+    ) -> Option<String> {
+        if slot.len > MAX_RECORD {
+            return None;
+        }
+        let mut bytes = vec![0u8; slot.len as usize];
+        read_exact_at(&self.log, &mut bytes, slot.offset).ok()?;
+        if let (Some(bits), false) = (flip(), bytes.is_empty()) {
+            let index = (bits as usize) % bytes.len();
+            bytes[index] ^= 1 << ((bits >> 32) % 8);
+        }
+        let payload = hetrta_fault::verify(bytes.strip_suffix(b"\n")?)?;
+        let (found_ns, found_key, value) = parse_payload(payload)?;
+        (found_ns == ns && found_key == key).then(|| value.to_owned())
+    }
+}
+
+#[cfg(unix)]
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
+    std::os::unix::fs::FileExt::read_at(file, buf, offset)
+}
+
+#[cfg(windows)]
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
+    std::os::windows::fs::FileExt::seek_read(file, buf, offset)
+}
+
+fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> std::io::Result<()> {
+    while !buf.is_empty() {
+        match read_at(file, buf, offset)? {
+            0 => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            n => {
+                buf = &mut buf[n..];
+                offset += n as u64;
+            }
+        }
+    }
+    Ok(())
+}
+
+#[cfg(unix)]
+fn write_at(file: &File, buf: &[u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::write_all_at(file, buf, offset)
+}
+
+#[cfg(windows)]
+fn write_at(file: &File, mut buf: &[u8], mut offset: u64) -> std::io::Result<()> {
+    while !buf.is_empty() {
+        let n = std::os::windows::fs::FileExt::seek_write(file, buf, offset)?;
+        buf = &buf[n..];
+        offset += n as u64;
+    }
+    Ok(())
+}
+
+/// `true` when gc has removed the generation this file belongs to.
+#[cfg(unix)]
+fn unlinked(meta: &std::fs::Metadata) -> bool {
+    std::os::unix::fs::MetadataExt::nlink(meta) == 0
+}
+
+#[cfg(not(unix))]
+fn unlinked(_meta: &std::fs::Metadata) -> bool {
+    false
+}
+
+/// The generation `CURRENT` names (`gen-0` while no gc has run).
+fn current_name(root: &Path) -> String {
+    std::fs::read_to_string(root.join("CURRENT"))
+        .ok()
+        .and_then(|text| generation_number(text.trim()).map(|n| format!("gen-{n}")))
+        .unwrap_or_else(|| "gen-0".to_owned())
+}
+
+/// Parses `gen-<n>` into `n`.
+fn generation_number(name: &str) -> Option<u64> {
+    name.strip_prefix("gen-")?.parse().ok()
+}
+
+/// Opens the live generation. A gc may retire the generation `CURRENT`
+/// named between reading it and opening the files, so the name is read
+/// again afterwards and the open retried when it moved.
+fn open_current(root: &Path) -> std::io::Result<Generation> {
+    let mut name = current_name(root);
+    for _ in 0..8 {
+        let generation = Generation::open(root, name)?;
+        name = current_name(root);
+        if name == generation.name {
+            return Ok(generation);
+        }
+    }
+    Generation::open(root, name)
+}
+
+/// Holds an index file's exclusive lock until dropped.
+struct IndexLock<'a>(&'a File);
+
+impl<'a> IndexLock<'a> {
+    fn acquire(index: &'a File) -> std::io::Result<IndexLock<'a>> {
+        index.lock()?;
+        Ok(IndexLock(index))
+    }
+}
+
+impl Drop for IndexLock<'_> {
+    fn drop(&mut self) {
+        let _ = self.0.unlock();
+    }
 }
 
 /// A disk-persistent, content-addressed cache directory shared by every
@@ -59,14 +385,20 @@ fn fnv64(payload: &str) -> u64 {
 #[derive(Debug)]
 pub struct DiskCache {
     root: PathBuf,
+    generation: RwLock<Arc<Generation>>,
+    /// Serializes this handle's writers and gc; the index lock is per
+    /// open file, so threads sharing a handle need this as well.
+    writer: Mutex<()>,
+    /// Windows in the index's level 0 ([`LEVEL0_WINDOWS`]; smaller in
+    /// unit tests, to reach deep levels with few entries).
+    level0: u64,
+    opened: Instant,
+    /// Milliseconds after `opened` of the last retirement check.
+    checked_ms: AtomicU64,
     hits: Counter,
     misses: Counter,
     write_errors: Counter,
-    tmp_counter: AtomicU64,
     recorder: Arc<dyn Recorder>,
-    /// Entry paths with reads in flight in this process (refcounted); gc
-    /// skips them so a reader never loses its file mid-read.
-    pins: Mutex<HashMap<PathBuf, usize>>,
     /// Deterministic fault injection (`--chaos`): `disk.write.enospc`,
     /// `disk.write.torn` and `disk.read.bitflip` sites. `None` in
     /// production.
@@ -76,27 +408,31 @@ pub struct DiskCache {
 }
 
 impl DiskCache {
-    /// Opens (creating if needed) a cache directory.
+    /// Opens (creating if needed) a cache directory. Reads at most the
+    /// `CURRENT` pointer: nothing in proportion to the entries held.
     ///
     /// # Errors
     ///
-    /// A human-readable message when the directory (or its `results/` and
-    /// `identity/` namespaces) cannot be created.
+    /// A human-readable message when the directory or its live
+    /// generation cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> Result<DiskCache, String> {
-        let root = dir.into();
-        for namespace in ["results", "identity"] {
-            let path = root.join(namespace);
-            std::fs::create_dir_all(&path)
-                .map_err(|e| format!("cannot create cache dir {}: {e}", path.display()))?;
-        }
+        DiskCache::open_with_level0(dir.into(), LEVEL0_WINDOWS)
+    }
+
+    fn open_with_level0(root: PathBuf, level0: u64) -> Result<DiskCache, String> {
+        let generation = open_current(&root)
+            .map_err(|e| format!("cannot create cache dir {}: {e}", root.display()))?;
         Ok(DiskCache {
             root,
+            generation: RwLock::new(Arc::new(generation)),
+            writer: Mutex::new(()),
+            level0,
+            opened: Instant::now(),
+            checked_ms: AtomicU64::new(0),
             hits: Counter::detached(),
             misses: Counter::detached(),
             write_errors: Counter::detached(),
-            tmp_counter: AtomicU64::new(0),
             recorder: Arc::new(NoopRecorder),
-            pins: Mutex::new(HashMap::new()),
             fault: None,
             write_warn: Once::new(),
         })
@@ -150,94 +486,98 @@ impl DiskCache {
         self.write_errors.get()
     }
 
-    fn entry_path(&self, namespace: &str, key: u128) -> PathBuf {
-        self.root
-            .join(namespace)
-            .join(format!("{:02x}", (key >> 120) as u8))
-            .join(format!("{key:032x}"))
+    /// The generation this handle reads, switching to the live one first
+    /// when the last check is a second old and gc has moved `CURRENT`.
+    fn generation(&self) -> Arc<Generation> {
+        let current = Arc::clone(&self.generation.read().expect("disk generation"));
+        let now = self.opened.elapsed().as_millis() as u64;
+        let last = self.checked_ms.load(Ordering::Relaxed);
+        let due = now >= last + FOLLOW_EVERY_MS
+            && self
+                .checked_ms
+                .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok();
+        if due && current_name(&self.root) != current.name {
+            return self.follow(&current).unwrap_or(current);
+        }
+        current
     }
 
-    /// Reads and verifies one entry's payload; `None` on any defect.
+    /// Switches from the retired generation `stale` to the live one.
+    fn follow(&self, stale: &Arc<Generation>) -> std::io::Result<Arc<Generation>> {
+        let live = Arc::new(open_current(&self.root)?);
+        let mut slot = self.generation.write().expect("disk generation");
+        if Arc::ptr_eq(&slot, stale) {
+            *slot = Arc::clone(&live);
+        }
+        Ok(Arc::clone(&slot))
+    }
+
+    /// Runs `op` on the live generation under its index lock, with the
+    /// log's length, following a flip that happened while waiting for the
+    /// lock. Writers detect a retired generation by its removed log;
+    /// `strict` (gc) also checks that `CURRENT` still names it.
+    fn locked<T>(
+        &self,
+        strict: bool,
+        mut op: impl FnMut(&Generation, u64) -> std::io::Result<T>,
+    ) -> std::io::Result<T> {
+        let _writer = self.writer.lock().expect("disk writer");
+        let mut generation = self.generation();
+        for _ in 0..8 {
+            let lock = IndexLock::acquire(&generation.index)?;
+            let log = generation.log.metadata()?;
+            if !unlinked(&log) && (!strict || current_name(&self.root) == generation.name) {
+                return op(&generation, log.len());
+            }
+            drop(lock);
+            generation = self.follow(&generation)?;
+        }
+        Err(std::io::Error::other("cache generation keeps moving"))
+    }
+
+    /// Appends one record line for `key` and points the index at it.
+    fn append(&self, ns: Ns, key: u128, line: &[u8]) -> std::io::Result<()> {
+        let len = u32::try_from(line.len()).map_err(std::io::Error::other)?;
+        self.locked(false, |generation, offset| {
+            (&generation.log).write_all(line)?;
+            generation.claim(self.level0, ns, Slot { key, offset, len })
+        })
+    }
+
+    /// Reads and verifies one entry's value; `None` on any defect.
     ///
-    /// Does **not** count: a checksum-valid payload can still fail to
+    /// Does **not** count: a checksum-valid value can still fail to
     /// decode, so hit/miss accounting happens in the typed loaders once
     /// the full decode has succeeded or failed.
-    ///
-    /// The entry is pinned for the duration of the read, so a concurrent
-    /// [`DiskCache::gc`] on this handle never deletes a file out from
-    /// under an in-flight reader.
-    fn read_payload(&self, namespace: &str, key: u128) -> Option<String> {
-        let _span = span!(self.recorder.as_ref(), "disk.read", ns = namespace);
-        let path = self.entry_path(namespace, key);
-        let _pin = self.pin(path.clone());
-        let text = std::fs::read_to_string(path).ok().map(|text| {
-            // Injected read corruption: flip one bit of the entry before
-            // verification — it must read as a miss, never as data.
-            let bits = match self.fault.as_deref() {
-                Some(plan) if !text.is_empty() => plan.fires("disk.read.bitflip"),
-                _ => None,
-            };
-            let Some(bits) = bits else { return text };
-            let mut bytes = text.into_bytes();
-            let index = (bits as usize) % bytes.len();
-            bytes[index] ^= 1 << ((bits >> 32) % 8);
-            String::from_utf8_lossy(&bytes).into_owned()
-        });
-        text.as_deref().and_then(verify_entry).map(str::to_owned)
+    fn read_value(&self, ns: Ns, key: u128) -> Option<String> {
+        let _span = span!(self.recorder.as_ref(), "disk.read", ns = ns.name());
+        let generation = self.generation();
+        let slot = generation.find(self.level0, ns, key).ok()??;
+        // Injected read corruption flips one bit of the record before
+        // verification — it must read as a miss, never as data.
+        generation.record(ns, key, slot, || {
+            self.fault
+                .as_deref()
+                .and_then(|p| p.fires("disk.read.bitflip"))
+        })
     }
 
-    /// Refcounts `path` into the pin registry; the returned guard
-    /// releases it on drop.
-    fn pin(&self, path: PathBuf) -> ReadPin<'_> {
-        *self
-            .pins
-            .lock()
-            .expect("disk pin registry")
-            .entry(path.clone())
-            .or_insert(0) += 1;
-        ReadPin { cache: self, path }
-    }
-
-    /// Paths currently pinned by in-flight reads.
-    fn pinned_paths(&self) -> std::collections::HashSet<PathBuf> {
-        self.pins
-            .lock()
-            .expect("disk pin registry")
-            .keys()
-            .cloned()
-            .collect()
-    }
-
-    /// Pins the `results/` entry of `key` until the returned guard drops,
-    /// protecting it from [`DiskCache::gc`] on this handle. For daemons
-    /// whose sweeps hold references to cached results while a background
-    /// gc sweeps the directory.
-    #[must_use]
-    pub fn begin_read(&self, key: u128) -> ReadPin<'_> {
-        self.pin(self.entry_path("results", key))
-    }
-
-    /// Persists one entry atomically (temp file + rename); failures are
+    /// Persists one entry (record append + slot claim); failures are
     /// counted and swallowed.
-    fn write_payload(&self, namespace: &str, key: u128, payload: &str) {
-        let _span = span!(self.recorder.as_ref(), "disk.write", ns = namespace);
-        let path = self.entry_path(namespace, key);
-        let mut content = format!("{MAGIC}\n{payload}\n{:016x}\n", fnv64(payload));
-        // Injected torn write: commit a truncated entry, as a crash
-        // straddling write and rename could — it must later read as a
-        // miss and be recomputed, never misread.
+    fn write_value(&self, ns: Ns, key: u128, value: &str) {
+        let _span = span!(self.recorder.as_ref(), "disk.write", ns = ns.name());
+        let mut line = hetrta_fault::encode(&record_payload(ns, key, value)).into_bytes();
+        // Injected torn write: commit a truncated record, as a crash
+        // mid-append could — it must later read as a miss and be
+        // recomputed, never misread.
         if let Some(bits) = self
             .fault
             .as_deref()
             .and_then(|p| p.fires("disk.write.torn"))
         {
-            content.truncate(1 + (bits as usize) % content.len());
+            line.truncate(1 + (bits as usize) % line.len());
         }
-        let tmp = path.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        ));
         let written = if self
             .fault
             .as_deref()
@@ -245,20 +585,16 @@ impl DiskCache {
         {
             Err(std::io::Error::other("injected ENOSPC (chaos)"))
         } else {
-            path.parent()
-                .map_or(Ok(()), std::fs::create_dir_all)
-                .and_then(|()| std::fs::write(&tmp, content))
-                .and_then(|()| std::fs::rename(&tmp, &path))
+            self.append(ns, key, &line)
         };
         if let Err(error) = written {
-            let _ = std::fs::remove_file(&tmp);
             self.write_errors.incr();
-            let _span = span!(self.recorder.as_ref(), "disk.write_failed", ns = namespace);
+            let _span = span!(self.recorder.as_ref(), "disk.write_failed", ns = ns.name());
             self.write_warn.call_once(|| {
                 eprintln!(
                     "hetrta: disk cache write failed ({error}) at {}; \
                      continuing with in-memory results (disk.write_failed counts)",
-                    path.display()
+                    self.root.display()
                 );
             });
         }
@@ -269,8 +605,8 @@ impl DiskCache {
     #[must_use]
     pub fn load_result(&self, key: u128) -> Option<AnalysisOutcome> {
         let decoded = self
-            .read_payload("results", key)
-            .and_then(|payload| AnalysisOutcome::decode(&payload));
+            .read_value(Ns::Results, key)
+            .and_then(|value| AnalysisOutcome::decode(&value));
         if decoded.is_some() {
             self.hits.incr();
         } else {
@@ -281,7 +617,7 @@ impl DiskCache {
 
     /// Persists one analysis outcome.
     pub fn store_result(&self, key: u128, outcome: &AnalysisOutcome) {
-        self.write_payload("results", key, &outcome.encode());
+        self.write_value(Ns::Results, key, &outcome.encode());
     }
 
     /// Loads a persisted identity entry: `Some(None)` for a memoized
@@ -289,12 +625,12 @@ impl DiskCache {
     /// for a miss.
     #[must_use]
     pub fn load_identity(&self, key: u128) -> Option<Option<u128>> {
-        let decoded = self.read_payload("identity", key).and_then(|payload| {
-            if payload == SKIP {
+        let decoded = self.read_value(Ns::Identity, key).and_then(|value| {
+            if value == SKIP {
                 return Some(None);
             }
-            match u128::from_str_radix(&payload, 16) {
-                Ok(content) if payload.len() == 32 => Some(Some(content)),
+            match u128::from_str_radix(&value, 16) {
+                Ok(content) if value.len() == 32 => Some(Some(content)),
                 _ => None,
             }
         });
@@ -308,159 +644,164 @@ impl DiskCache {
 
     /// Persists one identity entry.
     pub fn store_identity(&self, key: u128, content: Option<u128>) {
-        let payload = match content {
+        let value = match content {
             None => SKIP.to_owned(),
             Some(c) => format!("{c:032x}"),
         };
-        self.write_payload("identity", key, &payload);
+        self.write_value(Ns::Identity, key, &value);
     }
 
-    /// Bounds the cache directory to (approximately) `max_bytes`, deleting
-    /// the **oldest-mtime result entries first** until the total size fits.
+    /// Compacts the cache into a fresh generation of at most
+    /// (approximately) `max_bytes` of records: every identity record,
+    /// then the **newest result records** that fit the rest of the bound.
+    /// Only the latest verified record of each key is carried over, so
+    /// rewritten, torn and corrupt records go too.
     ///
-    /// The identity memo (`identity/`) is never touched: its entries are a
-    /// few dozen bytes each, and deleting one mid-sweep would force a
-    /// running engine to regenerate an input it believes is memoized. When
-    /// the identity namespace alone exceeds the bound, gc reports
+    /// The identity memo is never dropped: its records are a few dozen
+    /// bytes each, and dropping one mid-sweep would force a running
+    /// engine to regenerate an input it believes is memoized. When the
+    /// identity records alone exceed the bound, gc reports
     /// `remaining_bytes > max_bytes` instead of violating that invariant.
     ///
-    /// Concurrent engines are safe: a deleted entry simply reads as a miss
-    /// and is recomputed and rewritten. Half-written `*.tmp.*` files are
-    /// ignored (and never counted), and entries with reads in flight in
-    /// this process (pinned via [`DiskCache::begin_read`] or an internal
-    /// load) are skipped — counted in [`GcStats::pinned_entries`] — so gc
-    /// never races its own readers.
+    /// The new generation is published by an atomic rename of `CURRENT`,
+    /// then the old one, generations a crashed gc left behind, and a
+    /// format-v1 tree (`results/`, `identity/`) are removed. Compaction
+    /// holds the old generation's index lock throughout, so no write to it
+    /// is lost; writers waiting on the lock continue in the new
+    /// generation, and readers of the old one keep their open files.
     ///
     /// # Errors
     ///
-    /// A human-readable message when a namespace directory cannot be read;
-    /// failures to delete individual entries are counted, not fatal.
+    /// A human-readable message when the old generation cannot be read
+    /// or the new one cannot be written and published.
     pub fn gc(&self, max_bytes: u64) -> Result<GcStats, String> {
         let _span = span!(self.recorder.as_ref(), "disk.gc", max_bytes = max_bytes);
-        let identity_bytes: u64 = self.scan_entries("identity")?.iter().map(|e| e.bytes).sum();
-        let mut results = self.scan_entries("results")?;
-        // Oldest first; path disambiguates equal timestamps so the sweep
-        // order is deterministic.
-        results.sort_by(|a, b| (a.mtime, &a.path).cmp(&(b.mtime, &b.path)));
-        // Snapshot the pin registry once: an entry pinned now stays
-        // untouchable for this whole sweep (a pin acquired later pins a
-        // file this sweep already decided to keep or already deleted —
-        // the reader of a deleted file sees an ordinary miss).
-        let pinned = self.pinned_paths();
-        let mut remaining: u64 = identity_bytes + results.iter().map(|e| e.bytes).sum::<u64>();
-        let scanned_bytes = remaining;
-        let mut stats = GcStats {
-            scanned_bytes,
-            remaining_bytes: remaining,
-            deleted_entries: 0,
-            deleted_bytes: 0,
-            pinned_entries: 0,
-        };
-        for entry in &results {
-            if remaining <= max_bytes {
-                break;
-            }
-            if pinned.contains(&entry.path) {
-                stats.pinned_entries += 1;
-                continue;
-            }
-            if std::fs::remove_file(&entry.path).is_ok() {
-                remaining -= entry.bytes;
-                stats.deleted_entries += 1;
-                stats.deleted_bytes += entry.bytes;
-            }
-        }
-        stats.remaining_bytes = remaining;
+        let (stats, live) = self
+            .locked(true, |old, scanned| self.compact(old, scanned, max_bytes))
+            .map_err(|e| format!("cache gc in {}: {e}", self.root.display()))?;
+        *self.generation.write().expect("disk generation") = Arc::new(live);
         Ok(stats)
     }
 
-    /// Every committed entry file of `namespace` with its size and mtime.
-    fn scan_entries(&self, namespace: &str) -> Result<Vec<DiskEntry>, String> {
-        let root = self.root.join(namespace);
-        let mut entries = Vec::new();
-        let shards = std::fs::read_dir(&root)
-            .map_err(|e| format!("cannot read cache dir {}: {e}", root.display()))?;
-        for shard in shards.flatten() {
-            let Ok(files) = std::fs::read_dir(shard.path()) else {
+    /// Writes the compacted copy of `old` as the next generation,
+    /// publishes it and removes everything else. The caller holds `old`'s
+    /// index lock.
+    fn compact(
+        &self,
+        old: &Generation,
+        scanned: u64,
+        max_bytes: u64,
+    ) -> std::io::Result<(GcStats, Generation)> {
+        let mut log = vec![0u8; usize::try_from(scanned).map_err(std::io::Error::other)?];
+        read_exact_at(&old.log, &mut log, 0)?;
+
+        // The latest verified record of each (namespace, key), in log
+        // order. A torn record shares its line with the record appended
+        // after it, so a line that fails is retried from each later
+        // start; a final line without its newline is a torn tail.
+        let mut latest: HashMap<(Ns, u128), usize> = HashMap::new();
+        let mut records: Vec<Record> = Vec::new();
+        for line in log.split_inclusive(|&b| b == b'\n') {
+            let Some(body) = line.strip_suffix(b"\n") else {
                 continue;
             };
-            for file in files.flatten() {
-                // Committed entries are exactly 32 hex chars; anything else
-                // (in-flight `*.tmp.*` files) is skipped.
-                let name = file.file_name();
-                let name = name.to_string_lossy();
-                if name.len() != 32 || !name.bytes().all(|b| b.is_ascii_hexdigit()) {
-                    continue;
-                }
-                let Ok(meta) = file.metadata() else { continue };
-                let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-                entries.push(DiskEntry {
-                    path: file.path(),
-                    bytes: meta.len(),
-                    mtime,
-                });
+            let found = (0..body.len()).find_map(|start| {
+                let payload = hetrta_fault::verify(&body[start..])?;
+                Some((parse_payload(payload)?, &line[start..]))
+            });
+            if let Some(((ns, key, _), line)) = found {
+                latest.insert((ns, key), records.len());
+                records.push(Record { ns, key, line });
             }
         }
-        Ok(entries)
+        let (identity, results): (Vec<Record>, Vec<Record>) = records
+            .iter()
+            .enumerate()
+            .filter(|(i, r)| latest[&(r.ns, r.key)] == *i)
+            .map(|(_, r)| *r)
+            .partition(|r| r.ns == Ns::Identity);
+        // Newest results first, while they fit what identity leaves.
+        let identity_bytes: u64 = identity.iter().map(|r| r.line.len() as u64).sum();
+        let mut budget = max_bytes.saturating_sub(identity_bytes);
+        let mut kept_from = results.len();
+        while let Some(rest) = kept_from
+            .checked_sub(1)
+            .and_then(|i| budget.checked_sub(results[i].line.len() as u64))
+        {
+            budget = rest;
+            kept_from -= 1;
+        }
+
+        let next = std::fs::read_dir(&self.root)?
+            .flatten()
+            .filter_map(|entry| generation_number(entry.file_name().to_str()?))
+            .max()
+            .unwrap_or(0)
+            + 1;
+        let name = format!("gen-{next}");
+        let fresh = Generation::open(&self.root, name.clone())?;
+        let mut bytes = Vec::new();
+        for record in identity.iter().chain(&results[kept_from..]) {
+            let slot = Slot {
+                key: record.key,
+                offset: bytes.len() as u64,
+                len: u32::try_from(record.line.len()).map_err(std::io::Error::other)?,
+            };
+            bytes.extend_from_slice(record.line);
+            fresh.claim(self.level0, record.ns, slot)?;
+        }
+        (&fresh.log).write_all(&bytes)?;
+
+        // Publish, then clear out everything that is not the new
+        // generation: the old one (its readers keep their open files),
+        // leftovers of crashed runs, and a v1 tree.
+        let tmp = self
+            .root
+            .join(format!("CURRENT.tmp.{}", std::process::id()));
+        std::fs::write(&tmp, format!("{name}\n"))?;
+        std::fs::rename(&tmp, self.root.join("CURRENT"))?;
+        for entry in std::fs::read_dir(&self.root)?.flatten() {
+            let file_name = entry.file_name();
+            let file_name = file_name.to_string_lossy();
+            let stale = matches!(&*file_name, "results" | "identity")
+                || file_name.starts_with("CURRENT.tmp.")
+                || (generation_number(&file_name).is_some() && file_name != name);
+            if stale {
+                let path = entry.path();
+                let _ = std::fs::remove_dir_all(&path).or_else(|_| std::fs::remove_file(&path));
+            }
+        }
+        let remaining = bytes.len() as u64;
+        let stats = GcStats {
+            scanned_bytes: scanned,
+            deleted_entries: kept_from as u64,
+            deleted_bytes: scanned - remaining,
+            remaining_bytes: remaining,
+        };
+        Ok((stats, fresh))
     }
 }
 
-/// One committed cache entry on disk (gc bookkeeping).
-#[derive(Debug, Clone)]
-struct DiskEntry {
-    path: PathBuf,
-    bytes: u64,
-    mtime: std::time::SystemTime,
+/// One verified record line of a log being compacted.
+#[derive(Debug, Clone, Copy)]
+struct Record<'a> {
+    ns: Ns,
+    key: u128,
+    line: &'a [u8],
 }
 
-/// What one [`DiskCache::gc`] sweep did.
+/// What one [`DiskCache::gc`] compaction did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcStats {
-    /// Total committed bytes found (results + identity).
+    /// Bytes of the compacted generation's log (every record, including
+    /// superseded, torn and corrupt ones).
     pub scanned_bytes: u64,
-    /// Result entries deleted.
+    /// Result entries not carried over.
     pub deleted_entries: u64,
-    /// Bytes reclaimed.
+    /// Log bytes reclaimed.
     pub deleted_bytes: u64,
-    /// Committed bytes left after the sweep.
+    /// Log bytes of the new generation.
     pub remaining_bytes: u64,
-    /// Result entries spared because a read was in flight on them.
-    pub pinned_entries: u64,
-}
-
-/// A pin on one cache entry: while it lives, [`DiskCache::gc`] on the
-/// same handle will not delete the entry. Obtained via
-/// [`DiskCache::begin_read`]; released on drop.
-#[derive(Debug)]
-pub struct ReadPin<'a> {
-    cache: &'a DiskCache,
-    path: PathBuf,
-}
-
-impl Drop for ReadPin<'_> {
-    fn drop(&mut self) {
-        let mut pins = self.cache.pins.lock().expect("disk pin registry");
-        if let Some(count) = pins.get_mut(&self.path) {
-            *count -= 1;
-            if *count == 0 {
-                pins.remove(&self.path);
-            }
-        }
-    }
-}
-
-/// Validates `magic \n payload \n checksum` and returns the payload.
-fn verify_entry(text: &str) -> Option<&str> {
-    let mut lines = text.lines();
-    if lines.next() != Some(MAGIC) {
-        return None;
-    }
-    let payload = lines.next()?;
-    let checksum = lines.next()?;
-    if lines.next().is_some() || u64::from_str_radix(checksum, 16) != Ok(fnv64(payload)) {
-        return None;
-    }
-    Some(payload)
 }
 
 #[cfg(test)]
@@ -483,6 +824,11 @@ mod tests {
             makespan: 17,
             transformed_makespan: Some(12),
         })
+    }
+
+    /// The live generation's log bytes.
+    fn log_of(dir: &Path) -> Vec<u8> {
+        std::fs::read(dir.join(current_name(dir)).join("log")).unwrap()
     }
 
     #[test]
@@ -509,6 +855,8 @@ mod tests {
         cache.store_identity(8, None);
         assert_eq!(cache.load_identity(7), Some(Some(0xFEED_F00D)));
         assert_eq!(cache.load_identity(8), Some(None));
+        // One key, two namespaces: neither reads the other's record.
+        assert_eq!(cache.load_result(7), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -516,33 +864,42 @@ mod tests {
     fn corruption_and_stale_versions_read_as_misses() {
         let dir = temp_dir("corrupt");
         let cache = DiskCache::open(&dir).unwrap();
-        cache.store_result(1, &outcome());
-        let path = cache.entry_path("results", 1);
+        let good = record_payload(Ns::Results, 1, &outcome().encode());
+        let write = |line: &str| cache.append(Ns::Results, 1, line.as_bytes()).unwrap();
 
-        // Flipped payload byte: checksum rejects it.
-        let good = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, good.replace("17", "99")).unwrap();
+        // Flipped value byte: the checksum rejects it.
+        write(&hetrta_fault::encode(&good).replace("17", "99"));
         assert_eq!(cache.load_result(1), None);
 
-        // Truncation.
-        std::fs::write(&path, &good[..good.len() / 2]).unwrap();
+        // Torn record.
+        let line = hetrta_fault::encode(&good);
+        write(&line[..line.len() / 2]);
         assert_eq!(cache.load_result(1), None);
 
-        // Stale format version.
-        std::fs::write(&path, good.replace(MAGIC, "hetrta-cache v0")).unwrap();
+        // Stale format version, checksum-valid.
+        write(&hetrta_fault::encode(
+            &good.replace("results.v2", "results.v1"),
+        ));
         assert_eq!(cache.load_result(1), None);
 
         // Garbage.
-        std::fs::write(&path, b"\x00\xFF not a cache entry").unwrap();
+        write("\u{0}\u{7f} not a cache entry\n");
         assert_eq!(cache.load_result(1), None);
 
-        // Checksum-valid but grammatically stale payload.
-        let payload = "frobnicate 1 2 3";
-        std::fs::write(
-            &path,
-            format!("{MAGIC}\n{payload}\n{:016x}\n", fnv64(payload)),
-        )
-        .unwrap();
+        // A checksum-valid record of another key.
+        write(&hetrta_fault::encode(&record_payload(
+            Ns::Results,
+            2,
+            &outcome().encode(),
+        )));
+        assert_eq!(cache.load_result(1), None);
+
+        // Checksum-valid but grammatically stale value.
+        write(&hetrta_fault::encode(&record_payload(
+            Ns::Results,
+            1,
+            "frobnicate 1 2 3",
+        )));
         assert_eq!(cache.load_result(1), None);
         assert_eq!(cache.counters().hits, 0, "no defect may count as a hit");
 
@@ -556,7 +913,7 @@ mod tests {
     fn gc_respects_the_bound_and_spares_the_identity_memo() {
         let dir = temp_dir("gc");
         let cache = DiskCache::open(&dir).unwrap();
-        // Identity memo entries (must survive any sweep) …
+        // Identity memo entries (must survive any compaction) …
         cache.store_identity(1, Some(0xAA));
         cache.store_identity(2, None);
         // … and ten result entries, written oldest-first.
@@ -565,10 +922,11 @@ mod tests {
         }
         let before = cache.gc(u64::MAX).unwrap();
         assert_eq!(before.deleted_entries, 0, "roomy bound deletes nothing");
+        assert_eq!(before.remaining_bytes, before.scanned_bytes);
         let entry_bytes = before.scanned_bytes / 12; // rough per-entry size
 
-        // Bound to roughly half: the sweep must delete oldest-first until
-        // the total fits, and the bound must hold afterwards.
+        // Bound to roughly half: the oldest results go until the total
+        // fits, and the bound holds afterwards.
         let bound = before.scanned_bytes / 2;
         let stats = cache.gc(bound).unwrap();
         assert!(stats.deleted_entries > 0);
@@ -581,6 +939,7 @@ mod tests {
             stats.remaining_bytes,
             before.scanned_bytes - stats.deleted_bytes
         );
+        assert_eq!(stats.remaining_bytes, log_of(&dir).len() as u64);
         // Oldest result entries went first; the newest still loads.
         assert_eq!(cache.load_result(9 << 96 | 0x100 | 9), Some(outcome()));
         assert_eq!(cache.load_result(0x100), None, "oldest entry swept");
@@ -592,64 +951,151 @@ mod tests {
             zero.remaining_bytes >= 2 * entry_bytes / 2,
             "identity bytes remain counted"
         );
+        // So does a fresh handle, on the one generation left.
+        let generations: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.path().is_dir())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(generations, vec![current_name(&dir)]);
+        let fresh = DiskCache::open(&dir).unwrap();
+        assert_eq!(fresh.load_identity(1), Some(Some(0xAA)));
+        assert_eq!(fresh.load_result(9 << 96 | 0x100 | 9), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn gc_ignores_inflight_tmp_files() {
-        let dir = temp_dir("gc-tmp");
+    fn gc_drops_superseded_torn_and_corrupt_records() {
+        let dir = temp_dir("gc-garbage");
         let cache = DiskCache::open(&dir).unwrap();
-        cache.store_result(7, &outcome());
-        // A concurrent writer's half-written file must be neither counted
-        // nor deleted.
-        let tmp = cache.entry_path("results", 7).with_extension("tmp.999.0");
-        std::fs::write(&tmp, "half-written").unwrap();
-        let stats = cache.gc(0).unwrap();
-        assert_eq!(stats.deleted_entries, 1);
-        assert!(tmp.exists(), "tmp files are not gc'd");
+        let record =
+            |key| hetrta_fault::encode(&record_payload(Ns::Results, key, &outcome().encode()));
+        cache.store_result(1, &outcome());
+        cache.store_result(1, &outcome());
+        let torn = record(2);
+        cache
+            .append(Ns::Results, 2, &torn.as_bytes()[..40])
+            .unwrap();
+        cache.store_result(3, &outcome());
+        cache.append(Ns::Results, 4, b"0123 torn tail").unwrap();
+        let stats = cache.gc(u64::MAX).unwrap();
+        assert_eq!(stats.deleted_entries, 0, "only valid, distinct keys count");
+        assert_eq!(
+            log_of(&dir),
+            format!("{}{}", record(1), record(3)).into_bytes()
+        );
+        assert_eq!(cache.load_result(1), Some(outcome()));
+        assert_eq!(cache.load_result(3), Some(outcome()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn gc_skips_entries_with_reads_in_flight() {
-        let dir = temp_dir("gc-pins");
-        let cache = DiskCache::open(&dir).unwrap();
-        for key in 0..4u128 {
-            cache.store_result(key, &outcome());
+    fn v1_directory_reads_as_misses_and_gc_removes_it() {
+        // Per-entry files as the one-file-per-entry format wrote them,
+        // with valid checksums.
+        let dir = temp_dir("v1");
+        let payload = outcome().encode();
+        let v1 = format!(
+            "hetrta-cache v1\n{payload}\n{:016x}\n",
+            fnv64(payload.as_bytes())
+        );
+        for (namespace, text) in [
+            ("results", v1.as_str()),
+            ("identity", "hetrta-cache v1\nskip\n0\n"),
+        ] {
+            let shard = dir.join(namespace).join("00");
+            std::fs::create_dir_all(&shard).unwrap();
+            std::fs::write(shard.join(format!("{:032x}", 5u128)), text).unwrap();
         }
-        // Pin two entries as an in-flight reader would, then demand a
-        // zero-byte bound: everything unpinned goes, the pinned survive.
-        let pin_a = cache.begin_read(0);
-        let pin_b = cache.begin_read(2);
-        let stats = cache.gc(0).unwrap();
-        assert_eq!(stats.pinned_entries, 2);
-        assert_eq!(stats.deleted_entries, 2);
-        assert_eq!(cache.load_result(0), Some(outcome()), "pinned survives");
-        assert_eq!(cache.load_result(2), Some(outcome()), "pinned survives");
-        assert_eq!(cache.load_result(1), None, "unpinned swept");
-        drop(pin_a);
-        drop(pin_b);
-        // Pins released: the next sweep reclaims them.
-        let stats = cache.gc(0).unwrap();
-        assert_eq!(stats.pinned_entries, 0);
-        assert_eq!(cache.load_result(0), None);
+        let cache = DiskCache::open(&dir).unwrap();
+        assert_eq!(cache.load_result(5), None);
+        assert_eq!(cache.load_identity(5), None);
+        assert_eq!(cache.counters(), CacheCounters { hits: 0, misses: 2 });
+        cache.gc(u64::MAX).unwrap();
+        assert!(!dir.join("results").exists());
+        assert!(!dir.join("identity").exists());
+        // The directory works as a v2 cache.
+        cache.store_result(5, &outcome());
+        assert_eq!(
+            DiskCache::open(&dir).unwrap().load_result(5),
+            Some(outcome())
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn double_pins_are_refcounted() {
-        let dir = temp_dir("gc-refcount");
-        let cache = DiskCache::open(&dir).unwrap();
-        cache.store_result(5, &outcome());
-        let first = cache.begin_read(5);
-        let second = cache.begin_read(5);
-        drop(first);
-        // One pin remains: still protected.
-        cache.gc(0).unwrap();
-        assert_eq!(cache.load_result(5), Some(outcome()));
-        drop(second);
-        cache.gc(0).unwrap();
-        assert_eq!(cache.load_result(5), None);
+    fn a_handle_keeps_its_generation_through_gc_and_writes_into_the_next() {
+        let dir = temp_dir("flip");
+        let reader = DiskCache::open(&dir).unwrap();
+        reader.store_result(1, &outcome());
+        reader.store_identity(2, Some(0xBB));
+        let operator = DiskCache::open(&dir).unwrap();
+        operator.gc(0).unwrap();
+        assert_ne!(current_name(&dir), "gen-0");
+        assert_eq!(operator.load_result(1), None, "compacted away");
+        // The old handle still answers from its (removed) generation.
+        assert_eq!(reader.load_result(1), Some(outcome()));
+        // Its next write lands in the live generation.
+        reader.store_result(3, &outcome());
+        assert_eq!(operator.load_result(3), Some(outcome()));
+        assert_eq!(
+            DiskCache::open(&dir).unwrap().load_result(3),
+            Some(outcome())
+        );
+        assert_eq!(reader.load_identity(2), Some(Some(0xBB)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reads_follow_a_flip_within_a_second() {
+        let dir = temp_dir("follow");
+        let reader = DiskCache::open(&dir).unwrap();
+        let writer = DiskCache::open(&dir).unwrap();
+        writer.gc(0).unwrap();
+        writer.store_result(4, &outcome());
+        assert_eq!(
+            reader.load_result(4),
+            None,
+            "still on the retired generation"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(FOLLOW_EVERY_MS + 50));
+        assert_eq!(reader.load_result(4), Some(outcome()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_handles_fill_shared_windows_and_every_key_reads_back() {
+        // A one-window level 0 puts every key on the same probe path, so
+        // four writers contend for the same windows and spill through
+        // seven levels.
+        let dir = temp_dir("contend");
+        let per_thread = 5_000u128;
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let threads: Vec<_> = (0..4u128)
+            .map(|t| {
+                let (dir, start) = (dir.clone(), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    let cache = DiskCache::open_with_level0(dir, 1).unwrap();
+                    start.wait();
+                    for i in 0..per_thread {
+                        cache.store_identity(t << 64 | i, Some(i));
+                    }
+                    assert_eq!(cache.write_failed(), 0);
+                })
+            })
+            .collect();
+        for thread in threads {
+            thread.join().unwrap();
+        }
+        let cache = DiskCache::open_with_level0(dir.clone(), 1).unwrap();
+        for t in 0..4u128 {
+            for i in 0..per_thread {
+                assert_eq!(cache.load_identity(t << 64 | i), Some(Some(i)), "{t}/{i}");
+            }
+        }
+        let index_len = cache.generation().index.metadata().unwrap().len();
+        assert!(index_len > level_base(1, 5), "entries spilled to level 5");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -672,13 +1118,8 @@ mod tests {
         assert_eq!(cache.write_failed(), 2, "every failure is counted");
         assert_eq!(cache.load_result(42), None, "nothing was persisted");
         assert_eq!(cache.load_identity(7), None);
-        // No half-written tmp litter survives a failed write.
-        let tmp_litter = std::fs::read_dir(dir.join("results"))
-            .unwrap()
-            .flatten()
-            .flat_map(|shard| std::fs::read_dir(shard.path()).into_iter().flatten())
-            .count();
-        assert_eq!(tmp_litter, 0);
+        // Nothing half-written survives a failed write.
+        assert!(log_of(&dir).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -690,7 +1131,7 @@ mod tests {
             FaultPlan::with_rate(0x70B2, 1, 1).restrict_to(["disk.write.torn"]),
         ));
         cache.store_result(42, &outcome());
-        // The torn entry committed (no write error) but must never
+        // The torn record committed (no write error) but must never
         // decode; the engine recomputes and rewrites.
         assert_eq!(cache.write_failed(), 0);
         assert_eq!(cache.load_result(42), None);

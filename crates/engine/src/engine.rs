@@ -51,12 +51,13 @@ pub const INPUT_CACHE_CAP: usize = 4096;
 ///   analysis outcome;
 /// * `identity` — job input *recipe* → content hash, so repeated-seed jobs
 ///   whose results are cached never regenerate the input;
-/// * `inputs` — job input recipe → the materialized input itself, so a
-///   repeated recipe analyzed under *new* parameters (another core count
-///   of the grid) skips DAG generation too. Unlike the other caches this
-///   one holds whole graphs/task sets, so its entry bound is capped at
-///   [`INPUT_CACHE_CAP`] regardless of the configured capacity — large
-///   sweeps evict and regenerate instead of retaining gigabytes.
+/// * `inputs` — job input recipe → the materialized input itself (or the
+///   generator's decline), so a repeated recipe analyzed under *new*
+///   parameters (another core count of the grid) skips DAG generation
+///   too. Unlike the other caches this one holds whole graphs/task sets,
+///   so its entry bound is capped at [`INPUT_CACHE_CAP`] regardless of
+///   the configured capacity — large sweeps evict and regenerate instead
+///   of retaining gigabytes.
 ///
 /// Optionally layered over a disk-persistent [`DiskCache`]
 /// ([`EngineBuilder::with_cache_dir`]): memory misses probe the disk
@@ -68,7 +69,7 @@ pub struct EngineCaches {
     pub(crate) derived: MemoCache<Result<Arc<DerivedData>, String>>,
     pub(crate) results: MemoCache<Result<AnalysisOutcome, String>>,
     pub(crate) identity: MemoCache<Option<u128>>,
-    pub(crate) inputs: MemoCache<AnalysisInput>,
+    pub(crate) inputs: MemoCache<Result<Option<AnalysisInput>, String>>,
     pub(crate) disk: Option<DiskCache>,
 }
 

@@ -379,18 +379,11 @@ fn execute_payload(
     // grid cell (a different core count, say) is reused instead of
     // regenerated — generation is often the dominant per-job cost for
     // large DAGs.
-    let input = match caches.inputs.get(identity) {
-        Some(input) => Some(input),
-        None => {
-            let _span = span!(recorder, "materialize");
-            let input = payload.input.materialize()?;
-            if let Some(input) = &input {
-                caches.inputs.insert(identity, input.clone());
-            }
-            input
-        }
-    };
-    let Some(input) = input else {
+    let (input, _hit) = caches.inputs.get_or_compute(identity, || {
+        let _span = span!(recorder, "materialize");
+        payload.input.materialize()
+    });
+    let Some(input) = input? else {
         caches.identity_store(identity, None);
         return Ok((JobMetrics::Skipped, false));
     };

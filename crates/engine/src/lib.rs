@@ -80,7 +80,7 @@ pub use aggregate::{
     CondCellSummary, SetCellSummary, SuspendCellSummary, SweepAggregate, TaskCellSummary,
 };
 pub use cache::CacheCounters;
-pub use disk::{DiskCache, GcStats, ReadPin};
+pub use disk::{DiskCache, GcStats};
 pub use driver::SweepDriver;
 pub use engine::{
     CostModel, Engine, EngineBuilder, EngineCaches, EngineError, EngineOutput, EngineStats,

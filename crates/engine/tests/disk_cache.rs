@@ -151,22 +151,34 @@ fn corrupt_and_stale_entries_fall_back_to_recompute() {
     let dir = temp_dir("corrupt");
     let cold = engine_on(&dir).run(&spec()).expect("cold run");
 
-    // Vandalize every persisted entry: truncated, garbage, stale magic.
+    // Corrupt every record inside the generation's log, each keeping its
+    // offset: one flipped byte, or a checksum-valid record of a stale
+    // format version; the last record is a torn tail.
+    let log_path = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|entry| entry.expect("entry").path().join("log"))
+        .find(|path| path.exists())
+        .expect("a generation log");
+    let log = std::fs::read_to_string(&log_path).expect("log");
+    let records: Vec<&str> = log.lines().collect();
+    let mut corrupted = Vec::new();
     let mut vandalized = 0usize;
-    for namespace in ["results", "identity"] {
-        for shard in std::fs::read_dir(dir.join(namespace)).expect("namespace dir") {
-            for entry in std::fs::read_dir(shard.expect("shard").path()).expect("shard dir") {
-                let path = entry.expect("entry").path();
-                let content = match vandalized % 3 {
-                    0 => Vec::new(),                                     // truncated to nothing
-                    1 => b"\xDE\xAD\xBE\xEF garbage".to_vec(),           // binary garbage
-                    _ => b"hetrta-cache v0\nold payload\n00\n".to_vec(), // stale version
-                };
-                std::fs::write(&path, content).expect("vandalize");
-                vandalized += 1;
-            }
+    for (i, record) in records.iter().enumerate() {
+        let mut bytes = record.as_bytes().to_vec();
+        if i + 1 == records.len() {
+            bytes.truncate(bytes.len() / 2); // torn tail
+        } else if i.is_multiple_of(2) {
+            *bytes.last_mut().expect("a record") ^= 1; // one flipped byte
+            bytes.push(b'\n');
+        } else {
+            let (_, payload) = record.split_once(' ').expect("record line");
+            let stale = payload.replacen(".v2 ", ".v1 ", 1); // stale version
+            bytes = hetrta_fault::encode(&stale).into_bytes();
         }
+        corrupted.extend_from_slice(&bytes);
+        vandalized += 1;
     }
+    std::fs::write(&log_path, corrupted).expect("vandalize");
     assert!(vandalized > 0, "the cold run persisted entries");
 
     // The engine must recompute everything, bit-identically, no panic.
@@ -186,8 +198,8 @@ fn two_engines_share_one_cache_dir_under_concurrent_gc() {
     // Two engines (standing in for two processes — nothing shared but
     // the directory) run the same sweep concurrently while a third
     // thread aggressively gc's the directory the whole time. Entries
-    // vanishing mid-run must read as misses and be recomputed; tmp+rename
-    // from the concurrent writer must never yield a torn read; the
+    // compacted away mid-run must read as misses and be recomputed; the
+    // concurrent writer's appends must never yield a torn read; the
     // outputs must match a disk-free reference bitwise.
     use std::sync::atomic::{AtomicBool, Ordering};
 

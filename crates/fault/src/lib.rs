@@ -21,4 +21,4 @@ mod plan;
 mod record;
 
 pub use plan::{FaultEvent, FaultPlan};
-pub use record::{escape, unescape, RecordError, RecordLog};
+pub use record::{encode, escape, unescape, verify, RecordError, RecordLog};

@@ -12,9 +12,11 @@
 //!
 //! Each record is one line, `"<fnv64:016x> <payload>\n"`, payload
 //! newline-free (use [`escape`]/[`unescape`] to embed multi-line text).
-//! Readers walk sealed segments in order then the active tail, and stop
-//! at the first corrupt or truncated record — a torn tail from a crash
-//! loses at most the record being written, never earlier history.
+//! [`encode`] and [`verify`] are the line format's one writer and one
+//! checker; the engine's disk cache stores its entries in the same
+//! lines. Readers walk sealed segments in order then the active tail, and
+//! stop at the first corrupt or truncated record — a torn tail from a
+//! crash loses at most the record being written, never earlier history.
 
 use std::fs;
 use std::io::{BufWriter, Write};
@@ -107,7 +109,7 @@ impl RecordLog {
             self.writer = Some(BufWriter::new(file));
         }
         let writer = self.writer.as_mut().expect("writer just ensured");
-        writeln!(writer, "{:016x} {payload}", fnv64(payload.as_bytes()))?;
+        writer.write_all(encode(payload).as_bytes())?;
         writer.flush()?;
         self.appended += 1;
         Ok(())
@@ -158,23 +160,38 @@ impl RecordLog {
 /// Reads records from one file into `out`; returns `false` when a
 /// corrupt record stopped the scan early.
 fn read_file_records(path: &Path, out: &mut Vec<String>) -> Result<bool, RecordError> {
-    let text = fs::read_to_string(path)?;
-    for line in text.split('\n') {
+    let bytes = fs::read(path)?;
+    for line in bytes.split(|&b| b == b'\n') {
         if line.is_empty() {
             continue;
         }
-        let Some((sum, payload)) = line.split_once(' ') else {
+        let Some(payload) = verify(line) else {
             return Ok(false);
         };
-        let Ok(sum) = u64::from_str_radix(sum, 16) else {
-            return Ok(false);
-        };
-        if sum != fnv64(payload.as_bytes()) {
-            return Ok(false);
-        }
         out.push(payload.to_owned());
     }
     Ok(true)
+}
+
+/// One record line, `"<fnv64:016x> <payload>\n"`. The payload must be
+/// newline-free.
+#[must_use]
+pub fn encode(payload: &str) -> String {
+    format!("{:016x} {payload}\n", fnv64(payload.as_bytes()))
+}
+
+/// The payload of one record line (without its trailing newline), or
+/// `None` when the checksum, the separator or the UTF-8 does not
+/// verify.
+#[must_use]
+pub fn verify(line: &[u8]) -> Option<&str> {
+    let (sum, payload) = line.split_at_checked(16)?;
+    let payload = payload.strip_prefix(b" ")?;
+    let sum = u64::from_str_radix(std::str::from_utf8(sum).ok()?, 16).ok()?;
+    if sum != fnv64(payload) {
+        return None;
+    }
+    std::str::from_utf8(payload).ok()
 }
 
 /// Sealed segment paths under `dir`, in index order.
@@ -308,6 +325,24 @@ mod tests {
     }
 
     #[test]
+    fn non_utf8_corruption_stops_replay() {
+        let dir = temp_dir("utf8");
+        let mut log = RecordLog::open(&dir).unwrap();
+        log.append("kept").unwrap();
+        log.append("flipped").unwrap();
+        drop(log);
+
+        let active = dir.join(ACTIVE);
+        let mut bytes = fs::read(&active).unwrap();
+        let last = bytes.len() - 2;
+        bytes[last] = 0xFF;
+        fs::write(&active, bytes).unwrap();
+
+        assert_eq!(RecordLog::read_all(&dir).unwrap(), vec!["kept"]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn newline_payload_rejected() {
         let dir = temp_dir("newline");
         let mut log = RecordLog::open(&dir).unwrap();
@@ -331,6 +366,19 @@ mod tests {
             assert!(!escaped.contains('\n'));
             assert_eq!(unescape(&escaped), text);
         }
+    }
+
+    #[test]
+    fn encode_verify_roundtrip_and_reject_defects() {
+        let line = encode("results.v2 00ff sim 17");
+        let body = line.strip_suffix('\n').unwrap();
+        assert_eq!(verify(body.as_bytes()), Some("results.v2 00ff sim 17"));
+        assert_eq!(verify(b""), None);
+        assert_eq!(verify(&body.as_bytes()[..20]), None, "truncated");
+        let mut flipped = body.as_bytes().to_vec();
+        flipped[30] ^= 4;
+        assert_eq!(verify(&flipped), None, "flipped byte");
+        assert_eq!(verify(body.replacen(' ', "_", 1).as_bytes()), None);
     }
 
     #[test]
