@@ -1,7 +1,7 @@
 //! The `Analysis` trait and the key-addressed registry.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use hetrta_core::TransformedTask;
 use hetrta_dag::HeteroDagTask;
@@ -255,13 +255,22 @@ impl AnalysisRegistry {
 
     /// The nine builtin analyses of this workspace: `het`, `hom`, `sim`,
     /// `exact`, `cond`, `suspend`, `acceptance`, `sampled`, `anytime`.
+    ///
+    /// Clones one process-wide registry: the builtin analyses are
+    /// stateless (their scratch space lives in thread-locals), so every
+    /// registry can share them.
     #[must_use]
     pub fn builtin() -> Self {
-        let mut registry = AnalysisRegistry::empty();
-        for analysis in crate::adapters::builtin_analyses() {
-            registry.register(analysis);
-        }
-        registry
+        static BUILTIN: OnceLock<AnalysisRegistry> = OnceLock::new();
+        BUILTIN
+            .get_or_init(|| {
+                let mut registry = AnalysisRegistry::empty();
+                for analysis in crate::adapters::builtin_analyses() {
+                    registry.register(analysis);
+                }
+                registry
+            })
+            .clone()
     }
 
     /// Registers `analysis` under its [`Analysis::key`]; an existing entry

@@ -268,22 +268,20 @@ impl<V: Clone> MemoCache<V> {
     /// `max(capacity / 32, 1)` entries.
     #[must_use]
     pub fn bounded(capacity: usize) -> Self {
-        MemoCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
-            hits: Counter::detached(),
-            misses: Counter::detached(),
-            per_shard_cap: (capacity / SHARDS).max(1),
-        }
+        MemoCache::counted(capacity, Counter::detached(), Counter::detached())
     }
 
-    /// Replaces the hit/miss cells with externally owned counters
-    /// (typically handles from a
+    /// A [`MemoCache::bounded`] cache that counts its hits and misses on
+    /// externally owned counters (typically handles from a
     /// [`MetricsRegistry`](hetrta_obs::MetricsRegistry), so the cache's
-    /// activity shows up in engine-wide metrics snapshots). Call before
-    /// first use: prior counts do not carry over.
-    pub(crate) fn bind_counters(&mut self, hits: Counter, misses: Counter) {
-        self.hits = hits;
-        self.misses = misses;
+    /// activity shows up in engine-wide metrics snapshots).
+    pub(crate) fn counted(capacity: usize, hits: Counter, misses: Counter) -> Self {
+        MemoCache {
+            shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
+            hits,
+            misses,
+            per_shard_cap: (capacity / SHARDS).max(1),
+        }
     }
 
     fn shard(&self, key: u128) -> &Mutex<Shard<V>> {

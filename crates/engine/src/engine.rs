@@ -77,25 +77,31 @@ impl EngineCaches {
     /// Caches bounded at (approximately) `capacity` entries each.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        EngineCaches {
-            transform: MemoCache::bounded(capacity),
-            derived: MemoCache::bounded(capacity),
-            results: MemoCache::bounded(capacity),
-            identity: MemoCache::bounded(capacity),
-            inputs: MemoCache::bounded(capacity.min(INPUT_CACHE_CAP)),
-            disk: None,
-        }
+        EngineCaches::counted(capacity, &MetricsRegistry::new())
     }
 
-    /// Bounded in-memory caches layered over a disk-persistent directory.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Cache`] when the directory cannot be created.
-    pub fn with_disk(capacity: usize, dir: impl Into<PathBuf>) -> Result<Self, EngineError> {
-        let mut caches = EngineCaches::with_capacity(capacity);
-        caches.disk = Some(DiskCache::open(dir).map_err(EngineError::Cache)?);
-        Ok(caches)
+    /// Caches bounded at (approximately) `capacity` entries each, counting
+    /// their hits and misses as `cache.<memo>.{hits,misses}` in `metrics`.
+    fn counted(capacity: usize, metrics: &MetricsRegistry) -> Self {
+        let memo = |hits: &str, misses: &str| (metrics.counter(hits), metrics.counter(misses));
+        let (hits, misses) = memo("cache.transform.hits", "cache.transform.misses");
+        let transform = MemoCache::counted(capacity, hits, misses);
+        let (hits, misses) = memo("cache.derived.hits", "cache.derived.misses");
+        let derived = MemoCache::counted(capacity, hits, misses);
+        let (hits, misses) = memo("cache.result.hits", "cache.result.misses");
+        let results = MemoCache::counted(capacity, hits, misses);
+        let (hits, misses) = memo("cache.identity.hits", "cache.identity.misses");
+        let identity = MemoCache::counted(capacity, hits, misses);
+        let (hits, misses) = memo("cache.input.hits", "cache.input.misses");
+        let inputs = MemoCache::counted(capacity.min(INPUT_CACHE_CAP), hits, misses);
+        EngineCaches {
+            transform,
+            derived,
+            results,
+            identity,
+            inputs,
+            disk: None,
+        }
     }
 
     /// The disk layer, when one is attached.
@@ -611,38 +617,20 @@ impl EngineBuilder {
     ///
     /// [`EngineError::Cache`] when the cache directory cannot be created.
     pub fn build(self) -> Result<Engine, EngineError> {
-        let mut caches = match self.cache_dir {
-            None => EngineCaches::with_capacity(self.capacity),
-            Some(dir) => EngineCaches::with_disk(self.capacity, dir)?,
-        };
+        // The caches count on the engine's registry, so [`EngineStats`] is
+        // a view over it.
         let metrics = Arc::new(MetricsRegistry::new());
+        let mut caches = EngineCaches::counted(self.capacity, &metrics);
         let recorder: Arc<dyn Recorder> = self
             .recorder
             .unwrap_or_else(|| Arc::new(NoopRecorder) as Arc<dyn Recorder>);
-        // Rebind every cache's counters onto the shared registry before
-        // the caches are shared — counts are zero here, so nothing is
-        // lost and [`EngineStats`] becomes a view over the registry.
-        let bind = |m: &MetricsRegistry, name: &str| {
-            (
-                m.counter(&format!("{name}.hits")),
-                m.counter(&format!("{name}.misses")),
-            )
-        };
-        let (h, m) = bind(&metrics, "cache.transform");
-        caches.transform.bind_counters(h, m);
-        let (h, m) = bind(&metrics, "cache.derived");
-        caches.derived.bind_counters(h, m);
-        let (h, m) = bind(&metrics, "cache.result");
-        caches.results.bind_counters(h, m);
-        let (h, m) = bind(&metrics, "cache.identity");
-        caches.identity.bind_counters(h, m);
-        let (h, m) = bind(&metrics, "cache.input");
-        caches.inputs.bind_counters(h, m);
-        if let Some(disk) = &mut caches.disk {
+        if let Some(dir) = self.cache_dir {
+            let mut disk = DiskCache::open(dir).map_err(EngineError::Cache)?;
             disk.bind_observability(&metrics, Arc::clone(&recorder));
             if let Some(plan) = &self.fault {
                 disk.set_fault_plan(Arc::clone(plan));
             }
+            caches.disk = Some(disk);
         }
         if let Some(plan) = &self.fault {
             plan.bind_observability(&metrics);

@@ -26,7 +26,7 @@ use hetrta_core::TransformedTask;
 use hetrta_dag::HeteroDagTask;
 use hetrta_gen::offload::{make_hetero_task, CoffSizing, OffloadSelection};
 use hetrta_gen::series::BatchSpec;
-use hetrta_gen::{generate_nfj, NfjParams};
+use hetrta_gen::{generate_nfj, NfjParams, STREAM_VERSION};
 use hetrta_obs::{span, Recorder};
 use hetrta_sched::taskset::{generate_task_set, sort_deadline_monotonic, TaskSetParams};
 use rand::rngs::StdRng;
@@ -118,13 +118,15 @@ pub enum JobInput {
 
 impl JobInput {
     /// The digest a batch task's [`identity_hash`](JobInput::identity_hash)
-    /// resumes from: the recipe's tag, generator parameters, base seed and
-    /// offload selection. A task adds only its fraction and index, so
-    /// formatting the parameters costs once per batch, not once per job.
+    /// resumes from: the recipe's tag, the task-stream version, generator
+    /// parameters, base seed and offload selection. A task adds only its
+    /// fraction and index, so formatting the parameters costs once per
+    /// batch, not once per job.
     #[must_use]
     pub fn batch_prefix(batch: &BatchSpec) -> u128 {
         let mut h = ContentHasher::new();
         h.write_u8(1);
+        h.write_u64(u64::from(STREAM_VERSION));
         h.write_str(&format!("{:?}", batch.params));
         h.write_u64(batch.base_seed);
         h.write_str(&format!("{:?}", batch.selection));
@@ -134,6 +136,8 @@ impl JobInput {
     /// Hash of the input *recipe* — what to generate, not the generated
     /// content. Keyed on generator parameters and derivation scalars, so
     /// two jobs that would generate identical inputs share one identity.
+    /// Recipes that draw NFJ graphs also hash [`STREAM_VERSION`], so
+    /// identities stored under another task stream read as misses.
     #[must_use]
     pub fn identity_hash(&self) -> u128 {
         let mut h = ContentHasher::new();
@@ -154,6 +158,7 @@ impl JobInput {
                 seed,
             } => {
                 h.write_u8(2);
+                h.write_u64(u64::from(STREAM_VERSION));
                 h.write_str(&format!("{params:?}"));
                 h.write_u64(fraction.to_bits());
                 h.write_u64(*seed);
@@ -166,6 +171,7 @@ impl JobInput {
                 seed,
             } => {
                 h.write_u8(3);
+                h.write_u64(u64::from(STREAM_VERSION));
                 h.write_str(&format!("{template:?}"));
                 h.write_u64(*n_tasks as u64);
                 h.write_u64(*cores);
@@ -486,42 +492,120 @@ mod tests {
         assert_eq!(identity_after.hits, identity_before.hits + 1);
     }
 
+    /// A recipe's identity hashed field by field in one stream, under
+    /// task-stream version `stream`; `None` is the layout from before
+    /// identities carried the version.
+    fn identity_at(input: &JobInput, stream: Option<u32>) -> u128 {
+        let mut h = ContentHasher::new();
+        let mut start = |tag: u8| {
+            h.write_u8(tag);
+            if let Some(stream) = stream {
+                h.write_u64(u64::from(stream));
+            }
+        };
+        match input {
+            JobInput::BatchTask {
+                batch,
+                fraction,
+                task_index,
+                ..
+            } => {
+                start(1);
+                h.write_str(&format!("{:?}", batch.params));
+                h.write_u64(batch.base_seed);
+                h.write_str(&format!("{:?}", batch.selection));
+                h.write_u64(fraction.to_bits());
+                h.write_u64(*task_index as u64);
+            }
+            JobInput::SampledTask {
+                params,
+                fraction,
+                seed,
+            } => {
+                start(2);
+                h.write_str(&format!("{params:?}"));
+                h.write_u64(fraction.to_bits());
+                h.write_u64(*seed);
+            }
+            JobInput::TaskSet {
+                template,
+                n_tasks,
+                cores,
+                normalized_util,
+                seed,
+            } => {
+                start(3);
+                h.write_str(&format!("{template:?}"));
+                h.write_u64(*n_tasks as u64);
+                h.write_u64(*cores);
+                h.write_u64(normalized_util.to_bits());
+                h.write_u64(*seed);
+            }
+            JobInput::CondExpr { params, seed } => {
+                // Conditional expressions draw no NFJ graph.
+                assert_eq!(stream, None);
+                h.write_u8(4);
+                h.write_str(&format!("{params:?}"));
+                h.write_u64(*seed);
+            }
+        }
+        h.finish()
+    }
+
     #[test]
     fn batch_identities_equal_the_whole_recipe_hash() {
         // The identity a batch task had before its batch's share was
         // hashed once per batch: everything hashed in one stream.
-        let whole = |batch: &BatchSpec, fraction: f64, task_index: usize| {
-            let mut h = ContentHasher::new();
-            h.write_u8(1);
-            h.write_str(&format!("{:?}", batch.params));
-            h.write_u64(batch.base_seed);
-            h.write_str(&format!("{:?}", batch.selection));
-            h.write_u64(fraction.to_bits());
-            h.write_u64(task_index as u64);
-            h.finish()
-        };
         let spec = SweepSpec::fractions(GeneratorPreset::Small, vec![2, 8], vec![0.1, 0.5], 3, 7)
             .with_seeds(vec![7, 1 << 40]);
         let (_, jobs) = spec.expand();
         assert_eq!(jobs.len(), 24);
         for job in &jobs {
-            let JobInput::BatchTask {
-                batch,
-                prefix,
-                fraction,
-                task_index,
-            } = &job.payload.input
-            else {
+            let JobInput::BatchTask { batch, prefix, .. } = &job.payload.input else {
                 panic!("a fraction sweep expands into batch tasks");
             };
             assert_eq!(*prefix, JobInput::batch_prefix(batch));
             assert_eq!(
                 job.payload.input.identity_hash(),
-                whole(batch, *fraction, *task_index),
+                identity_at(&job.payload.input, Some(STREAM_VERSION)),
                 "job {}",
                 job.index
             );
         }
+    }
+
+    #[test]
+    fn nfj_recipe_identities_change_with_the_stream_version() {
+        let (_, jobs) =
+            SweepSpec::fractions(GeneratorPreset::Small, vec![2], vec![0.1], 1, 7).expand();
+        let nfj_recipes = [
+            jobs[0].payload.input.clone(),
+            JobInput::SampledTask {
+                params: Arc::new(NfjParams::small_tasks()),
+                fraction: 0.1,
+                seed: 7,
+            },
+            JobInput::TaskSet {
+                template: Arc::new(TaskSetParams::small(4, 1.0)),
+                n_tasks: 4,
+                cores: 2,
+                normalized_util: 0.5,
+                seed: 7,
+            },
+        ];
+        for input in &nfj_recipes {
+            let identity = input.identity_hash();
+            assert_eq!(identity, identity_at(input, Some(STREAM_VERSION)));
+            assert_ne!(identity, identity_at(input, Some(STREAM_VERSION + 1)));
+            // Identities stored before the version was hashed read as
+            // misses.
+            assert_ne!(identity, identity_at(input, None));
+        }
+        let cond = JobInput::CondExpr {
+            params: Arc::new(CondGenParams::small()),
+            seed: 7,
+        };
+        assert_eq!(cond.identity_hash(), identity_at(&cond, None));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! keyframe <completed> <escaped encode_update text>
 //! ```
 //!
-//! The `start` record pins the journal to one spec (hash of the
-//! bit-exact [`encode_spec`](crate::wire::encode_spec) text); `done`
+//! The `start` record pins the journal to one spec and task stream
+//! ([`spec_hash`]); `done`
 //! records carry each finished job's full outcome payload so resume
 //! replays it *without re-executing anything*; periodic `keyframe`
 //! records (which also seal the active segment) snapshot the aggregate
@@ -30,6 +30,7 @@ use std::time::Duration;
 use hetrta_api::wire::fnv64;
 use hetrta_api::AnalysisOutcome;
 use hetrta_fault::{escape, unescape, RecordLog};
+use hetrta_gen::STREAM_VERSION;
 
 use crate::aggregate::{AggregateUpdate, SweepAggregate};
 use crate::engine::EngineError;
@@ -73,12 +74,15 @@ impl JournalConfig {
     }
 }
 
-/// The stable identity of a spec: FNV-64 of its bit-exact
-/// [`encode_spec`] text (floats travel as bit patterns, so two specs
-/// hash equal iff they expand to the same jobs).
+/// The stable identity of a spec: FNV-64 of the task-stream version
+/// ([`STREAM_VERSION`]) and the spec's bit-exact [`encode_spec`] text
+/// (floats travel as bit patterns, so two specs hash equal iff they
+/// expand to the same jobs). The version pins a journal to the tasks it
+/// recorded results for: after a stream change it belongs to a different
+/// sweep.
 #[must_use]
 pub fn spec_hash(spec: &SweepSpec) -> u64 {
-    fnv64(encode_spec(spec).as_bytes())
+    fnv64(format!("stream {STREAM_VERSION}\n{}", encode_spec(spec)).as_bytes())
 }
 
 /// A shareable, append-side handle on one sweep's journal.
@@ -545,6 +549,46 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("different sweep"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spec_hash_changes_with_the_stream_version() {
+        let text = encode_spec(&spec());
+        let at = |stream: u32| fnv64(format!("stream {stream}\n{text}").as_bytes());
+        assert_eq!(spec_hash(&spec()), at(STREAM_VERSION));
+        assert_ne!(spec_hash(&spec()), at(STREAM_VERSION + 1));
+        // The hash from before journals carried the version.
+        assert_ne!(spec_hash(&spec()), fnv64(text.as_bytes()));
+    }
+
+    #[test]
+    fn journal_of_an_earlier_task_stream_is_refused() {
+        // A finished journal of this spec, copied with its `start` record
+        // carrying the hash from before journals carried the version.
+        let dir = temp_dir("stream");
+        let earlier = temp_dir("stream-earlier");
+        Engine::new(1)
+            .run_journaled(&spec(), &JournalConfig::new(&dir))
+            .unwrap();
+        let unversioned = fnv64(encode_spec(&spec()).as_bytes());
+        let mut log = RecordLog::open(&earlier).unwrap();
+        for record in RecordLog::read_all(&dir).unwrap() {
+            let record = match record.strip_prefix("start ") {
+                Some(rest) => {
+                    let (_, rest) = rest.split_once(' ').unwrap();
+                    format!("start {unversioned:016x} {rest}")
+                }
+                None => record,
+            };
+            log.append(&record).unwrap();
+        }
+        drop(log);
+        let err = Engine::new(1)
+            .run_journaled(&spec(), &JournalConfig::new(&earlier).resuming())
+            .unwrap_err();
+        assert!(err.to_string().contains("different sweep"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&earlier);
     }
 
     #[test]

@@ -86,7 +86,7 @@ fn exclusive_measure() -> RwLockWriteGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-use hetrta_engine::{Engine, GeneratorPreset, SweepSpec};
+use hetrta_engine::{Engine, EngineBuilder, GeneratorPreset, SweepSpec};
 use hetrta_exact::{solve, solve_with, SolverConfig, SolverWorkspace};
 use hetrta_gen::offload::{make_hetero_task, CoffSizing, OffloadSelection};
 use hetrta_gen::{generate_nfj, NfjParams};
@@ -287,5 +287,23 @@ fn cold_fig8_sweep_fits_a_per_job_allocation_budget() {
         cold / jobs <= PER_JOB_BUDGET,
         "cold sweep allocated {cold} over {jobs} jobs ({} per job, budget {PER_JOB_BUDGET})",
         cold / jobs
+    );
+}
+
+#[test]
+fn building_an_engine_fits_an_allocation_budget() {
+    let _measure = shared_measure();
+    // The first builder sets up the process-wide builtin registry once.
+    drop(EngineBuilder::new());
+    let (allocations, engine) =
+        thread_allocations_during(|| EngineBuilder::new().threads(2).build().unwrap());
+    drop(engine);
+    // Five memo caches of 32 shards, their ten registry counters under
+    // literal names, and the engine's shared state; the registry clone
+    // shares the builtin analyses.
+    const BUDGET: u64 = 41;
+    assert!(
+        allocations <= BUDGET,
+        "building an engine allocated {allocations} times (budget {BUDGET})"
     );
 }

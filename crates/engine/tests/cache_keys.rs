@@ -63,7 +63,7 @@ fn reference_hash_task(task: &HeteroDagTask) -> u128 {
 
 #[test]
 fn cache_keys_keep_their_values_across_versions() {
-    // Job 0 of a Figure-8-shaped sweep: a 109-node, 178-edge task at
+    // Job 0 of a Figure-8-shaped sweep: a 117-node, 190-edge task at
     // m = 2, offload fraction 0.1.
     let spec = SweepSpec::fractions(
         GeneratorPreset::Custom(NfjParams::large_tasks().with_node_range(60, 120)),
@@ -90,25 +90,28 @@ fn cache_keys_keep_their_values_across_versions() {
             task.dag().edge_count(),
             job.payload.params.m
         ),
-        (109, 178, 2)
+        (117, 190, 2)
     );
 
-    // Captured at commit be02324, before graphs shared their storage and
+    // Captured when NFJ attempts began to end once they pass `n_max`
+    // (task stream 2), which made job 0 a different task and put the
+    // stream version into its identity. The content keys' formulas are
+    // those of commit be02324, from before graphs shared their storage and
     // memoized their digest.
     let dag = hash_dag_only(task.dag());
     let content = hash_task(&task);
     let input = hash_input(&AnalysisInput::Task(task.clone()));
-    assert_eq!(dag, 0xe000_c464_df1d_2b74_5a45_3606_59f8_8113);
-    assert_eq!(content, 0xd31d_2765_8f13_3a9f_ee77_df0c_a388_477e);
-    assert_eq!(input, 0x72fb_c478_b9c1_2a27_f4f0_7a7f_d8a5_b631);
+    assert_eq!(dag, 0x6dc8_120a_e444_bfd0_5291_8404_46e6_38e4);
+    assert_eq!(content, 0xce1d_afd0_2467_da84_eb52_5067_acb2_1641);
+    assert_eq!(input, 0x9eb7_ab74_48b2_983d_cc7b_684a_fac6_4896);
     // The engine's transformation (0xF0) and derived-data (0xF1) memos.
     assert_eq!(
         key_with_params(content, 0xF0, 0),
-        0xd3be_ee21_4732_57d8_af7a_aebe_a9d4_0728
+        0xf5ab_64c7_1ce6_72d6_15ed_588d_c552_0551
     );
     assert_eq!(
         key_with_params(dag, 0xF1, 0),
-        0x1d05_7639_3cbd_4b11_d474_a4b6_c739_78ab
+        0x3fc9_74a3_ff63_9b71_c839_2c8e_a0c9_6653
     );
     let het = AnalysisRegistry::builtin()
         .get("het")
@@ -116,11 +119,11 @@ fn cache_keys_keep_their_values_across_versions() {
         .cache_params(&job.payload.params);
     assert_eq!(
         result_key(input, "het", het),
-        0xc7cc_14a5_d93d_50ff_b550_cde8_7e98_f243
+        0xf6c9_4acf_aa5e_f6df_6b47_1798_da24_4dbc
     );
     assert_eq!(
         job.payload.input.identity_hash(),
-        0x4a60_92ba_3764_701c_f74c_9d0a_706e_36c3
+        0x35e2_55eb_7f58_afba_db68_33b1_1a60_ff9d
     );
 }
 

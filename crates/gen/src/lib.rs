@@ -59,3 +59,19 @@ pub mod series;
 pub use error::GenError;
 pub use hetrta_dag::{Dag, HeteroDagTask, NodeId, Ticks};
 pub use nfj::{generate_nfj, NfjParams};
+
+/// Version of the task stream: which task each recipe (generator
+/// parameters, seed, offload policy) realizes.
+///
+/// Engine job identities and sweep-journal hashes include it, so a disk
+/// cache or journal written under another version reads as misses or is
+/// refused instead of replaying tasks these generators no longer make.
+/// A change that makes any recipe realize a different task (the NFJ draw
+/// order, [`BatchSpec`](series::BatchSpec)'s per-task seeds, offload
+/// selection) bumps it, and that one line is all the invalidation it
+/// needs.
+///
+/// * 1: every NFJ attempt drew its whole expansion (identities and
+///   journals hashed no version then).
+/// * 2: an NFJ attempt ends once it passes `n_max` nodes.
+pub const STREAM_VERSION: u32 = 2;

@@ -238,22 +238,30 @@ impl NfjParams {
 /// model without post-processing.
 ///
 /// Samples outside `[n_min, n_max]` are rejected and redrawn. Each attempt
-/// is split in two passes: a *draw* pass makes all of the attempt's random
-/// draws and records them, and an *emit* pass turns the record into a
-/// [`Dag`] only for the accepted attempt. A rejected attempt therefore
-/// costs its draws and nothing else, which matters for narrow node ranges
-/// (about 30 attempts per accepted graph at 60–120 nodes).
+/// is split in two passes: a *draw* pass makes the attempt's random draws
+/// and records them, and an *emit* pass turns the record into a [`Dag`]
+/// only for the accepted attempt. A rejected attempt therefore costs its
+/// draws and nothing else, and an attempt ends as soon as it passes
+/// `n_max` nodes, since it is rejected whatever it would draw next. This
+/// matters for narrow node ranges: at 60–120 nodes about 30 attempts are
+/// made per accepted graph, and most of the words that expanding them in
+/// full would draw belong to attempts already past `n_max`.
 ///
 /// The draw pass is one loop over a stack of per-depth pending counts. It
-/// makes the same draws in the same order as expanding a graph directly
-/// would (per expanded node: `gen_bool` unless at `max_depth`, then the
-/// fork WCET, the join WCET and the branch count; per terminal: its WCET),
-/// through samplers set up once per call: a [`Bernoulli`] for expansion
-/// and a [`Uniform`] each for WCETs and branch counts, which return what
-/// the matching `gen_bool`/`gen_range` calls return. A WCET draw records
-/// its raw word, and the emit pass maps only the accepted attempt's words
-/// through the WCET sampler. So the accepted graph and the state `rng` is
-/// left in are exactly those of building every attempt.
+/// makes the draws of expanding a graph directly, in the same order (per
+/// expanded node: `gen_bool` unless at `max_depth`, then the fork WCET,
+/// the join WCET and the branch count; per terminal: its WCET), through
+/// samplers set up once per call: a [`Bernoulli`] for expansion and a
+/// [`Uniform`] each for WCETs and branch counts, which return what the
+/// matching `gen_bool`/`gen_range` calls return. A WCET draw records its
+/// raw word, and the emit pass maps only the accepted attempt's words
+/// through the WCET sampler. So an accepted attempt yields the graph, and
+/// leaves `rng` in the state, of expanding it directly, and a rejected
+/// one draws a prefix of that expansion's words. Acceptance depends only
+/// on an attempt's own draws, so accepted graphs follow the distribution
+/// of the direct rejection loop; which graph a given seed yields is part
+/// of the task stream that [`STREAM_VERSION`](crate::STREAM_VERSION)
+/// names.
 ///
 /// # Errors
 ///
@@ -315,9 +323,9 @@ impl Samplers {
 /// `words` holds, per materialized node in node-id order (a sub-DAG's
 /// fork and join come before its branches), the random word its WCET is
 /// drawn from, and `shape` one entry per abstract node in depth-first
-/// order: its branch count, or 0 for a terminal. Recording stops once the
-/// attempt passes `n_max` nodes, since such an attempt is rejected
-/// whatever it draws next.
+/// order: its branch count, or 0 for a terminal. An attempt ends as soon
+/// as it passes `n_max` nodes, since it is rejected whatever it would
+/// draw next.
 struct Tape {
     n_max: usize,
     max_depth: usize,
@@ -331,11 +339,10 @@ struct Tape {
 
 impl Tape {
     fn new(params: &NfjParams) -> Self {
-        // An attempt that can be accepted nests at most `n_max / 2`
-        // levels below the root, since each level adds a fork and a join.
-        // Rejected attempts may nest deeper and grow the stack. The
-        // reservation is best effort: if both bounds are too large to
-        // reserve, the pushes grow the stack instead.
+        // An attempt nests at most `max_depth` levels below the root, and
+        // about `n_max / 2` before it ends, since each level adds a fork
+        // and a join. The reservation is best effort: if both bounds are
+        // too large to reserve, the pushes grow the stack instead.
         let mut pending = Vec::new();
         let _ = pending.try_reserve_exact(params.max_depth.min(params.n_max / 2) + 1);
         Tape {
@@ -372,15 +379,17 @@ impl Tape {
                 let terminal = rng.next_u64();
                 self.record(0, &[terminal]);
             }
+            if self.nodes > self.n_max {
+                // Rejected whatever it would draw next.
+                return;
+            }
         }
     }
 
     fn record(&mut self, branches: usize, words: &[u64]) {
         self.nodes += words.len();
-        if self.nodes <= self.n_max {
-            self.words.extend_from_slice(words);
-            self.shape.push(branches);
-        }
+        self.words.extend_from_slice(words);
+        self.shape.push(branches);
     }
 
     /// Replays the recorded attempt into WCETs, node labels and edges, in
@@ -516,26 +525,141 @@ mod tests {
         }
     }
 
-    /// Calls `generate_nfj` and the reference `calls` times each on two
-    /// copies of one stream, and asserts equal results (graph or error)
-    /// every time and an equal next draw afterwards.
-    fn assert_matches_reference(params: &NfjParams, seed: u64, calls: usize) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut reference_rng = rng.clone();
-        for call in 0..calls {
-            let got = generate_nfj(params, &mut rng);
-            let want = reference_generate(params, &mut reference_rng);
+    /// Counts the words drawn from the wrapped generator.
+    struct Counting<R> {
+        rng: R,
+        words: u64,
+    }
+
+    impl<R: RngCore> RngCore for Counting<R> {
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.rng.next_u64()
+        }
+    }
+
+    /// The words a whole reference attempt draws up to and including the
+    /// step that takes it past `n_max` nodes, or `None` if it never
+    /// passes. Read off the attempt's graph: node ids follow the draws,
+    /// and a fork's join is added with it.
+    fn words_until_past_n_max(whole: &Dag, params: &NfjParams) -> Option<u64> {
+        let (mut nodes, mut words) = (0, 0);
+        for v in whole.node_ids() {
+            let (kind, depth) = whole.label(v).split_once('@').expect("an NFJ label");
+            let below_max_depth = depth.parse::<usize>().expect("a depth") < params.max_depth;
+            // `gen_bool` below `max_depth`, then the fork and join WCETs
+            // and the branch count, or the terminal's WCET.
+            let (added, drawn) = match kind {
+                "join" => continue,
+                "fork" => (2, 3),
+                _ => (1, 1),
+            };
+            nodes += added;
+            words += u64::from(below_max_depth) + drawn;
+            if nodes > params.n_max {
+                return Some(words);
+            }
+        }
+        None
+    }
+
+    /// How the checked attempts ended.
+    #[derive(Debug, Default)]
+    struct Tally {
+        accepted: usize,
+        too_small: usize,
+        /// Rejected above `n_max` on the attempt's last step, so the
+        /// reference drew nothing more either.
+        too_big_at_the_end: usize,
+        /// Rejected above `n_max` before the reference's attempt ended:
+        /// strictly fewer words than the reference.
+        cut_short: usize,
+    }
+
+    /// Runs one attempt of `generate_nfj` on `rng`, and one of the
+    /// reference from the same state, and checks it against the
+    /// reference's: an accepted attempt is accepted with the same graph
+    /// and leaves the same next word; a rejected one is rejected too; and
+    /// the attempt draws a prefix of the reference's words, all of them
+    /// unless the reference attempt passed `n_max`, and otherwise exactly
+    /// those up to the step that passed it.
+    fn check_attempt(params: &NfjParams, rng: &mut StdRng, tally: &mut Tally) -> Option<Dag> {
+        let once = params.clone().with_max_attempts(1);
+        let state = rng.clone();
+        let mut new = Counting { rng, words: 0 };
+        let got = generate_nfj(&once, &mut new);
+        let mut reference = Counting {
+            rng: state.clone(),
+            words: 0,
+        };
+        let want = reference_generate(&once, &mut reference);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{params:?}");
+        if let Ok(dag) = got {
+            assert_eq!(new.words, reference.words, "{params:?}");
             assert_eq!(
-                format!("{got:?}"),
-                format!("{want:?}"),
-                "seed {seed}, call {call}: {params:?}"
+                new.rng.clone().next_u64(),
+                reference.rng.next_u64(),
+                "{params:?}"
+            );
+            tally.accepted += 1;
+            return Some(dag);
+        }
+        let whole = reference_generate(
+            &once.clone().with_node_range(1, usize::MAX),
+            &mut state.clone(),
+        )
+        .expect("every size is accepted");
+        match words_until_past_n_max(&whole, params) {
+            None => {
+                assert_eq!(new.words, reference.words, "{params:?}");
+                tally.too_small += 1;
+            }
+            Some(words) => {
+                assert_eq!(new.words, words, "{params:?}");
+                assert!(words <= reference.words, "{params:?}");
+                if words < reference.words {
+                    tally.cut_short += 1;
+                } else {
+                    tally.too_big_at_the_end += 1;
+                }
+            }
+        }
+        None
+    }
+
+    /// Per seed, calls `generate_nfj` `calls` times on one stream, and
+    /// replays the calls attempt by attempt on a copy of the stream
+    /// through [`check_attempt`]: every call must return what its replay
+    /// did, and the stream must end where the replay's does.
+    fn assert_matches_reference(
+        params: &NfjParams,
+        seeds: impl IntoIterator<Item = u64>,
+        calls: usize,
+    ) -> Tally {
+        let mut tally = Tally::default();
+        for seed in seeds {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut replay = rng.clone();
+            for call in 0..calls {
+                let got = generate_nfj(params, &mut rng);
+                let want = (0..params.max_attempts)
+                    .find_map(|_| check_attempt(params, &mut replay, &mut tally))
+                    .ok_or(GenError::AttemptsExhausted {
+                        attempts: params.max_attempts,
+                    });
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "seed {seed}, call {call}: {params:?}"
+                );
+            }
+            assert_eq!(
+                rng.next_u64(),
+                replay.next_u64(),
+                "seed {seed}: stream diverged after {params:?}"
             );
         }
-        assert_eq!(
-            rng.next_u64(),
-            reference_rng.next_u64(),
-            "seed {seed}: stream diverged after {params:?}"
-        );
+        tally
     }
 
     /// Near-critical binary branching (mean offspring 2 · 0.48 = 0.96)
@@ -573,17 +697,110 @@ mod tests {
             seed: u64,
             preset in 0usize..9,
         ) {
-            assert_matches_reference(&parity_presets()[preset], seed, 3);
+            assert_matches_reference(&parity_presets()[preset], [seed], 3);
         }
 
         #[test]
         fn single_attempt_replays_match_the_reference(seed: u64, preset in 0usize..9) {
             // One attempt per call on one stream, as counting attempts
-            // per accepted graph does: rejected calls must consume
-            // exactly the reference's draws too.
+            // per accepted graph does.
             let once = parity_presets()[preset].clone().with_max_attempts(1);
-            assert_matches_reference(&once, seed, 40);
+            assert_matches_reference(&once, [seed], 40);
         }
+    }
+
+    #[test]
+    fn attempts_end_early_only_past_n_max() {
+        // On the 60–120 clip, attempts are accepted, too small, or cut
+        // short past `n_max`.
+        let clip = assert_matches_reference(&parity_presets()[1], 0..8, 4);
+        assert_eq!(clip.accepted, 32, "{clip:?}");
+        assert!(clip.too_small > 0 && clip.cut_short > 0, "{clip:?}");
+        // One level of 2 to 5 branches under `n_max = 5`: a 6-node attempt
+        // passes `n_max` on its last terminal, so it draws every word the
+        // reference does, and a 7-node one stops a terminal short.
+        let tiny = assert_matches_reference(&NfjParams::new(5, 1, 1, 5), 0..8, 4);
+        assert!(
+            tiny.too_big_at_the_end > 0 && tiny.cut_short > 0,
+            "{tiny:?}"
+        );
+    }
+
+    /// The two-sample Kolmogorov–Smirnov statistic: the largest gap
+    /// between the empirical distribution functions of `a` and `b`.
+    fn ks_statistic(mut a: Vec<u64>, mut b: Vec<u64>) -> f64 {
+        a.sort_unstable();
+        b.sort_unstable();
+        let (mut i, mut j, mut gap) = (0, 0, 0f64);
+        while i < a.len() && j < b.len() {
+            let x = a[i].min(b[j]);
+            while a.get(i) == Some(&x) {
+                i += 1;
+            }
+            while b.get(j) == Some(&x) {
+                j += 1;
+            }
+            gap = gap.max((i as f64 / a.len() as f64 - j as f64 / b.len() as f64).abs());
+        }
+        gap
+    }
+
+    /// Whether the KS test rejects "same distribution" at level `alpha`,
+    /// by the asymptotic critical value
+    /// `sqrt(-ln(alpha / 2) / 2) · sqrt((n + m) / (n · m))`; ties between
+    /// integer samples only make it more conservative.
+    fn ks_rejects(a: Vec<u64>, b: Vec<u64>, alpha: f64) -> bool {
+        let (n, m) = (a.len() as f64, b.len() as f64);
+        let critical = (-(alpha / 2.0).ln() / 2.0).sqrt() * ((n + m) / (n * m)).sqrt();
+        ks_statistic(a, b) > critical
+    }
+
+    /// Node counts and volumes of graphs drawn one per seed.
+    fn sizes(
+        generate: fn(&NfjParams, &mut StdRng) -> Result<Dag, GenError>,
+        params: &NfjParams,
+        seeds: std::ops::Range<u64>,
+    ) -> (Vec<u64>, Vec<u64>) {
+        seeds
+            .map(|seed| {
+                let dag = generate(params, &mut StdRng::seed_from_u64(seed)).expect("accepts");
+                (dag.node_count() as u64, dag.volume().get())
+            })
+            .unzip()
+    }
+
+    /// Ending attempts early changes which graph a seed yields, not the
+    /// distribution of accepted graphs: per preset, the node counts and
+    /// volumes of graphs from `generate_nfj` and from the reference (on
+    /// disjoint fixed seeds) pass a two-sample KS test at α = 0.001 each,
+    /// eight tests in all. The same test does tell the 60–120 clip from a
+    /// 70–120 one.
+    #[test]
+    fn accepted_sizes_follow_the_reference_distribution() {
+        const ALPHA: f64 = 0.001;
+        let presets = [
+            (NfjParams::small_tasks(), 600),
+            (NfjParams::large_tasks().with_node_range(60, 120), 600),
+            (NfjParams::large_tasks().with_node_range(100, 250), 400),
+            (NfjParams::large_graphs(10_000), 60),
+        ];
+        for (params, n) in &presets {
+            let (nodes, volumes) = sizes(generate_nfj, params, 0..*n);
+            let reference = 1 << 32..(1 << 32) + n;
+            let (ref_nodes, ref_volumes) = sizes(reference_generate, params, reference);
+            assert!(
+                !ks_rejects(nodes, ref_nodes, ALPHA),
+                "node counts differ: {params:?}"
+            );
+            assert!(
+                !ks_rejects(volumes, ref_volumes, ALPHA),
+                "volumes differ: {params:?}"
+            );
+        }
+        let clip = &presets[1].0;
+        let (nodes, _) = sizes(reference_generate, clip, 0..600);
+        let (narrower, _) = sizes(generate_nfj, &clip.clone().with_node_range(70, 120), 0..600);
+        assert!(ks_rejects(nodes, narrower, ALPHA), "the test has no power");
     }
 
     /// Nodes on a longest path.
@@ -602,7 +819,7 @@ mod tests {
         let params = deep_shape();
         let deepest = (0..16)
             .map(|seed| {
-                assert_matches_reference(&params, seed, 1);
+                assert_matches_reference(&params, [seed], 1);
                 let dag = generate_nfj(&params, &mut StdRng::seed_from_u64(seed)).expect("accepts");
                 longest_path_nodes(&dag)
             })
@@ -616,9 +833,7 @@ mod tests {
 
     #[test]
     fn large_graphs_match_the_reference() {
-        for seed in 0..3 {
-            assert_matches_reference(&NfjParams::large_graphs(10_000), seed, 1);
-        }
+        assert_matches_reference(&NfjParams::large_graphs(10_000), 0..3, 1);
     }
 
     #[test]
@@ -627,13 +842,13 @@ mod tests {
         let never = NfjParams::new(4, 2, 2, 2)
             .with_p_par(0.0)
             .with_max_attempts(10);
-        assert_matches_reference(&never, 1, 3);
+        assert_matches_reference(&never, [1], 3);
         // A two-attempt budget on the 60–120 clip: some seeds accept,
         // some exhaust; both outcomes must match.
         let tight = &parity_presets()[5];
         let exhausted = (0..32)
             .filter(|&seed| {
-                assert_matches_reference(tight, seed, 1);
+                assert_matches_reference(tight, [seed], 1);
                 generate_nfj(tight, &mut StdRng::seed_from_u64(seed)).is_err()
             })
             .count();

@@ -3,7 +3,9 @@
 //! produced — same node ids, same WCETs and labels, and the same
 //! adjacency *order* in both the successor and predecessor CSR segments
 //! (downstream float reductions replay adjacency order, so order is part
-//! of the contract, not an implementation detail).
+//! of the contract, not an implementation detail). The NFJ sampler is
+//! compared one rejection attempt at a time, since its attempts end once
+//! they pass `n_max` while the legacy ones drew their whole expansion.
 //!
 //! The reference implementations below are verbatim copies of the
 //! pre-refactor generators, kept alive through the `legacy-mutation`
@@ -18,7 +20,7 @@ use hetrta_gen::openmp::{Program, Stmt};
 use hetrta_gen::{generate_nfj, NfjParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Asserts complete structural identity, adjacency order included.
 fn assert_same_dag(new: &Dag, legacy: &Dag, what: &str) {
@@ -121,6 +123,41 @@ fn legacy_generate_nfj<R: Rng + ?Sized>(
     None
 }
 
+/// Counts the words drawn from the wrapped generator.
+struct Counting<R> {
+    rng: R,
+    words: u64,
+}
+
+impl<R: RngCore> RngCore for Counting<R> {
+    fn next_u64(&mut self) -> u64 {
+        self.words += 1;
+        self.rng.next_u64()
+    }
+}
+
+/// The words a whole legacy attempt draws up to and including the step
+/// that takes it past `n_max` nodes, or `None` if it never passes. Node
+/// ids follow the draws, and a fork's join is added with it.
+fn words_until_past_n_max(whole: &Dag, params: &NfjParams) -> Option<u64> {
+    let (mut nodes, mut words) = (0, 0);
+    for v in whole.node_ids() {
+        let (kind, depth) = whole.label(v).split_once('@').expect("an NFJ label");
+        let below_max_depth = depth.parse::<usize>().expect("a depth") < params.max_depth();
+        let (added, drawn) = match kind {
+            "join" => continue,
+            "fork" => (2, 3),
+            _ => (1, 1),
+        };
+        nodes += added;
+        words += u64::from(below_max_depth) + drawn;
+        if nodes > params.n_max() {
+            return Some(words);
+        }
+    }
+    None
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -131,19 +168,36 @@ proptest! {
         depth in 1usize..5,
         p_pct in 0u32..101,
         n_min in 1usize..8,
+        n_span in 0usize..200,
     ) {
-        // Wide accepted range, but a nontrivial lower bound so the
-        // rejection loop (and its shared RNG stream) is exercised too.
-        let params = NfjParams::new(n_par, depth, n_min, 100_000)
+        // Single attempts from successive states of one stream, against
+        // a narrow enough range that attempts are rejected on both sides.
+        let params = NfjParams::new(n_par, depth, n_min, n_min + n_span)
             .with_p_par(f64::from(p_pct) / 100.0)
             .with_wcet_range(1, 50)
-            .with_max_attempts(1_000);
-        let new = generate_nfj(&params, &mut StdRng::seed_from_u64(seed));
-        let legacy = legacy_generate_nfj(&params, &mut StdRng::seed_from_u64(seed), (1, 50));
-        match (new, legacy) {
-            (Ok(new), Some(legacy)) => assert_same_dag(&new, &legacy, "nfj"),
-            (Err(_), None) => {}
-            (new, legacy) => panic!("acceptance diverged: {new:?} vs {legacy:?}"),
+            .with_max_attempts(1);
+        let every_size = params.clone().with_node_range(1, usize::MAX);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..20 {
+            let mut legacy = Counting { rng: rng.clone(), words: 0 };
+            let whole = legacy_generate_nfj(&every_size, &mut legacy, (1, 50))
+                .expect("the first attempt is accepted");
+            let mut new = Counting { rng: &mut rng, words: 0 };
+            let got = generate_nfj(&params, &mut new);
+            let new_words = new.words;
+            if (params.n_min()..=params.n_max()).contains(&whole.node_count()) {
+                // Accepted bitwise, with the same next word.
+                assert_same_dag(&got.expect("accepted like the legacy attempt"), &whole, "nfj");
+                prop_assert_eq!(new_words, legacy.words);
+                prop_assert_eq!(rng.clone().next_u64(), legacy.rng.next_u64());
+            } else {
+                prop_assert!(got.is_err(), "accepted a {}-node attempt", whole.node_count());
+                // A prefix of the legacy words: all of them, unless the
+                // attempt passed `n_max`.
+                let expected = words_until_past_n_max(&whole, &params).unwrap_or(legacy.words);
+                prop_assert_eq!(new_words, expected);
+                prop_assert!(new_words <= legacy.words);
+            }
         }
     }
 }
