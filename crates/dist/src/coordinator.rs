@@ -26,7 +26,7 @@
 //! death, so each expansion slot is aggregated exactly once.
 
 use std::collections::BTreeSet;
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -700,8 +700,10 @@ fn reader_loop(
     let faults = fault.as_deref().map(|p| p as &dyn FrameFaults);
     // Small frames go out at once, as on the worker's end of the link.
     let _ = stream.set_nodelay(true);
+    // Workers write their results in batches; buffering the read half
+    // takes a batch in a few reads instead of two per frame.
     let mut reader = match stream.try_clone() {
-        Ok(reader) => reader,
+        Ok(reader) => BufReader::new(reader),
         Err(_) => return,
     };
     let worker = match read_counted(&mut reader, bytes_rx, faults) {
@@ -742,7 +744,7 @@ fn reader_loop(
 }
 
 fn read_counted(
-    reader: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
     bytes_rx: &Arc<AtomicU64>,
     faults: Option<&dyn FrameFaults>,
 ) -> Result<DistMsg, WireError> {

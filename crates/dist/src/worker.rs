@@ -3,19 +3,28 @@
 //!
 //! A worker connects to the coordinator, introduces itself with
 //! [`DistMsg::Hello`], and then loops: receive an assignment, run the
-//! indices through [`Engine::run_job_subset`], stream one
-//! [`DistMsg::JobDone`] per result, finish with [`DistMsg::ShardDone`],
-//! and wait for the next assignment (or [`DistMsg::Shutdown`]). A
-//! background thread sends [`DistMsg::Heartbeat`]s on a fixed cadence,
-//! so the coordinator distinguishes a worker grinding through an
-//! expensive job from one that died — the job loop itself may go quiet
-//! for seconds.
+//! indices through [`Engine::run_job_subset`] on its own thread (the
+//! pool's worker 0), encode one [`DistMsg::JobDone`] per result, finish
+//! with [`DistMsg::ShardDone`], and wait for the next assignment (or
+//! [`DistMsg::Shutdown`]). A background thread sends
+//! [`DistMsg::Heartbeat`]s on a fixed cadence, so the coordinator
+//! distinguishes a worker grinding through an expensive job from one
+//! that died — the job loop itself may go quiet for seconds.
+//!
+//! Frames leave in batches, not one write per result: `JobDone` frames
+//! collect in the link's buffer, which is written once it holds 8 KB
+//! (`BATCH_BYTES`), together with the `ShardDone`, and ahead of every
+//! heartbeat. A finished result therefore waits at most one heartbeat
+//! period, and a fast shard costs a few writes instead of hundreds. The
+//! frames themselves (bytes and per-frame chaos faults) are those of a
+//! one-frame-per-write link.
 //!
 //! Workers pointed at the same `--cache-dir` share one disk-cache
 //! namespace: keys are content-addressed, so a cell warmed by any fleet
 //! member (or by an earlier single-process run) is a pure read for
 //! every other.
 
+use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,7 +32,7 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use hetrta_api::wire::FrameFaults;
+use hetrta_api::wire::{FrameFaults, WireError};
 use hetrta_engine::{Engine, EngineBuilder, FaultPlan};
 use hetrta_obs::{span, Recorder};
 
@@ -57,6 +66,36 @@ impl WorkerConfig {
     pub const DEFAULT_HEARTBEAT: Duration = Duration::from_millis(200);
 }
 
+/// Encoded `JobDone` bytes a worker holds before it writes them.
+const BATCH_BYTES: usize = 8 * 1024;
+
+/// The write half of a worker's connection and the frames encoded for
+/// it but not yet written. The job loop and the heartbeat thread share
+/// it behind one mutex, so frames never interleave mid-frame.
+struct Link {
+    stream: TcpStream,
+    pending: Vec<u8>,
+}
+
+impl Link {
+    /// Encodes `msg` (with its chaos faults) behind the pending frames.
+    fn push(&mut self, msg: &DistMsg, faults: Option<&dyn FrameFaults>) {
+        // Writing into a `Vec` cannot fail.
+        let _ = msg.write_to_with(&mut self.pending, faults);
+    }
+
+    /// Writes every pending frame in one go. The batch is dropped either
+    /// way: after a failed write the coordinator is gone.
+    fn flush(&mut self) -> Result<(), WireError> {
+        let written = self
+            .stream
+            .write_all(&self.pending)
+            .map_err(|e| WireError::Io(e.to_string()));
+        self.pending.clear();
+        written
+    }
+}
+
 /// Runs one worker until the coordinator shuts it down or hangs up.
 /// Returns the total number of jobs completed across assignments.
 ///
@@ -72,16 +111,17 @@ pub fn run_worker(config: &WorkerConfig, recorder: &dyn Recorder) -> Result<u64,
     let _span = span!(recorder, "dist.worker", worker = config.worker);
     let stream = TcpStream::connect(&config.addr)
         .map_err(|e| DistError::Io(format!("connect to coordinator {}: {e}", config.addr)))?;
-    // Every `JobDone` is a small frame written on its own. With Nagle's
-    // algorithm on, each frame after the first waits for the ACK of the
-    // previous one, and the coordinator delays its ACKs by ~40 ms.
+    // A batch's tail (or a lone `ShardDone` or heartbeat) is a small
+    // write. With Nagle's algorithm on, a small write waits for the ACK
+    // of the previous one, and the coordinator delays its ACKs by ~40 ms.
     let _ = stream.set_nodelay(true);
     let mut reader = stream
         .try_clone()
         .map_err(|e| DistError::Io(format!("clone worker stream: {e}")))?;
-    // The job loop and the heartbeat thread share the write half; frames
-    // must not interleave mid-frame, so writes go through a mutex.
-    let writer = Arc::new(Mutex::new(stream));
+    let writer = Arc::new(Mutex::new(Link {
+        stream,
+        pending: Vec::new(),
+    }));
 
     // Derive this worker's fault stream from (seed, slot): same seed →
     // same per-worker fault sequence, but the fleet doesn't fault in
@@ -107,7 +147,7 @@ pub fn run_worker(config: &WorkerConfig, recorder: &dyn Recorder) -> Result<u64,
     DistMsg::Hello {
         worker: config.worker,
     }
-    .write_to(&mut *lock(&writer))?;
+    .write_to(&mut lock(&writer).stream)?;
 
     let jobs_done = Arc::new(AtomicU64::new(0));
     // The heartbeat thread waits on this channel between beats; dropping
@@ -140,12 +180,12 @@ pub fn run_worker(config: &WorkerConfig, recorder: &dyn Recorder) -> Result<u64,
             let beat = DistMsg::Heartbeat {
                 jobs_done: jobs_done.load(Ordering::Relaxed),
             };
-            // A failed write means the coordinator is gone; the main
-            // loop will notice on its next read. Just stop beating.
-            if beat
-                .write_to_with(&mut *lock(&writer), faults_of(&fault))
-                .is_err()
-            {
+            // The results finished since the last write go out ahead of
+            // the beat. A failed write means the coordinator is gone; the
+            // main loop will notice on its next read. Just stop beating.
+            let mut link = lock(&writer);
+            link.push(&beat, faults_of(&fault));
+            if link.flush().is_err() {
                 return;
             }
         })
@@ -160,7 +200,7 @@ pub fn run_worker(config: &WorkerConfig, recorder: &dyn Recorder) -> Result<u64,
 fn assignment_loop(
     reader: &mut TcpStream,
     engine: &Engine,
-    writer: &Arc<Mutex<TcpStream>>,
+    writer: &Arc<Mutex<Link>>,
     jobs_done: &AtomicU64,
     fault: &Option<Arc<FaultPlan>>,
     recorder: &dyn Recorder,
@@ -172,16 +212,21 @@ fn assignment_loop(
                 let mut completed = 0usize;
                 engine.run_job_subset(&spec, &indices, |result| {
                     let msg = DistMsg::JobDone(Box::new(WireJobResult::from(&result)));
-                    // A send failure here means the coordinator is gone
-                    // mid-assignment; keep draining the pool (results
-                    // still land in the shared caches) and let the next
-                    // read surface the hangup.
-                    let _ = msg.write_to_with(&mut *lock(writer), faults_of(fault));
+                    let mut link = lock(writer);
+                    link.push(&msg, faults_of(fault));
+                    if link.pending.len() >= BATCH_BYTES {
+                        // A failure here means the coordinator is gone
+                        // mid-assignment; keep draining the pool (results
+                        // still land in the shared caches) and let the
+                        // next read surface the hangup.
+                        let _ = link.flush();
+                    }
                     completed += 1;
                     jobs_done.fetch_add(1, Ordering::Relaxed);
                 })?;
-                DistMsg::ShardDone { completed }
-                    .write_to_with(&mut *lock(writer), faults_of(fault))?;
+                let mut link = lock(writer);
+                link.push(&DistMsg::ShardDone { completed }, faults_of(fault));
+                link.flush()?;
             }
             Ok(DistMsg::Shutdown) => return Ok(()),
             Ok(other) => {
@@ -195,7 +240,7 @@ fn assignment_loop(
     }
 }
 
-fn lock(writer: &Arc<Mutex<TcpStream>>) -> std::sync::MutexGuard<'_, TcpStream> {
+fn lock(writer: &Arc<Mutex<Link>>) -> std::sync::MutexGuard<'_, Link> {
     writer
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)

@@ -15,7 +15,7 @@
 //! linearly with distinct content.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use hetrta_api::AnalysisInput;
 use hetrta_dag::{Dag, HeteroDagTask};
@@ -245,10 +245,11 @@ impl<V> Shard<V> {
 /// an in-flight marker, so a second caller missing the same key waits for
 /// the first one's value instead of computing it again. Capacity is
 /// enforced per shard (`capacity / 32`, at least 1), evicting
-/// least-recently-used entries.
+/// least-recently-used entries. The shards are allocated on first use,
+/// so a cache an engine never touches costs nothing to build.
 #[derive(Debug)]
 pub struct MemoCache<V> {
-    shards: Vec<Mutex<Shard<V>>>,
+    shards: OnceLock<Box<[Mutex<Shard<V>>]>>,
     hits: Counter,
     misses: Counter,
     per_shard_cap: usize,
@@ -277,7 +278,7 @@ impl<V: Clone> MemoCache<V> {
     /// activity shows up in engine-wide metrics snapshots).
     pub(crate) fn counted(capacity: usize, hits: Counter, misses: Counter) -> Self {
         MemoCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
+            shards: OnceLock::new(),
             hits,
             misses,
             per_shard_cap: (capacity / SHARDS).max(1),
@@ -285,8 +286,16 @@ impl<V: Clone> MemoCache<V> {
     }
 
     fn shard(&self, key: u128) -> &Mutex<Shard<V>> {
+        let shards = self
+            .shards
+            .get_or_init(|| (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect());
         // High bits select the shard; FNV mixes enough for that.
-        &self.shards[(key >> 96) as usize % SHARDS]
+        &shards[(key >> 96) as usize % SHARDS]
+    }
+
+    /// The shards, if any lookup or insert has allocated them.
+    fn allocated(&self) -> &[Mutex<Shard<V>>] {
+        self.shards.get().map_or(&[], |shards| &shards[..])
     }
 
     /// Looks up `key`, computing and memoizing with `compute` on a miss.
@@ -378,7 +387,7 @@ impl<V: Clone> MemoCache<V> {
     /// Number of memoized entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
+        self.allocated()
             .iter()
             .map(|s| s.lock().expect("cache shard").map.len())
             .sum()
@@ -393,7 +402,7 @@ impl<V: Clone> MemoCache<V> {
     /// Drops every memoized entry (the hit/miss counters keep running; use
     /// [`CacheCounters::since`] for per-scope accounting).
     pub fn clear(&self) {
-        for shard in &self.shards {
+        for shard in self.allocated() {
             let mut shard = shard.lock().expect("cache shard");
             shard.map.clear();
             shard.order.clear();
@@ -558,6 +567,23 @@ mod tests {
         assert_eq!(cache.counters(), CacheCounters { hits: 1, misses: 1 });
         cache.note_hits(3);
         assert_eq!(cache.counters().hits, 4);
+        cache.clear();
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn an_untouched_cache_is_empty_and_clears() {
+        let cache: MemoCache<u64> = MemoCache::bounded(64);
+        assert_eq!(cache.len(), 0);
+        assert!(cache.is_empty());
+        cache.clear();
+        assert!(cache.is_empty());
+        assert_eq!(cache.counters(), CacheCounters::default());
+        // A miss allocates the shards but stores nothing.
+        assert_eq!(cache.peek(7), None);
+        assert!(cache.is_empty());
+        cache.insert(7, 1);
+        assert_eq!(cache.len(), 1);
         cache.clear();
         assert!(cache.is_empty());
     }

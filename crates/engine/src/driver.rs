@@ -1,5 +1,5 @@
 //! The sweep driver: everything between a finished [`JobResult`] and the
-//! sweep's aggregate, written once. The engine's session thread,
+//! sweep's aggregate, written once. The engine's sessions,
 //! [`Engine::run_journaled_with`](crate::Engine::run_journaled_with),
 //! `hetrta engine sweep --shard`, the `hetrta-dist` coordinator and the
 //! `hetrta serve` pumps all feed their results through a

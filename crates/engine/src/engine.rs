@@ -132,16 +132,18 @@ impl EngineCaches {
     }
 
     /// Memory → disk → compute. Returns the value and whether it was
-    /// served without computing (either layer). Freshly computed `Ok`
-    /// results are persisted to the disk layer; errors never are.
+    /// served without computing (either layer). `probe_disk` is `false`
+    /// for a key this job's disk probe already missed. Freshly computed
+    /// `Ok` results are persisted to the disk layer; errors never are.
     pub(crate) fn result_get_or_compute(
         &self,
         key: u128,
+        probe_disk: bool,
         compute: impl FnOnce() -> Result<AnalysisOutcome, String>,
     ) -> (Result<AnalysisOutcome, String>, bool) {
         let mut computed = false;
         let (value, memory_hit) = self.results.get_or_compute(key, || {
-            if let Some(disk) = &self.disk {
+            if let Some(disk) = self.disk.as_ref().filter(|_| probe_disk) {
                 if let Some(outcome) = disk.load_result(key) {
                     return Ok(outcome);
                 }
@@ -664,11 +666,11 @@ impl Default for EngineBuilder {
 /// the same engine is served from memory — and, with
 /// [`EngineBuilder::with_cache_dir`], across processes from disk.
 ///
-/// Sweeps run either blocking ([`Engine::run`]) or as an observable
-/// session ([`Engine::submit`] → [`SweepHandle`] with a typed event
-/// stream, live statistics, and cancellation). `run` is literally
-/// `submit` + [`SweepHandle::wait`], so both paths produce bitwise
-/// identical aggregates.
+/// Sweeps run either blocking ([`Engine::run`], on the calling thread)
+/// or as an observable session ([`Engine::submit`] → [`SweepHandle`]
+/// with a typed event stream, live statistics, and cancellation, on a
+/// session thread of its own). Both run the same session code, so both
+/// paths produce bitwise identical aggregates.
 #[derive(Debug)]
 pub struct Engine {
     exec: Executor,
@@ -761,8 +763,10 @@ impl Engine {
 
     /// Expands `spec`, runs every job on the worker pool, and aggregates.
     ///
-    /// A thin wrapper over [`Engine::submit`] + [`SweepHandle::wait`]
-    /// with events disabled — the blocking path and the streaming path
+    /// The session [`Engine::submit`] would start runs here on the
+    /// calling thread instead, with events disabled: the caller becomes
+    /// the pool's worker 0 and the aggregator, so a 1-thread engine
+    /// spawns no thread at all. The blocking path and the streaming path
     /// are the same machinery, pinned bitwise-identical by tests.
     ///
     /// The aggregate is deterministic: same spec ⇒ identical result for
@@ -774,7 +778,11 @@ impl Engine {
     /// spec or unknown registry keys, the latter listing every valid key),
     /// or [`EngineError::Job`] if a job fails.
     pub fn run(&self, spec: &SweepSpec) -> Result<EngineOutput, EngineError> {
-        self.submit_with(spec, SessionConfig::quiet())?.wait()
+        let (session, driver, jobs) = self.open_session(spec, SessionConfig::quiet())?;
+        let result = Arc::clone(&session.result);
+        session.run(driver, jobs);
+        let outcome = result.lock().expect("session result").take();
+        outcome.expect("finished session stores a result")
     }
 
     /// Submits `spec` as an observable session with default
@@ -802,6 +810,22 @@ impl Engine {
         spec: &SweepSpec,
         config: SessionConfig,
     ) -> Result<SweepHandle, EngineError> {
+        let (session, driver, jobs) = self.open_session(spec, config)?;
+        let (shared, result) = (Arc::clone(&session.shared), Arc::clone(&session.result));
+        let thread = std::thread::Builder::new()
+            .name("hetrta-sweep".into())
+            .spawn(move || session.run(driver, jobs))
+            .expect("spawn sweep session thread");
+        Ok(SweepHandle::new(shared, result, thread))
+    }
+
+    /// Validates `spec`, opens its driver (replaying the journal, if
+    /// any) and sets up the session that runs the remaining jobs.
+    fn open_session(
+        &self,
+        spec: &SweepSpec,
+        config: SessionConfig,
+    ) -> Result<(SessionTask, SweepDriver, Vec<Job>), EngineError> {
         let _span = span!(self.exec.recorder.as_ref(), "sweep.submit");
         let (driver, jobs) = SweepDriver::open(spec, &self.exec.registry, config.journal.as_ref())?;
         let driver = driver
@@ -822,20 +846,14 @@ impl Engine {
             replayed_jobs: driver.replayed(),
             started: Instant::now(),
         });
-        let result = Arc::new(Mutex::new(None));
-
         let session = SessionTask {
             exec: self.exec.clone(),
-            shared: Arc::clone(&shared),
-            result: Arc::clone(&result),
+            shared,
+            result: Arc::new(Mutex::new(None)),
             job_events: config.job_events,
             _active: ActiveGuard::enter(Arc::clone(&self.active_sessions)),
         };
-        let thread = std::thread::Builder::new()
-            .name("hetrta-sweep".into())
-            .spawn(move || session.run(driver, jobs))
-            .expect("spawn sweep session thread");
-        Ok(SweepHandle::new(shared, result, thread))
+        Ok((session, driver, jobs))
     }
 
     /// Runs `spec` write-ahead journaled into `cfg.dir`: previously
@@ -939,8 +957,7 @@ impl Engine {
 }
 
 /// What an [`Engine`] runs jobs with: its threads, caches, registry and
-/// instrumentation. A clone shares all of them (a session thread holds
-/// one).
+/// instrumentation. A clone shares all of them (each session holds one).
 #[derive(Debug, Clone)]
 struct Executor {
     threads: usize,
@@ -1057,8 +1074,9 @@ impl Executor {
     }
 }
 
-/// Everything one session thread owns besides its driver and jobs: it
-/// executes the jobs, emits events, and deposits the result.
+/// Everything one session owns besides its driver and jobs: it executes
+/// the jobs, emits events, and deposits the result. It runs on the
+/// caller of [`Engine::run`] or on the thread [`Engine::submit`] spawns.
 struct SessionTask {
     exec: Executor,
     shared: Arc<SessionShared>,
@@ -1068,8 +1086,8 @@ struct SessionTask {
 }
 
 /// RAII increment of the engine's active-session count; decremented when
-/// the session thread drops its task (normal finish, cancellation, or
-/// panic — the guard lives in the task, so every exit path counts down).
+/// the session drops its task (normal finish, cancellation, or panic —
+/// the guard lives in the task, so every exit path counts down).
 struct ActiveGuard(Arc<AtomicUsize>);
 
 impl ActiveGuard {
@@ -1098,6 +1116,7 @@ impl SessionTask {
             }
         }
         let _close = CloseOnDrop(Arc::clone(&self.shared));
+        let _lane = pool::RestoreLane(hetrta_obs::thread_lane());
         let outcome = self.execute(driver, jobs);
         *self.result.lock().expect("session result") = Some(outcome);
     }
@@ -1112,7 +1131,8 @@ impl SessionTask {
         let total = driver.total();
         let recorder: &dyn Recorder = self.exec.recorder.as_ref();
 
-        // Lane 0 is this session thread; the root span covers the run.
+        // Lane 0 is the session's thread (the caller's lane comes back
+        // when the session ends); the root span covers the run.
         if recorder.enabled() {
             recorder.name_lane(0, "session");
         }

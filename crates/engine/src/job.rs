@@ -371,11 +371,14 @@ fn execute_payload(
 
     // Fast path: a previously seen recipe whose results are all cached
     // (in memory or on disk) is served without regenerating the input.
+    // Otherwise it names the result key memory and disk both missed.
+    let mut missed = None;
     match caches.identity_lookup(identity) {
         Some(None) => return Ok((JobMetrics::Skipped, true)),
         Some(Some(content)) => {
-            if let Some(outcomes) = cached_outcomes(caches, content, &analyses, &payload.params)? {
-                return Ok((JobMetrics::Outcomes(outcomes), true));
+            match cached_outcomes(caches, content, &analyses, &payload.params)? {
+                Ok(outcomes) => return Ok((JobMetrics::Outcomes(outcomes), true)),
+                Err(key) => missed = Some(key),
             }
         }
         None => {}
@@ -410,7 +413,7 @@ fn execute_payload(
             analysis.cache_params(&request.params),
         );
         let mut measured = None;
-        let (value, hit) = caches.result_get_or_compute(key, || {
+        let (value, hit) = caches.result_get_or_compute(key, missed != Some(key), || {
             let _span = span!(recorder, "analysis", key = analysis.key());
             let t0 = Instant::now();
             let value = analysis.run(&request, &ctx).map_err(|e| e.to_string());
@@ -426,25 +429,26 @@ fn execute_payload(
     Ok((JobMetrics::Outcomes(outcomes), all_hits))
 }
 
-/// Assembles every selected outcome from the result cache, or `None` when
-/// at least one is missing (the job then takes the slow path).
+/// Assembles every selected outcome from the result cache, or names the
+/// first key neither memory nor disk holds (the job then takes the slow
+/// path, which need not probe the disk for that key again).
 fn cached_outcomes(
     caches: &EngineCaches,
     content: u128,
     analyses: &[&dyn Analysis],
     params: &AnalysisParams,
-) -> Result<Option<Vec<AnalysisOutcome>>, String> {
+) -> Result<Result<Vec<AnalysisOutcome>, u128>, String> {
     let mut outcomes = Vec::with_capacity(analyses.len());
     for analysis in analyses {
         let key = result_key(content, analysis.key(), analysis.cache_params(params));
         match caches.peek_result(key) {
             Some(Ok(outcome)) => outcomes.push(outcome),
             Some(Err(message)) => return Err(message),
-            None => return Ok(None),
+            None => return Ok(Err(key)),
         }
     }
     caches.results.note_hits(outcomes.len() as u64);
-    Ok(Some(outcomes))
+    Ok(Ok(outcomes))
 }
 
 #[cfg(test)]
@@ -709,5 +713,48 @@ mod tests {
         assert!(!a.cache_hit);
         assert!(b.cache_hit);
         assert_eq!(a.metrics.unwrap(), b.metrics.unwrap());
+    }
+
+    #[test]
+    fn a_cold_disk_backed_sweep_probes_each_key_once() {
+        // Two core counts per recipe: the second job finds the identity in
+        // memory and misses its results, and the slow path must not ask
+        // the disk again for the result its fast path just missed.
+        let dir =
+            std::env::temp_dir().join(format!("hetrta-job-disk-probes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = SweepSpec::fractions(GeneratorPreset::Small, vec![2, 8], vec![0.1, 0.3], 6, 21)
+            .with_analyses(crate::AnalysisSelection::from_keys(["het", "hom"]));
+        let registry = registry();
+        let mut identities = std::collections::HashSet::new();
+        let mut results = std::collections::HashSet::new();
+        for job in spec.expand().1 {
+            let payload = &job.payload;
+            identities.insert(payload.input.identity_hash());
+            let Some(input) = payload.input.materialize().expect("materializes") else {
+                continue;
+            };
+            let content = hash_input(&input);
+            for key in payload.analyses.iter() {
+                let analysis = registry.get(key).expect("builtin key");
+                let params = analysis.cache_params(&payload.params);
+                results.insert(result_key(content, analysis.key(), params));
+            }
+        }
+        assert!(
+            results.len() > identities.len(),
+            "results differ per core count"
+        );
+
+        // One thread, so no two jobs probe the same key at once.
+        let engine = crate::EngineBuilder::new()
+            .threads(1)
+            .with_cache_dir(&dir)
+            .build()
+            .expect("cache dir opens");
+        let disk = engine.run(&spec).expect("cold run").stats.disk_cache;
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(disk.hits, 0);
+        assert_eq!(disk.misses, (identities.len() + results.len()) as u64);
     }
 }

@@ -29,7 +29,8 @@
 //!   thread and N threads produce identical aggregates;
 //! * sweeps are **observable sessions** ([`session`]): [`Engine::submit`]
 //!   returns a [`SweepHandle`] with a typed [`SweepEvent`] stream, live
-//!   statistics, and cancellation — [`Engine::run`] is submit + wait;
+//!   statistics, and cancellation — [`Engine::run`] runs the same
+//!   session on the calling thread;
 //! * the caches can persist to **disk** ([`disk`], via
 //!   [`EngineBuilder::with_cache_dir`]), so a second process running the
 //!   same spec replays every result instead of recomputing.

@@ -2,8 +2,8 @@
 //! stream, `wait` for (or `cancel`) the deterministic result.
 //!
 //! A [`SweepHandle`] is the observable face of one running sweep. The
-//! sweep itself executes on a background orchestrator thread (which owns
-//! the work-stealing worker pool and the streaming aggregator), while the
+//! sweep itself executes on a background orchestrator thread (the
+//! work-stealing pool's worker 0 and the streaming aggregator), while the
 //! handle exposes:
 //!
 //! * a typed [`SweepEvent`] stream — [`SweepEvent::JobStarted`],
@@ -383,8 +383,8 @@ impl SweepHandle {
     }
 
     /// Blocks until the sweep finishes and returns its result — exactly
-    /// what [`Engine::run`](crate::Engine::run) returns (`run` *is*
-    /// `submit` + `wait`).
+    /// what [`Engine::run`](crate::Engine::run) returns (`run` runs the
+    /// same session on the calling thread).
     ///
     /// # Errors
     ///

@@ -1,9 +1,12 @@
 //! Session-API guarantees: the streaming path is the blocking path
 //! (bitwise-identical aggregates), events are complete and well-formed,
 //! partial aggregates converge on the final one, cancellation stops the
-//! sweep, and live statistics track progress.
+//! sweep, and live statistics track progress. `Engine::run` sweeps on
+//! the calling thread, `submit` on a thread of its own.
 
+use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ThreadId;
 
 use hetrta_engine::{
     Analysis, AnalysisContext, AnalysisOutcome, AnalysisRegistry, AnalysisRequest,
@@ -469,34 +472,44 @@ fn dropping_an_unwaited_handle_cancels_cleanly() {
     }
 }
 
+/// Panics on purpose.
+#[derive(Debug)]
+struct Exploding;
+
+impl Analysis for Exploding {
+    fn key(&self) -> &str {
+        "explode"
+    }
+
+    fn describe(&self) -> &str {
+        "panics on purpose"
+    }
+
+    fn run(
+        &self,
+        _request: &AnalysisRequest,
+        _ctx: &dyn AnalysisContext,
+    ) -> Result<AnalysisOutcome, ApiError> {
+        panic!("analysis exploded on purpose")
+    }
+}
+
+/// A `threads`-thread engine whose `explode` analysis panics, and a
+/// 2-job sweep that selects it.
+fn exploding(threads: usize) -> (Engine, SweepSpec) {
+    let mut registry = AnalysisRegistry::builtin();
+    registry.register(Arc::new(Exploding));
+    let spec = SweepSpec::fractions(GeneratorPreset::Small, vec![2], vec![0.2], 2, 7)
+        .with_analyses(AnalysisSelection::from_keys(["explode"]));
+    (Engine::with_registry(threads, registry), spec)
+}
+
 #[test]
 fn panicking_analysis_closes_the_stream_and_reraises_the_payload() {
     // A worker panic must (a) close the event stream so a blocked
     // consumer terminates instead of hanging on the Condvar, and
     // (b) surface the *original* panic payload through wait().
-    #[derive(Debug)]
-    struct Exploding;
-    impl hetrta_engine::Analysis for Exploding {
-        fn key(&self) -> &str {
-            "explode"
-        }
-        fn describe(&self) -> &str {
-            "panics on purpose"
-        }
-        fn run(
-            &self,
-            _request: &hetrta_engine::AnalysisRequest,
-            _ctx: &dyn hetrta_engine::AnalysisContext,
-        ) -> Result<hetrta_engine::AnalysisOutcome, hetrta_engine::ApiError> {
-            panic!("analysis exploded on purpose")
-        }
-    }
-
-    let mut registry = hetrta_engine::AnalysisRegistry::builtin();
-    registry.register(Arc::new(Exploding));
-    let engine = Engine::with_registry(1, registry);
-    let spec = SweepSpec::fractions(GeneratorPreset::Small, vec![2], vec![0.2], 2, 7)
-        .with_analyses(AnalysisSelection::from_keys(["explode"]));
+    let (engine, spec) = exploding(1);
 
     let handle = engine.submit(&spec).expect("submit");
     // This loop must terminate (close-on-drop), not deadlock.
@@ -508,4 +521,97 @@ fn panicking_analysis_closes_the_stream_and_reraises_the_payload() {
         .copied()
         .expect("original payload survives");
     assert_eq!(message, "analysis exploded on purpose");
+}
+
+#[test]
+fn a_panic_under_run_reaches_the_caller_with_its_payload() {
+    // The caller is worker 0 here, so the panic may start on its own
+    // stack or on the helper's; either way the original payload comes
+    // back and the session is gone.
+    let (engine, spec) = exploding(2);
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run(&spec)))
+        .expect_err("the panic re-raises");
+    assert_eq!(
+        payload.downcast_ref::<&str>(),
+        Some(&"analysis exploded on purpose")
+    );
+    assert_eq!(engine.active_sessions(), 0);
+    let fine = SweepSpec::fractions(GeneratorPreset::Small, vec![2], vec![0.2], 2, 3);
+    assert_eq!(
+        engine.run(&fine).expect("engine still usable").stats.jobs,
+        2
+    );
+}
+
+/// Notes the thread every job's analysis ran on.
+#[derive(Debug, Default)]
+struct WhoAmI {
+    threads: Mutex<HashSet<ThreadId>>,
+}
+
+impl WhoAmI {
+    fn take(&self) -> HashSet<ThreadId> {
+        std::mem::take(&mut *self.threads.lock().expect("whoami lock"))
+    }
+}
+
+impl Analysis for WhoAmI {
+    fn key(&self) -> &str {
+        "whoami"
+    }
+
+    fn describe(&self) -> &str {
+        "notes its thread, then reports R_hom = 0"
+    }
+
+    fn run(
+        &self,
+        _request: &AnalysisRequest,
+        _ctx: &dyn AnalysisContext,
+    ) -> Result<AnalysisOutcome, ApiError> {
+        self.threads
+            .lock()
+            .expect("whoami lock")
+            .insert(std::thread::current().id());
+        Ok(AnalysisOutcome::Hom { r_hom: 0.0 })
+    }
+}
+
+#[test]
+fn run_sweeps_on_the_calling_thread_and_matches_submit_bitwise() {
+    let whoami = Arc::new(WhoAmI::default());
+    let mut registry = AnalysisRegistry::builtin();
+    registry.register(Arc::clone(&whoami) as Arc<dyn Analysis>);
+    let spec = spec().with_analyses(AnalysisSelection::from_keys(["het", "whoami"]));
+    let caller = std::thread::current().id();
+
+    let ran = Engine::with_registry(1, registry.clone())
+        .run(&spec)
+        .expect("run");
+    assert_eq!(
+        whoami.take(),
+        HashSet::from([caller]),
+        "1 thread spawns none"
+    );
+
+    let two = Engine::with_registry(2, registry.clone())
+        .run(&spec)
+        .expect("2-thread run");
+    let threads = whoami.take();
+    assert!(threads.contains(&caller), "the caller is worker 0");
+    assert!(threads.len() <= 2, "one helper at most: {threads:?}");
+
+    let submitted = Engine::with_registry(1, registry)
+        .submit(&spec)
+        .expect("submit")
+        .wait()
+        .expect("wait");
+    assert!(!whoami.take().contains(&caller), "submit sweeps elsewhere");
+
+    for other in [&two, &submitted] {
+        assert_eq!(
+            format!("{:?}", other.aggregate),
+            format!("{:?}", ran.aggregate)
+        );
+    }
 }

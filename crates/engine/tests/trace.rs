@@ -66,7 +66,7 @@ fn instrumented_sweep_exports_a_structurally_valid_chrome_trace() {
     let jobs: Vec<&Complete> = events.iter().filter(|e| e.name == "job").collect();
     assert_eq!(jobs.len(), out.stats.jobs, "one span per job");
     assert!(
-        jobs.iter().all(|j| j.lane >= 1.0),
+        jobs.iter().all(|j| j.lane == 1.0 || j.lane == 2.0),
         "jobs run on worker lanes"
     );
 
@@ -90,6 +90,13 @@ fn instrumented_sweep_exports_a_structurally_valid_chrome_trace() {
         .find(|e| e.name == "sweep")
         .expect("root sweep span");
     assert_eq!(sweep.lane, 0.0, "sweep span lives on the session lane");
+    // `Engine::run` sweeps on the calling thread, which is also worker 0:
+    // its jobs go to lane 1, its aggregation stays on lane 0.
+    let finalize = events
+        .iter()
+        .find(|e| e.name == "aggregate.finalize")
+        .expect("finalize span");
+    assert_eq!(finalize.lane, 0.0, "finalize lives on the session lane");
     for job in &jobs {
         assert!(
             sweep.start <= job.start && job.end <= sweep.end,
