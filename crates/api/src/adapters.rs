@@ -146,10 +146,6 @@ impl Analysis for HomAnalysis {
     fn cache_params(&self, params: &AnalysisParams) -> u64 {
         digest_m(params)
     }
-
-    fn cost_hint(&self) -> u8 {
-        0
-    }
 }
 
 /// `"sim"` — breadth-first simulation (optionally of `τ'` too).
@@ -212,10 +208,6 @@ impl Analysis for SimAnalysis {
         h.push(u64::from(params.sim_transformed));
         h.finish()
     }
-
-    fn cost_hint(&self) -> u8 {
-        3
-    }
 }
 
 /// `"exact"` — bounded exact minimum-makespan solve.
@@ -275,10 +267,6 @@ impl Analysis for ExactAnalysis {
         }
         h.finish()
     }
-
-    fn cost_hint(&self) -> u8 {
-        4
-    }
 }
 
 /// `"cond"` — conditional-DAG bounds (flatten-all, DP, enumeration).
@@ -328,10 +316,6 @@ impl Analysis for CondAnalysis {
         h.push(params.m);
         h.push(params.realization_cap as u64);
         h.finish()
-    }
-
-    fn cost_hint(&self) -> u8 {
-        2
     }
 }
 
@@ -391,10 +375,6 @@ impl Analysis for SuspendAnalysis {
         h.push(params.explore_seeds);
         h.finish()
     }
-
-    fn cost_hint(&self) -> u8 {
-        3
-    }
 }
 
 /// `"acceptance"` — the six task-set schedulability tests.
@@ -451,10 +431,6 @@ impl Analysis for AcceptanceAnalysis {
 
     fn cache_params(&self, params: &AnalysisParams) -> u64 {
         digest_m(params)
-    }
-
-    fn cost_hint(&self) -> u8 {
-        2
     }
 }
 
@@ -542,10 +518,6 @@ impl Analysis for SampledSimAnalysis {
         h.push(params.sample_seed);
         h.finish()
     }
-
-    fn cost_hint(&self) -> u8 {
-        4
-    }
 }
 
 /// `"anytime"` — anytime exact bounds: the full solver inside its size
@@ -619,10 +591,6 @@ impl Analysis for AnytimeExactAnalysis {
             }
         }
         h.finish()
-    }
-
-    fn cost_hint(&self) -> u8 {
-        4
     }
 }
 

@@ -39,9 +39,9 @@ impl InputKind {
 /// execution environment: the default [`DirectContext`] computes
 /// everything on the spot, while the batch engine supplies a context
 /// backed by its content-addressed memo caches so the Algorithm 1
-/// transformation and the [`DerivedData`] of a task (critical path,
-/// volume) are computed once per distinct DAG and
-/// shared across every core count and analysis kind that touches it.
+/// transformation and the [`DerivedData`](crate::DerivedData) of a task
+/// (critical path, volume) are computed once per distinct DAG and shared
+/// across every core count and analysis kind that touches it.
 pub trait AnalysisContext {
     /// The Algorithm 1 transformation of `task` (possibly memoized).
     ///
@@ -171,19 +171,6 @@ pub trait Analysis: Send + Sync + fmt::Debug {
         h.push(params.sample_budget as u64);
         h.push(params.sample_seed);
         h.finish()
-    }
-
-    /// Static relative cost rank (higher = heavier), used only as a
-    /// **cold-start fallback**: schedulers that order work by expense —
-    /// the batch engine injects heavy kinds first so a single expensive
-    /// job does not tail a sweep — prefer *measured* per-key wall-clock
-    /// EWMAs learned from finished jobs (the engine's `CostModel`) and
-    /// consult this rank solely for keys they have never timed. The
-    /// learned estimates are also exported to the engine's metrics
-    /// registry as `cost.ewma_us.{key}` gauges, so the effective cost
-    /// ordering is observable after any run.
-    fn cost_hint(&self) -> u8 {
-        1
     }
 }
 

@@ -3,7 +3,7 @@
 //! heterogeneous analysis, swept over normalized utilization.
 //!
 //! Runs on the batch-analysis engine: one job per generated task set,
-//! work-stealing across all cores, with content-addressed caching of the
+//! spread across all cores, with content-addressed caching of the
 //! six test verdicts. Seeding matches the serial
 //! [`hetrta_sched::acceptance::acceptance_sweep`] path exactly.
 //!

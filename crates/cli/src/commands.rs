@@ -304,7 +304,7 @@ pub const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "engine sweep",
         args: "",
-        help: "batch sweep on the work-stealing engine (registry-driven analyses)",
+        help: "batch sweep on the parallel engine (registry-driven analyses)",
         flags: sweep_shape_flags!(
             pre: [
                 FlagSpec {
@@ -1148,7 +1148,7 @@ fn analyses_help() -> String {
     )
 }
 
-/// `hetrta engine sweep …` — run a batch sweep on the work-stealing engine
+/// `hetrta engine sweep …` — run a batch sweep on the parallel engine
 /// and report per-cell results plus engine statistics (cache hit/miss,
 /// per-worker job counts).
 ///

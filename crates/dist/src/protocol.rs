@@ -40,7 +40,7 @@ pub const KIND_HELLO: u8 = 0x25;
 pub const FRAME_OVERHEAD: usize = 19;
 
 /// A [`JobResult`] minus its coordinator-irrelevant parts: per-analysis
-/// timings feed the *worker's* cost model and stay there, and the
+/// timings feed the *worker's* latency histograms and stay there, and the
 /// executing thread id is replaced by the dist-level worker id on
 /// reconstruction.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,7 +1,7 @@
 //! Disk-persistent layer under the in-memory result caches.
 //!
 //! Entries are addressed by the same stable 128-bit content keys the
-//! in-memory [`MemoCache`](crate::MemoCache)s use, in two namespaces:
+//! in-memory [`MemoCache`](crate::cache::MemoCache)s use, in two namespaces:
 //! `results` holds analysis outcomes keyed by content hash × registry key
 //! × parameter digest, `identity` holds the job-recipe → content-hash memo
 //! (including "the generator declined this sample"). Because keys are

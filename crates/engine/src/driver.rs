@@ -162,28 +162,19 @@ impl SweepDriver {
 
     /// Takes one finished job. A duplicate (or out-of-range) result is
     /// dropped. Otherwise the `done` record is written before the
-    /// aggregate takes the result, a journal keyframe follows every
-    /// `keyframe_every` records, and the return value is the next partial
-    /// snapshot when one is due.
+    /// aggregate takes the result, and the return value is the next
+    /// partial snapshot when one is due.
     pub fn accept(&mut self, result: JobResult) -> Option<AggregateUpdate> {
         if !self.is_pending(result.index) {
             return None;
         }
-        let keyframe_due = self
-            .journal
-            .as_ref()
-            .is_some_and(|journal| journal.0.record_done(&result));
+        if let Some(journal) = &self.journal {
+            journal.0.record_done(&result);
+        }
         self.aggregator.accept(result);
         let completed = self.aggregator.received();
         if completed == self.total {
             return None;
-        }
-        if keyframe_due {
-            if let Some(journal) = &self.journal {
-                journal
-                    .0
-                    .record_keyframe(completed, self.aggregator.partial());
-            }
         }
         let partials = self.partials.as_mut()?;
         if !completed.is_multiple_of(partials.every) {

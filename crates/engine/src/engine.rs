@@ -2,7 +2,6 @@
 //! out — either blocking ([`Engine::run`]) or as an observable session
 //! ([`Engine::submit`] → [`SweepHandle`]).
 
-use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -242,71 +241,6 @@ impl Default for EngineCaches {
     }
 }
 
-/// How the engine seeds its injector queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InjectionOrder {
-    /// Heaviest analysis kinds first, so a single expensive job does not
-    /// tail the sweep. "Heaviest" is *measured*: the engine learns a
-    /// wall-clock EWMA per registry key from finished jobs (see
-    /// [`CostModel`]) and falls back to the static
-    /// [`Analysis::cost_hint`](hetrta_api::Analysis::cost_hint) rank for
-    /// keys it has not timed yet. Aggregates are injection-order
-    /// independent, so this is the default.
-    #[default]
-    CostDescending,
-    /// Plain expansion order.
-    Expansion,
-}
-
-/// Per-registry-key wall-clock cost estimates, learned from finished jobs.
-///
-/// Each computed (non-cached) analysis execution feeds an exponentially
-/// weighted moving average of its wall time; the injector orders jobs by
-/// these measurements instead of the static `cost_hint` rank once a key
-/// has been observed. The model is shared across every run of an engine,
-/// so a second sweep is ordered by what the first one actually measured.
-#[derive(Debug, Default)]
-pub struct CostModel {
-    ewma_micros: Mutex<HashMap<Arc<str>, f64>>,
-}
-
-/// EWMA smoothing factor: new measurements carry 20% weight.
-const EWMA_ALPHA: f64 = 0.2;
-
-impl CostModel {
-    /// Feeds one measured analysis execution.
-    pub fn observe(&self, key: &Arc<str>, elapsed: Duration) {
-        let micros = elapsed.as_secs_f64() * 1e6;
-        let mut map = self.ewma_micros.lock().expect("cost model");
-        match map.get_mut(key) {
-            Some(current) => *current = EWMA_ALPHA * micros + (1.0 - EWMA_ALPHA) * *current,
-            None => {
-                map.insert(Arc::clone(key), micros);
-            }
-        }
-    }
-
-    /// The learned EWMA for `key` in microseconds, if any job timed it.
-    #[must_use]
-    pub fn measured_micros(&self, key: &str) -> Option<f64> {
-        self.ewma_micros
-            .lock()
-            .expect("cost model")
-            .get(key)
-            .copied()
-    }
-
-    /// The ordering estimate for `key`: the measured EWMA, or the static
-    /// `hint` rank as a (dimensionless, very small) prior for keys never
-    /// timed — enough to order unmeasured keys among themselves exactly
-    /// like the pre-measurement engine did.
-    #[must_use]
-    pub fn estimate_micros(&self, key: &str, hint: u8) -> f64 {
-        self.measured_micros(key)
-            .unwrap_or_else(|| f64::from(hint) * 1e-3)
-    }
-}
-
 /// Statistics of one [`Engine::run`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineStats {
@@ -317,8 +251,6 @@ pub struct EngineStats {
     pub jobs: usize,
     /// Jobs executed per worker.
     pub per_worker_jobs: Vec<u64>,
-    /// Jobs each worker stole from a sibling's deque.
-    pub per_worker_steals: Vec<u64>,
     /// Jobs served entirely from the memo caches.
     pub cached_jobs: u64,
     /// Jobs whose sample the generator declined (skipped by aggregation).
@@ -400,13 +332,8 @@ impl EngineStats {
         if self.events_dropped > 0 {
             let _ = writeln!(out, "  events dropped:  {}", self.events_dropped);
         }
-        for (worker, (jobs, steals)) in self
-            .per_worker_jobs
-            .iter()
-            .zip(&self.per_worker_steals)
-            .enumerate()
-        {
-            let _ = writeln!(out, "  worker {worker}: {jobs} jobs ({steals} stolen)");
+        for (worker, jobs) in self.per_worker_jobs.iter().enumerate() {
+            let _ = writeln!(out, "  worker {worker}: {jobs} jobs");
         }
         out
     }
@@ -487,9 +414,9 @@ impl CacheBaseline {
     }
 }
 
-/// Builds an [`Engine`] — worker threads, registry, cache capacity,
-/// injection order, and (the option only the builder offers) a
-/// disk-persistent cache directory.
+/// Builds an [`Engine`] — worker threads, registry, cache capacity, and
+/// (the option only the builder offers) a disk-persistent cache
+/// directory.
 ///
 /// ```no_run
 /// use hetrta_engine::EngineBuilder;
@@ -510,7 +437,6 @@ pub struct EngineBuilder {
     threads: usize,
     registry: AnalysisRegistry,
     capacity: usize,
-    injection: InjectionOrder,
     cache_dir: Option<PathBuf>,
     recorder: Option<Arc<dyn Recorder>>,
     fault: Option<Arc<hetrta_fault::FaultPlan>>,
@@ -518,15 +444,13 @@ pub struct EngineBuilder {
 
 impl EngineBuilder {
     /// A builder with the defaults of [`Engine::new`]: all cores, the
-    /// builtin registry, [`DEFAULT_CACHE_CAPACITY`], cost-descending
-    /// injection, no disk layer.
+    /// builtin registry, [`DEFAULT_CACHE_CAPACITY`], no disk layer.
     #[must_use]
     pub fn new() -> Self {
         EngineBuilder {
             threads: 0,
             registry: AnalysisRegistry::builtin(),
             capacity: DEFAULT_CACHE_CAPACITY,
-            injection: InjectionOrder::default(),
             cache_dir: None,
             recorder: None,
             fault: None,
@@ -554,13 +478,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Injector seeding order.
-    #[must_use]
-    pub fn injection_order(mut self, injection: InjectionOrder) -> Self {
-        self.injection = injection;
-        self
-    }
-
     /// Attaches a disk-persistent cache directory: analysis results (and
     /// the job-identity memo) are written under `dir` keyed by their
     /// stable content hashes, so a later engine — including one in a
@@ -575,7 +492,7 @@ impl EngineBuilder {
     /// Attaches a [`Recorder`] that receives structured spans from every
     /// layer of the engine: per-job spans (with per-analysis child spans)
     /// on worker lanes, session spans on lane 0, disk-cache read/write/gc
-    /// spans, and injector queue-depth samples.
+    /// spans, and queue-depth samples (jobs not yet claimed).
     ///
     /// The default recorder is a no-op whose `enabled()` gate skips all
     /// clock reads and formatting, so an engine without one pays nothing.
@@ -642,8 +559,6 @@ impl EngineBuilder {
                 threads: pool::resolve_threads(self.threads),
                 caches: Arc::new(caches),
                 registry: Arc::new(self.registry),
-                injection: self.injection,
-                cost_model: Arc::new(CostModel::default()),
                 metrics,
                 recorder,
             },
@@ -658,7 +573,7 @@ impl Default for EngineBuilder {
     }
 }
 
-/// The work-stealing, registry-driven batch-analysis engine.
+/// The registry-driven batch-analysis engine.
 ///
 /// Holds the worker-thread count, the [`AnalysisRegistry`] jobs resolve
 /// their keys against, and the content-addressed caches; caches persist
@@ -706,13 +621,6 @@ impl Engine {
             .expect("no cache dir, cannot fail")
     }
 
-    /// Overrides the injector seeding order.
-    #[must_use]
-    pub fn with_injection_order(mut self, injection: InjectionOrder) -> Self {
-        self.exec.injection = injection;
-        self
-    }
-
     /// Worker threads this engine uses.
     #[must_use]
     pub fn threads(&self) -> usize {
@@ -729,12 +637,6 @@ impl Engine {
     #[must_use]
     pub fn registry(&self) -> &AnalysisRegistry {
         &self.exec.registry
-    }
-
-    /// The learned per-key cost model feeding the injector order.
-    #[must_use]
-    pub fn cost_model(&self) -> &CostModel {
-        &self.exec.cost_model
     }
 
     /// The engine's metrics registry: cache hit/miss counters, pool
@@ -770,7 +672,7 @@ impl Engine {
     /// are the same machinery, pinned bitwise-identical by tests.
     ///
     /// The aggregate is deterministic: same spec ⇒ identical result for
-    /// any thread count, any injection order, and any cache state.
+    /// any thread count and any cache state.
     ///
     /// # Errors
     ///
@@ -895,7 +797,7 @@ impl Engine {
         let _span = span!(self.exec.recorder.as_ref(), "sweep");
         let (mut driver, jobs) = SweepDriver::open(spec, &self.exec.registry, Some(cfg))?;
         let (total, executed) = (driver.total(), jobs.len());
-        self.exec.run(jobs, cancel, &|_| {}, |result| {
+        self.exec.run(&jobs, cancel, &|_| {}, |result| {
             progress(driver.completed() + 1, total, &result);
             driver.accept(result);
         });
@@ -951,7 +853,7 @@ impl Engine {
         }
         let jobs: Vec<Job> = jobs.into_iter().filter(|job| wanted[job.index]).collect();
         let ran = jobs.len();
-        self.exec.run(jobs, None, &|_| {}, sink);
+        self.exec.run(&jobs, None, &|_| {}, sink);
         Ok(ran)
     }
 }
@@ -963,29 +865,24 @@ struct Executor {
     threads: usize,
     caches: Arc<EngineCaches>,
     registry: Arc<AnalysisRegistry>,
-    injection: InjectionOrder,
-    cost_model: Arc<CostModel>,
     metrics: Arc<MetricsRegistry>,
     recorder: Arc<dyn Recorder>,
 }
 
 impl Executor {
-    /// Runs `jobs` on the worker pool and hands each result to `consume`
-    /// on the calling thread; `on_start` runs on the worker as it picks a
-    /// job up. Feeds the cost model, the per-analysis latency histograms,
-    /// the queue-depth gauge and (once per call) the `pool.*` counters and
-    /// `cost.ewma_us.*` gauges. Once `cancel` flips, queued jobs are
-    /// skipped; in-flight jobs finish and still reach `consume`.
+    /// Runs `jobs` on the worker pool, claimed in slice order, and hands
+    /// each result to `consume` on the calling thread; `on_start` runs on
+    /// the worker as it picks a job up. Feeds the per-analysis latency
+    /// histograms, the queue-depth gauge and (once per call) the `pool.*`
+    /// counters. Once `cancel` flips, unclaimed jobs are skipped;
+    /// in-flight jobs finish and still reach `consume`.
     fn run(
         &self,
-        mut jobs: Vec<Job>,
+        jobs: &[Job],
         cancel: Option<&AtomicBool>,
         on_start: &(dyn Fn(usize) + Sync),
         mut consume: impl FnMut(JobResult),
     ) -> Vec<pool::WorkerStats> {
-        if self.injection == InjectionOrder::CostDescending {
-            self.order_by_cost(&mut jobs);
-        }
         let threads = self.threads.min(jobs.len().max(1));
         let (caches, registry, metrics) = (&self.caches, &self.registry, &self.metrics);
         let recorder: &dyn Recorder = self.recorder.as_ref();
@@ -1009,15 +906,14 @@ impl Executor {
             threads,
             cancel,
             Some(&observe_depth),
-            |worker, job: Job| {
+            |worker, job: &Job| {
                 hetrta_obs::set_thread_lane(worker as u32 + 1);
                 on_start(job.index);
                 let _span = span!(recorder, "job", index = job.index, cell = job.cell);
-                job::execute(caches, registry, &job, worker, recorder)
+                job::execute(caches, registry, job, worker, recorder)
             },
             |_, result| {
                 for (key, elapsed) in &result.timings {
-                    self.cost_model.observe(key, *elapsed);
                     latency
                         .entry(Arc::clone(key))
                         .or_insert_with(|| metrics.histogram(&format!("analysis.{key}.latency_ns")))
@@ -1027,50 +923,18 @@ impl Executor {
             },
         );
 
-        // Pool-level totals and the learned per-key cost EWMAs land on
-        // the registry once per call.
+        // Pool-level totals land on the registry once per call.
         let micros = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
         metrics
             .counter("pool.jobs")
             .add(worker_stats.iter().map(|w| w.jobs).sum());
-        metrics
-            .counter("pool.steals")
-            .add(worker_stats.iter().map(|w| w.steals).sum());
         metrics
             .counter("pool.busy_us")
             .add(worker_stats.iter().map(|w| micros(w.busy)).sum());
         metrics
             .counter("pool.idle_us")
             .add(worker_stats.iter().map(|w| micros(w.idle)).sum());
-        for key in latency.keys() {
-            if let Some(micros) = self.cost_model.measured_micros(key) {
-                #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-                metrics
-                    .gauge(&format!("cost.ewma_us.{key}"))
-                    .set(micros.max(0.0) as u64);
-            }
-        }
         worker_stats
-    }
-
-    /// Stable-sorts jobs so the heaviest analysis kinds enter the injector
-    /// first — by learned wall-clock EWMA where measured, by the static
-    /// `cost_hint` rank otherwise (the aggregator replays expansion order,
-    /// so aggregates are unaffected either way).
-    fn order_by_cost(&self, jobs: &mut [Job]) {
-        jobs.sort_by_cached_key(|job| {
-            let cost = job
-                .payload
-                .analyses
-                .iter()
-                .filter_map(|key| {
-                    let hint = self.registry.get(key).ok()?.cost_hint();
-                    Some(self.cost_model.estimate_micros(key, hint))
-                })
-                .fold(0.0_f64, f64::max);
-            // Non-negative f64 bit patterns order like the floats.
-            (Reverse(cost.max(0.0).to_bits()), job.index)
-        });
     }
 }
 
@@ -1146,7 +1010,7 @@ impl SessionTask {
         };
         let worker_stats = self
             .exec
-            .run(jobs, Some(&shared.cancel), &on_start, |result| {
+            .run(&jobs, Some(&shared.cancel), &on_start, |result| {
                 let progress = &shared.progress;
                 progress.done.fetch_add(1, Ordering::Relaxed);
                 if result.cache_hit {
@@ -1202,7 +1066,6 @@ impl SessionTask {
         drop(sweep_span);
         let stats = EngineStats {
             per_worker_jobs: worker_stats.iter().map(|w| w.jobs).collect(),
-            per_worker_steals: worker_stats.iter().map(|w| w.steals).collect(),
             ..shared.stats()
         };
         Ok(EngineOutput { aggregate, stats })
@@ -1274,22 +1137,6 @@ mod tests {
     }
 
     #[test]
-    fn injection_order_does_not_change_the_aggregate() {
-        // Tiny DAGs keep the (heaviest-ranked) exact solves fast while the
-        // cost ordering still reshuffles all four analysis kinds.
-        let tiny =
-            GeneratorPreset::Custom(hetrta_gen::NfjParams::small_tasks().with_node_range(4, 12));
-        let spec = SweepSpec::fractions(tiny, vec![2, 4], vec![0.1, 0.3], 6, 11)
-            .with_analyses(crate::AnalysisSelection::all());
-        let by_cost = Engine::new(3).run(&spec).unwrap();
-        let by_expansion = Engine::new(3)
-            .with_injection_order(InjectionOrder::Expansion)
-            .run(&spec)
-            .unwrap();
-        assert_eq!(by_cost.aggregate, by_expansion.aggregate);
-    }
-
-    #[test]
     fn bounded_caches_stay_under_their_cap() {
         let engine = Engine::with_cache_capacity(2, 64);
         // 2 × 4 × 20 = 160 distinct jobs — far beyond the 64-entry cap.
@@ -1333,26 +1180,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_learns_ewmas_and_orders_by_them() {
-        let model = CostModel::default();
-        let key: Arc<str> = Arc::from("hom");
-        assert_eq!(model.measured_micros("hom"), None);
-        // Unmeasured keys order by their static hints.
-        assert!(model.estimate_micros("exact", 4) > model.estimate_micros("hom", 0));
-        model.observe(&key, Duration::from_micros(100));
-        assert_eq!(model.measured_micros("hom"), Some(100.0));
-        // EWMA: 0.2·500 + 0.8·100 = 180.
-        model.observe(&key, Duration::from_micros(500));
-        let ewma = model.measured_micros("hom").unwrap();
-        assert!((ewma - 180.0).abs() < 1e-6, "{ewma}");
-        // A measured key outweighs any static hint.
-        assert!(model.estimate_micros("hom", 0) > model.estimate_micros("exact", 255));
-    }
-
-    #[test]
-    fn measured_costs_reorder_the_injector_without_changing_aggregates() {
-        // Run once (costs get measured), then again: the second run's
-        // injector is EWMA-ordered, and the aggregate must not move.
+    fn every_executed_analysis_feeds_its_latency_histogram() {
         let spec = SweepSpec::fractions(
             GeneratorPreset::Custom(hetrta_gen::NfjParams::small_tasks().with_node_range(4, 12)),
             vec![2],
@@ -1363,15 +1191,21 @@ mod tests {
         .with_analyses(crate::AnalysisSelection::all());
         let engine = Engine::new(2);
         let first = engine.run(&spec).unwrap();
-        for key in ["het", "hom", "sim", "exact"] {
-            assert!(
-                engine.cost_model().measured_micros(key).is_some(),
-                "`{key}` was executed but never measured"
-            );
+        let samples = |engine: &Engine| {
+            let snap = engine.metrics().snapshot();
+            ["het", "hom", "sim", "exact"].map(|key| {
+                snap.histogram(&format!("analysis.{key}.latency_ns"))
+                    .map_or(0, |h| h.count)
+            })
+        };
+        let measured = samples(&engine);
+        for (key, count) in ["het", "hom", "sim", "exact"].iter().zip(measured) {
+            assert!(count > 0, "`{key}` was executed but never measured");
         }
         let second = engine.run(&spec).unwrap();
         assert_eq!(first.aggregate, second.aggregate);
-        // Fully cached second run adds no new measurements.
+        // A fully cached second run computes, and so times, nothing.
         assert_eq!(second.stats.cached_jobs as usize, second.stats.jobs);
+        assert_eq!(samples(&engine), measured);
     }
 }

@@ -277,7 +277,7 @@ pub struct JobResult {
     pub wall_time: Duration,
     /// Measured wall time of each analysis that was actually *computed*
     /// (cache-served analyses are not timed) — the feed of the engine's
-    /// per-key cost EWMAs.
+    /// `analysis.<key>.latency_ns` histograms.
     pub timings: Vec<(Arc<str>, Duration)>,
     /// Metrics, or the failure message.
     pub metrics: Result<JobMetrics, String>,

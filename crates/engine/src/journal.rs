@@ -4,21 +4,19 @@
 //!
 //! Built on [`hetrta_fault::RecordLog`] — append-only, FNV-64
 //! checksummed records, atomic tmp+rename segment rotation, torn-tail
-//! tolerant reads (the same discipline as [`crate::disk`]). Three
-//! record kinds, all single-line with embedded text escaped:
+//! tolerant reads (the same discipline as [`crate::disk`]). Two record
+//! kinds, both single-line with embedded text escaped:
 //!
 //! ```text
 //! start <spec_hash:016x> <total_jobs> <escaped encode_spec text>
 //! done <index> <cell> <identity:032x> <hit:0|1> <wall_ns> <escaped outcomes>
-//! keyframe <completed> <escaped encode_update text>
 //! ```
 //!
 //! The `start` record pins the journal to one spec and task stream
-//! ([`spec_hash`]); `done`
-//! records carry each finished job's full outcome payload so resume
-//! replays it *without re-executing anything*; periodic `keyframe`
-//! records (which also seal the active segment) snapshot the aggregate
-//! for observers. Because the aggregator replays expansion order at
+//! ([`spec_hash`]); `done` records carry each finished job's full outcome
+//! payload so resume replays it *without re-executing anything*. Every 64
+//! `done` records the active segment is sealed, bounding what a power
+//! loss can take. Because the aggregator replays expansion order at
 //! finalize, a resumed sweep's aggregate is **bitwise identical** to an
 //! uninterrupted run's — regardless of where the crash landed.
 
@@ -32,15 +30,14 @@ use hetrta_api::AnalysisOutcome;
 use hetrta_fault::{escape, unescape, RecordLog};
 use hetrta_gen::STREAM_VERSION;
 
-use crate::aggregate::{AggregateUpdate, SweepAggregate};
+use crate::aggregate::SweepAggregate;
 use crate::engine::EngineError;
 use crate::job::{JobMetrics, JobResult};
 use crate::spec::SweepSpec;
-use crate::wire::{encode_spec, encode_update};
+use crate::wire::encode_spec;
 
-/// Default `done`-record cadence of aggregate keyframes (each keyframe
-/// also seals the active journal segment).
-pub const DEFAULT_KEYFRAME_EVERY: usize = 64;
+/// `done` records between two seals of the active journal segment.
+const SEAL_EVERY: usize = 64;
 
 /// Where (and how) a sweep journals its progress.
 #[derive(Debug, Clone)]
@@ -51,18 +48,15 @@ pub struct JournalConfig {
     /// this, a directory that already holds completed jobs is refused —
     /// resuming must be an explicit decision, not an accident.
     pub resume: bool,
-    /// Keyframe (and segment-seal) cadence in completed jobs.
-    pub keyframe_every: usize,
 }
 
 impl JournalConfig {
-    /// A config journaling into `dir` with default cadence, not resuming.
+    /// A config journaling into `dir`, not resuming.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         JournalConfig {
             dir: dir.into(),
             resume: false,
-            keyframe_every: DEFAULT_KEYFRAME_EVERY,
         }
     }
 
@@ -95,15 +89,13 @@ pub fn spec_hash(spec: &SweepSpec) -> u64 {
 pub struct SweepJournal {
     inner: Mutex<JournalInner>,
     spec_hash: u64,
-    keyframe_every: usize,
     write_failures: AtomicU64,
 }
 
 #[derive(Debug)]
 struct JournalInner {
     log: RecordLog,
-    since_keyframe: usize,
-    keyframe_seq: u64,
+    since_seal: usize,
 }
 
 /// What replaying a journal recovered.
@@ -155,9 +147,9 @@ impl SweepJournal {
                     let slot = result.index;
                     results[slot] = Some(result);
                 }
-                // Keyframes are observer state, not replay state, and a
-                // record this reader cannot parse (torn tail survivors,
-                // future kinds) loses that record only.
+                // A record this reader cannot parse (torn tail survivors,
+                // kinds of other builds such as the aggregate keyframes
+                // older journals hold) loses that record only.
                 _ => {}
             }
         }
@@ -182,13 +174,8 @@ impl SweepJournal {
         }
         Ok((
             SweepJournal {
-                inner: Mutex::new(JournalInner {
-                    log,
-                    since_keyframe: 0,
-                    keyframe_seq: 0,
-                }),
+                inner: Mutex::new(JournalInner { log, since_seal: 0 }),
                 spec_hash: hash,
-                keyframe_every: cfg.keyframe_every.max(1),
                 write_failures: AtomicU64::new(0),
             },
             JournalReplay { results: replayed },
@@ -203,15 +190,16 @@ impl SweepJournal {
 
     /// Appends one finished job. Failed jobs are *not* journaled (they
     /// fail the sweep and must re-run on resume); skipped and successful
-    /// jobs are. Returns `true` when a keyframe is due.
-    pub fn record_done(&self, result: &JobResult) -> bool {
+    /// jobs are. Every 64th record also seals the active segment (atomic
+    /// rename), bounding how much a later torn tail can cover.
+    pub fn record_done(&self, result: &JobResult) {
         let payload = match &result.metrics {
             Ok(JobMetrics::Outcomes(outcomes)) => {
                 let lines: Vec<String> = outcomes.iter().map(AnalysisOutcome::encode).collect();
                 format!("ok\n{}", lines.join("\n"))
             }
             Ok(JobMetrics::Skipped) => "skip".to_owned(),
-            Err(_) => return false,
+            Err(_) => return,
         };
         let record = format!(
             "done {} {} {:032x} {} {} {}",
@@ -226,22 +214,12 @@ impl SweepJournal {
         if inner.log.append(&record).is_err() {
             self.write_failures.fetch_add(1, Ordering::Relaxed);
         }
-        inner.since_keyframe += 1;
-        inner.since_keyframe >= self.keyframe_every
-    }
-
-    /// Appends an aggregate keyframe and seals the active segment
-    /// (atomic rename), bounding how much a later torn tail can cover.
-    pub fn record_keyframe(&self, completed: usize, aggregate: SweepAggregate) {
-        let mut inner = self.lock();
-        let seq = inner.keyframe_seq;
-        inner.keyframe_seq += 1;
-        inner.since_keyframe = 0;
-        let update = AggregateUpdate::Keyframe { seq, aggregate };
-        let record = format!("keyframe {completed} {}", escape(&encode_update(&update)));
-        let ok = inner.log.append(&record).is_ok() && inner.log.seal().is_ok();
-        if !ok {
-            self.write_failures.fetch_add(1, Ordering::Relaxed);
+        inner.since_seal += 1;
+        if inner.since_seal == SEAL_EVERY {
+            inner.since_seal = 0;
+            if inner.log.seal().is_err() {
+                self.write_failures.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -370,45 +348,41 @@ mod tests {
     #[test]
     fn resume_replays_done_jobs_and_runs_only_the_remainder() {
         let dir = temp_dir("resume");
+        // 80 jobs: the resumed run writes 75 `done` records, so it seals
+        // segments mid-run as well as at the end.
+        let spec = SweepSpec::fractions(GeneratorPreset::Small, vec![2, 4], vec![0.1, 0.3], 20, 11);
         let engine = Engine::new(2);
-        let full = engine.run(&spec()).unwrap();
-        let total = spec().job_count();
+        let full = engine.run(&spec).unwrap();
+        let total = spec.job_count();
+        assert!(total - 5 > SEAL_EVERY);
 
         // Interrupt a journaled run after exactly 5 jobs by journaling a
         // subset directly (the deterministic stand-in for SIGKILL; the
         // CLI integration test does the real kill -9), dropping without
         // a seal — as a crash would.
         let cfg = JournalConfig::new(&dir);
-        let (journal, replay) = SweepJournal::open(&cfg, &spec(), total).unwrap();
+        let (journal, replay) = SweepJournal::open(&cfg, &spec, total).unwrap();
         assert!(replay.results.is_empty());
         let done: Vec<usize> = vec![0, 3, 7, 11, 15];
         engine
-            .run_job_subset(&spec(), &done, |result| {
+            .run_job_subset(&spec, &done, |result| {
                 journal.record_done(&result);
             })
             .unwrap();
         drop(journal);
 
         // A fresh engine (cold caches — everything must come from the
-        // journal, not memory) resumes and completes the rest; a tight
-        // keyframe cadence exercises mid-run keyframes + segment seals.
+        // journal, not memory) resumes and completes the rest.
         let resumed = Engine::new(2)
-            .run_journaled(
-                &spec(),
-                &JournalConfig {
-                    keyframe_every: 3,
-                    ..JournalConfig::new(&dir).resuming()
-                },
-            )
+            .run_journaled(&spec, &JournalConfig::new(&dir).resuming())
             .unwrap();
         assert_eq!(resumed.replayed, 5);
         assert_eq!(resumed.executed, total - 5);
         assert_eq!(resumed.aggregate, full.aggregate, "bitwise identical");
 
-        // Resuming a *finished* journal (which now also holds keyframe
-        // records to skip) re-executes nothing at all.
+        // Resuming a *finished* journal re-executes nothing at all.
         let again = Engine::new(2)
-            .run_journaled(&spec(), &JournalConfig::new(&dir).resuming())
+            .run_journaled(&spec, &JournalConfig::new(&dir).resuming())
             .unwrap();
         assert_eq!(again.executed, 0);
         assert_eq!(again.replayed, total);

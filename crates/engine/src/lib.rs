@@ -14,8 +14,8 @@
 //!   [`AnalysisRegistry`] of `hetrta-api` — `"het"`, `"hom"`, `"sim"`,
 //!   `"exact"`, `"cond"`, `"suspend"`, `"acceptance"`, or any custom
 //!   [`Analysis`] registered by the application;
-//! * a **work-stealing worker pool** ([`pool`]) runs the jobs — heaviest
-//!   analysis kinds first, so one expensive solve does not tail the sweep;
+//! * a **worker pool** ([`pool`]) runs the jobs, each worker claiming
+//!   the next one from a shared cursor over the expansion;
 //! * five bounded, sharded-LRU **memo caches** ([`cache`]) serve repeated
 //!   content: analysis results by content hash × key × parameter digest,
 //!   Algorithm 1 transformations and per-DAG derived data (critical path,
@@ -84,8 +84,8 @@ pub use cache::CacheCounters;
 pub use disk::{DiskCache, GcStats};
 pub use driver::SweepDriver;
 pub use engine::{
-    CostModel, Engine, EngineBuilder, EngineCaches, EngineError, EngineOutput, EngineStats,
-    InjectionOrder, DEFAULT_CACHE_CAPACITY, INPUT_CACHE_CAP,
+    Engine, EngineBuilder, EngineCaches, EngineError, EngineOutput, EngineStats,
+    DEFAULT_CACHE_CAPACITY, INPUT_CACHE_CAP,
 };
 pub use job::{Job, JobInput, JobMetrics, JobPayload, JobResult};
 pub use journal::{spec_hash, JournalConfig, JournalOutcome, SweepJournal};
@@ -107,11 +107,6 @@ pub use hetrta_api::{
     Analysis, AnalysisContext, AnalysisInput, AnalysisOutcome, AnalysisParams, AnalysisRegistry,
     AnalysisRequest, ApiError, CondOutcome, HetOutcome, SimOutcome, SuspendOutcome,
 };
-
-/// Backwards-compatible name of [`hetrta_api::HetOutcome`].
-pub type HetSummary = hetrta_api::HetOutcome;
-/// Backwards-compatible name of [`hetrta_api::ExactOutcome`].
-pub type ExactSummary = hetrta_api::ExactOutcome;
 
 // The acceptance-test order of set sweeps is the serial path's.
 pub use hetrta_sched::acceptance::TestKind;

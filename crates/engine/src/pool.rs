@@ -1,26 +1,22 @@
-//! Work-stealing worker pool (std only).
+//! Self-scheduling worker pool (std only).
 //!
-//! Topology: one shared **injector** queue seeded with every job, plus one
-//! **local deque** per worker. Owners drain their deque FIFO (pop from the
-//! front), refill in batches from the injector, and — once the injector
-//! runs dry — **steal** from the back of sibling deques (the victim's
-//! newest-queued job: the opposite end from the owner, minimizing
-//! contention). Jobs never spawn jobs, so "everything empty" is a sound
-//! termination condition.
+//! Workers claim jobs from one shared cursor over the job slice: each
+//! `fetch_add` on an [`AtomicUsize`] hands out the next expansion index,
+//! so jobs start in slice order and every index runs exactly once. Jobs
+//! never spawn jobs, so a cursor past the end is a sound termination
+//! condition.
 //!
-//! The calling thread is worker 0: it runs jobs like any helper and,
-//! between its own jobs, hands every finished result to the caller's
-//! `consume` — its own at once, the helpers' as they arrive over an
-//! [`std::sync::mpsc`] channel. Only `threads − 1` helpers are spawned,
+//! The calling thread is worker 0: it claims the first job before any
+//! helper starts, runs jobs like any helper and, between its own jobs,
+//! hands every finished result to the caller's `consume` — its own at
+//! once, the helpers' as they arrive over an [`std::sync::mpsc`] channel. Only `threads − 1` helpers are spawned,
 //! so a 1-thread pool spawns nothing and nobody sleeps waiting for
 //! results while work is queued. Results are consumed in completion
 //! order; every job carries its submission index so callers can
 //! re-establish deterministic order regardless of scheduling.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Per-worker execution counters.
@@ -28,14 +24,11 @@ use std::time::{Duration, Instant};
 pub struct WorkerStats {
     /// Jobs this worker executed.
     pub jobs: u64,
-    /// Jobs this worker stole from a sibling's deque.
-    pub steals: u64,
     /// Wall time spent inside `exec` calls.
     pub busy: Duration,
-    /// Wall time spent outside `exec` (dequeuing, stealing, handing on
-    /// results) between the worker's first and last activity. Worker 0
-    /// runs on the calling thread, so its share includes the time spent
-    /// in `consume`.
+    /// Wall time spent outside `exec` (claiming jobs, handing on results)
+    /// between the worker's first and last activity. Worker 0 runs on the
+    /// calling thread, so its share includes the time spent in `consume`.
     pub idle: Duration,
 }
 
@@ -53,14 +46,15 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// hands `(index, result)` pairs to `consume` on the calling thread as
 /// they complete.
 ///
-/// `consume` observes results in nondeterministic completion order; the
-/// submission `index` lets the caller rebuild input order. Once `cancel`
-/// (when present) reads `true`, workers stop dequeuing: jobs already
-/// executing finish and their results are still delivered, the rest never
-/// run. `queue_depth` (when present) is called with the injector's
-/// remaining length after every batch refill, letting an observer sample
-/// how fast the shared queue drains; it runs on worker threads under no
-/// lock and must be cheap. Returns the per-worker counters.
+/// Jobs are claimed in slice order; `consume` observes results in
+/// nondeterministic completion order, and the slice `index` lets the
+/// caller rebuild input order. Once `cancel` (when present) reads `true`,
+/// workers stop claiming: jobs already executing finish and their results
+/// are still delivered, the rest never run. `queue_depth` (when present)
+/// is called every few claims with the number of jobs not yet claimed,
+/// letting an observer sample how fast the sweep drains; it runs on
+/// worker threads under no lock and must be cheap. Returns the
+/// per-worker counters.
 ///
 /// `exec` runs on the calling thread as worker 0 and may set the thread's
 /// trace lane; the caller's lane is restored after every such job, so
@@ -71,7 +65,7 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// Propagates a panic from any job or from `consume` with its original
 /// payload, once the helper threads have stopped.
 pub fn run_jobs<J, R, E, C>(
-    jobs: Vec<J>,
+    jobs: &[J],
     threads: usize,
     cancel: Option<&AtomicBool>,
     queue_depth: Option<&(dyn Fn(usize) + Sync)>,
@@ -79,9 +73,9 @@ pub fn run_jobs<J, R, E, C>(
     mut consume: C,
 ) -> Vec<WorkerStats>
 where
-    J: Send,
+    J: Sync,
     R: Send,
-    E: Fn(usize, J) -> R + Sync,
+    E: Fn(usize, &J) -> R + Sync,
     C: FnMut(usize, R),
 {
     let n = jobs.len();
@@ -90,17 +84,19 @@ where
         return vec![WorkerStats::default(); threads];
     }
 
-    let queues = Queues {
-        // Batch size for injector refills: big enough to amortize the
-        // injector lock, small enough that late stragglers still balance
-        // via stealing.
-        batch: (n / (threads * 8)).clamp(1, 64),
-        injector: Mutex::new(jobs.into_iter().enumerate().collect()),
-        locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+    let cursor = Cursor {
+        jobs,
+        next: AtomicUsize::new(0),
+        // Sampling every `sample_every`-th claim keeps the observer off
+        // the per-job path: no shared store but the cursor's own.
+        sample_every: (n / (threads * 8)).clamp(1, 64),
         cancel,
         queue_depth,
     };
 
+    // Worker 0 claims before any helper exists, so the caller runs the
+    // first job of every sweep that is not cancelled.
+    let first = cursor.claim();
     let mut stats = vec![WorkerStats::default(); threads];
     std::thread::scope(|scope| {
         // Created inside the scope: if worker 0 unwinds, the receiver
@@ -109,10 +105,10 @@ where
         let helpers: Vec<_> = (1..threads)
             .map(|worker| {
                 let tx = tx.clone();
-                let (queues, exec) = (&queues, &exec);
+                let (cursor, exec) = (&cursor, &exec);
                 scope.spawn(move || {
-                    queues.work(
-                        worker,
+                    cursor.work(
+                        cursor.claim(),
                         |job| exec(worker, job),
                         // A closed channel means the caller is unwinding.
                         |index, result| tx.send((index, result)).is_ok(),
@@ -123,8 +119,8 @@ where
         drop(tx);
 
         let lane = hetrta_obs::thread_lane();
-        stats[0] = queues.work(
-            0,
+        stats[0] = cursor.work(
+            first,
             |job| {
                 let _lane = RestoreLane(lane);
                 exec(0, job)
@@ -137,7 +133,7 @@ where
                 true
             },
         );
-        // The queues are empty: wait out the helpers' last jobs.
+        // Worker 0 is done: wait out the helpers' last jobs.
         for (index, result) in rx {
             consume(index, result);
         }
@@ -164,88 +160,60 @@ impl Drop for RestoreLane {
     }
 }
 
-/// The shared injector, one local deque per worker, and what every
-/// worker consults between jobs.
-struct Queues<'a, J> {
-    injector: Mutex<VecDeque<(usize, J)>>,
-    locals: Vec<Mutex<VecDeque<(usize, J)>>>,
-    batch: usize,
+/// The job slice, the shared claim cursor over it, and what every worker
+/// consults between jobs.
+struct Cursor<'a, J> {
+    jobs: &'a [J],
+    next: AtomicUsize,
+    sample_every: usize,
     cancel: Option<&'a AtomicBool>,
     queue_depth: Option<&'a (dyn Fn(usize) + Sync)>,
 }
 
-impl<J> Queues<'_, J> {
-    /// Runs `worker`'s loop until the queues are empty, `cancel` flips,
-    /// or `deliver` refuses a result.
+impl<J> Cursor<'_, J> {
+    /// The index of the next job, or `None` once `cancel` flipped or the
+    /// cursor passed the last job.
+    fn claim(&self) -> Option<usize> {
+        if self.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+            return None;
+        }
+        // The cursor publishes nothing but its own count (the slice is
+        // shared before any worker starts), and the read-modify-write
+        // alone makes every claimed index distinct. Each worker overshoots
+        // the end at most once, so it cannot wrap.
+        let index = self.next.fetch_add(1, Ordering::Relaxed);
+        (index < self.jobs.len()).then_some(index)
+    }
+
+    /// Runs one worker's loop from its `claimed` job until a claim comes
+    /// back empty or `deliver` refuses a result.
     fn work<R>(
         &self,
-        worker: usize,
-        exec: impl Fn(J) -> R,
+        mut claimed: Option<usize>,
+        exec: impl Fn(&J) -> R,
         mut deliver: impl FnMut(usize, R) -> bool,
     ) -> WorkerStats {
         let mut stats = WorkerStats::default();
         let started = Instant::now();
-        loop {
-            if self.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                break;
+        while let Some(index) = claimed {
+            if let Some(observe) = self.queue_depth {
+                let left = self.jobs.len() - index - 1;
+                // The last claim always samples, so the depth drains to 0.
+                if index.is_multiple_of(self.sample_every) || left == 0 {
+                    observe(left);
+                }
             }
-            let Some((index, job)) = self.next_job(worker, &mut stats) else {
-                break;
-            };
             let t0 = Instant::now();
-            let result = exec(job);
+            let result = exec(&self.jobs[index]);
             stats.busy += t0.elapsed();
             stats.jobs += 1;
             if !deliver(index, result) {
                 break;
             }
+            claimed = self.claim();
         }
         stats.idle = started.elapsed().saturating_sub(stats.busy);
         stats
-    }
-
-    /// Finds the next job for `worker`: local deque, then injector
-    /// refill, then stealing; `None` once every queue is empty.
-    fn next_job(&self, worker: usize, stats: &mut WorkerStats) -> Option<(usize, J)> {
-        let locals = &self.locals;
-        if let Some(job) = locals[worker].lock().expect("local deque").pop_front() {
-            return Some(job);
-        }
-
-        // Refill from the shared injector.
-        {
-            let mut inj = self.injector.lock().expect("injector");
-            if !inj.is_empty() {
-                let take = self.batch.min(inj.len());
-                let mut mine = locals[worker].lock().expect("local deque");
-                for _ in 0..take {
-                    if let Some(job) = inj.pop_front() {
-                        mine.push_back(job);
-                    }
-                }
-                let remaining = inj.len();
-                drop(inj);
-                let popped = mine.pop_front();
-                drop(mine);
-                if let Some(observe) = self.queue_depth {
-                    observe(remaining);
-                }
-                return popped;
-            }
-        }
-
-        // Steal from the *back* of a sibling (its newest-queued job — the
-        // opposite end from the owner's front pops), round-robin
-        // starting after our own slot to spread contention.
-        let k = locals.len();
-        for offset in 1..k {
-            let victim = (worker + offset) % k;
-            if let Some(job) = locals[victim].lock().expect("sibling deque").pop_back() {
-                stats.steals += 1;
-                return Some(job);
-            }
-        }
-        None
     }
 }
 
@@ -253,29 +221,47 @@ impl<J> Queues<'_, J> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn all_jobs_run_exactly_once() {
-        let executed = AtomicU64::new(0);
-        let mut seen = vec![false; 500];
-        let stats = run_jobs(
-            (0..500u64).collect(),
-            4,
-            None,
-            None,
-            |_, j| {
-                executed.fetch_add(1, Ordering::Relaxed);
-                j * 2
-            },
-            |index, result| {
-                assert_eq!(result, index as u64 * 2);
-                assert!(!seen[index], "job {index} delivered twice");
-                seen[index] = true;
-            },
-        );
-        assert_eq!(executed.load(Ordering::Relaxed), 500);
-        assert!(seen.iter().all(|&s| s));
-        assert_eq!(stats.iter().map(|s| s.jobs).sum::<u64>(), 500);
+        for n in [1usize, 2, 7, 64, 500] {
+            let jobs: Vec<u64> = (0..n as u64).collect();
+            for threads in [1, 2, 3, 8] {
+                let executed = AtomicU64::new(0);
+                let mut seen = vec![false; n];
+                let depths = Mutex::new(Vec::new());
+                let observe = |depth| depths.lock().unwrap().push(depth);
+                let stats = run_jobs(
+                    &jobs,
+                    threads,
+                    None,
+                    Some(&observe),
+                    |_, &j| {
+                        executed.fetch_add(1, Ordering::Relaxed);
+                        j * 2
+                    },
+                    |index, result| {
+                        assert_eq!(result, index as u64 * 2);
+                        assert!(!seen[index], "job {index} delivered twice");
+                        seen[index] = true;
+                    },
+                );
+                let case = format!("{n} jobs on {threads} threads");
+                // The depth is sampled on a few claims, the last among them.
+                let depths = depths.into_inner().unwrap();
+                assert!(depths.contains(&0), "{case}: {depths:?}");
+                assert!(depths.iter().all(|&d| d < n), "{case}: {depths:?}");
+                assert!(depths.len() <= 16 * threads.min(n), "{case}: {depths:?}");
+                assert_eq!(executed.load(Ordering::Relaxed), n as u64, "{case}");
+                assert!(seen.iter().all(|&s| s), "{case}");
+                assert_eq!(
+                    stats.iter().map(|s| s.jobs).sum::<u64>(),
+                    n as u64,
+                    "{case}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -283,11 +269,11 @@ mod tests {
         let caller = std::thread::current().id();
         let mut order = Vec::new();
         let stats = run_jobs(
-            (0..50usize).collect(),
+            &(0..50usize).collect::<Vec<_>>(),
             1,
             None,
             None,
-            |_, j| (j, std::thread::current().id()),
+            |_, &j| (j, std::thread::current().id()),
             |index, (_, ran_on)| {
                 assert_eq!(ran_on, caller, "a 1-thread pool spawns nothing");
                 order.push(index);
@@ -300,29 +286,29 @@ mod tests {
     #[test]
     fn empty_input_is_fine() {
         let stats = run_jobs(
-            Vec::<u8>::new(),
+            &[] as &[u8],
             3,
             None,
             None,
-            |_, j| j,
+            |_, &j| j,
             |_, _| unreachable!("no jobs"),
         );
         assert!(stats.iter().all(|s| s.jobs == 0));
     }
 
     #[test]
-    fn uneven_work_gets_stolen() {
+    fn a_parked_job_does_not_hold_up_the_rest() {
         // Job 0 parks until a sibling finishes a tiny job, so the rest of
-        // the sweep must be stolen while its worker is pinned — a fixed
-        // spin count was optimizer- and scheduler-dependent. The deadline
-        // only bounds the failure mode (total starvation) instead of a hang.
+        // the sweep must be claimed by other workers while its worker is
+        // pinned. The deadline only bounds the failure mode (total
+        // starvation) instead of a hang.
         let tiny_done = AtomicU64::new(0);
         let stats = run_jobs(
-            (0..64u64).collect(),
+            &(0..64u64).collect::<Vec<_>>(),
             4,
             None,
             None,
-            |_, j| {
+            |_, &j| {
                 if j == 0 {
                     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
                     while tiny_done.load(Ordering::Relaxed) == 0
@@ -349,14 +335,17 @@ mod tests {
         const THREADS: usize = 3;
         let caller = std::thread::current().id();
         let started = AtomicU64::new(0);
-        let ran_on = Mutex::new(std::collections::HashSet::new());
+        let ran_on = Mutex::new(std::collections::HashMap::new());
         run_jobs(
-            (0..THREADS).collect(),
+            &(0..THREADS).collect::<Vec<_>>(),
             THREADS,
             None,
             None,
-            |_, j| {
-                ran_on.lock().unwrap().insert(std::thread::current().id());
+            |_, &j| {
+                ran_on
+                    .lock()
+                    .unwrap()
+                    .insert(j, std::thread::current().id());
                 started.fetch_add(1, Ordering::SeqCst);
                 let deadline = Instant::now() + Duration::from_secs(10);
                 while started.load(Ordering::SeqCst) < THREADS as u64 && Instant::now() < deadline {
@@ -367,8 +356,9 @@ mod tests {
             |_, _| {},
         );
         let ran_on = ran_on.into_inner().unwrap();
-        assert!(ran_on.contains(&caller), "the caller is worker 0");
-        assert_eq!(ran_on.len(), THREADS, "{} other threads", THREADS - 1);
+        assert_eq!(ran_on[&0], caller, "the caller is worker 0 and runs job 0");
+        let threads: std::collections::HashSet<_> = ran_on.values().collect();
+        assert_eq!(threads.len(), THREADS, "{} other threads", THREADS - 1);
     }
 
     #[test]
@@ -378,11 +368,11 @@ mod tests {
             let recorder = TraceRecorder::new();
             hetrta_obs::set_thread_lane(7);
             run_jobs(
-                (0..16u64).collect(),
+                &(0..16u64).collect::<Vec<_>>(),
                 threads,
                 None,
                 None,
-                |worker, j| {
+                |worker, &j| {
                     // Workers mark their own lane, as the engine's do.
                     hetrta_obs::set_thread_lane(worker as u32 + 1);
                     let _span = span!(&recorder, "job");
@@ -417,11 +407,11 @@ mod tests {
         let helper_jobs = AtomicU64::new(0);
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_jobs(
-                (0..1000u64).collect(),
+                &(0..1000u64).collect::<Vec<_>>(),
                 2,
                 None,
                 None,
-                |_, j| {
+                |_, &j| {
                     if std::thread::current().id() == caller {
                         panic!("worker 0 failed");
                     }
@@ -435,7 +425,7 @@ mod tests {
         .expect_err("the panic reaches the caller");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker 0 failed"));
         // The helper was joined before the panic resumed, and it stopped
-        // at its next result instead of draining the queue.
+        // at its next result instead of running every remaining job.
         let ran = helper_jobs.load(Ordering::SeqCst);
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(
@@ -457,11 +447,11 @@ mod tests {
         let cancel = AtomicBool::new(false);
         let mut delivered = 0usize;
         let stats = run_jobs(
-            (0..500u64).collect(),
+            &(0..500u64).collect::<Vec<_>>(),
             2,
             Some(&cancel),
             None,
-            |_, j| {
+            |_, &j| {
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 j
             },
@@ -483,11 +473,11 @@ mod tests {
     fn cancelled_before_start_runs_nothing() {
         let cancel = AtomicBool::new(true);
         let stats = run_jobs(
-            (0..64u64).collect(),
+            &(0..64u64).collect::<Vec<_>>(),
             4,
             Some(&cancel),
             None,
-            |_, j| j,
+            |_, &j| j,
             |_, _| panic!("no job may run"),
         );
         assert_eq!(stats.iter().map(|s| s.jobs).sum::<u64>(), 0);

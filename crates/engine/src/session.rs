@@ -2,16 +2,15 @@
 //! stream, `wait` for (or `cancel`) the deterministic result.
 //!
 //! A [`SweepHandle`] is the observable face of one running sweep. The
-//! sweep itself executes on a background orchestrator thread (the
-//! work-stealing pool's worker 0 and the streaming aggregator), while the
-//! handle exposes:
+//! sweep itself executes on a background orchestrator thread (the pool's
+//! worker 0 and the streaming aggregator), while the handle exposes:
 //!
 //! * a typed [`SweepEvent`] stream — [`SweepEvent::JobStarted`],
 //!   [`SweepEvent::JobFinished`] (content key, cache hit, wall time),
 //!   periodic [`SweepEvent::PartialAggregate`] snapshots, and a terminal
 //!   [`SweepEvent::SweepFinished`];
 //! * live [`EngineStats`] snapshots while the sweep runs;
-//! * [`SweepHandle::cancel`] (workers stop dequeuing; in-flight jobs
+//! * [`SweepHandle::cancel`] (workers stop claiming jobs; in-flight jobs
 //!   finish) and [`SweepHandle::wait`] (blocks for the final
 //!   [`EngineOutput`]).
 //!
@@ -34,7 +33,7 @@ use crate::EngineCaches;
 /// made it (worker completion order, not expansion order).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepEvent {
-    /// A worker dequeued the job and is about to execute it.
+    /// A worker claimed the job and is about to execute it.
     JobStarted {
         /// The job's expansion index.
         index: usize,
@@ -102,9 +101,9 @@ pub struct SessionConfig {
     /// Event-buffer bound; beyond it the oldest events are dropped.
     pub max_buffered_events: usize,
     /// Write-ahead journal for crash-safe resume: every finished job is
-    /// recorded (with periodic aggregate keyframes) before it enters the
-    /// aggregator. Jobs an earlier run already journaled are replayed
-    /// (with [`JournalConfig::resume`](crate::JournalConfig::resume) set):
+    /// recorded before it enters the aggregator. Jobs an earlier run
+    /// already journaled are replayed (with
+    /// [`JournalConfig::resume`](crate::JournalConfig::resume) set):
     /// they count toward progress and partial aggregates, emit no job
     /// events, and show up in [`EngineStats::replayed_jobs`]. `None` = no
     /// journaling.
@@ -255,7 +254,6 @@ impl SessionShared {
             threads: self.threads,
             jobs: self.total_jobs,
             per_worker_jobs: Vec::new(),
-            per_worker_steals: Vec::new(),
             cached_jobs: self.progress.cached.load(Ordering::Relaxed),
             skipped_jobs: self.progress.skipped.load(Ordering::Relaxed),
             replayed_jobs: self.replayed_jobs,
@@ -353,7 +351,7 @@ impl SweepHandle {
         }
     }
 
-    /// Requests cancellation: workers stop dequeuing, in-flight jobs
+    /// Requests cancellation: workers stop claiming jobs, in-flight jobs
     /// finish, and [`SweepHandle::wait`] returns
     /// [`EngineError::Cancelled`] (unless every job had already run).
     pub fn cancel(&self) {

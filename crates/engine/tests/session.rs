@@ -5,8 +5,10 @@
 //! the calling thread, `submit` on a thread of its own.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::ThreadId;
+use std::time::Duration;
 
 use hetrta_engine::{
     Analysis, AnalysisContext, AnalysisOutcome, AnalysisRegistry, AnalysisRequest,
@@ -612,6 +614,95 @@ fn run_sweeps_on_the_calling_thread_and_matches_submit_bitwise() {
         assert_eq!(
             format!("{:?}", other.aggregate),
             format!("{:?}", ran.aggregate)
+        );
+    }
+}
+
+/// At 2 cores, waits (up to a deadline) until a job at 4 cores has run,
+/// so a 2-core sweep cannot finish before a 4-core sweep has started.
+/// Reports R_hom = 0 either way.
+#[derive(Debug, Default)]
+struct Rendezvous {
+    four_cores_ran: Mutex<bool>,
+    ready: Condvar,
+    timed_out: AtomicBool,
+}
+
+impl Analysis for Rendezvous {
+    fn key(&self) -> &str {
+        "rendezvous"
+    }
+
+    fn describe(&self) -> &str {
+        "at 2 cores, waits for a 4-core job; reports R_hom = 0"
+    }
+
+    fn run(
+        &self,
+        request: &AnalysisRequest,
+        _ctx: &dyn AnalysisContext,
+    ) -> Result<AnalysisOutcome, ApiError> {
+        let mut ran = self.four_cores_ran.lock().expect("rendezvous lock");
+        if request.params.m == 4 {
+            *ran = true;
+            self.ready.notify_all();
+        } else {
+            let (mut ran, wait) = self
+                .ready
+                .wait_timeout_while(ran, Duration::from_secs(10), |ran| !*ran)
+                .expect("rendezvous lock");
+            if wait.timed_out() {
+                // Fail once, not once per job.
+                self.timed_out.store(true, Ordering::SeqCst);
+                *ran = true;
+            }
+        }
+        Ok(AnalysisOutcome::Hom { r_hom: 0.0 })
+    }
+}
+
+#[test]
+fn concurrent_sessions_on_one_engine_match_their_solo_runs_bitwise() {
+    // The daemon's traffic: two sweeps of different specs share one
+    // engine's pool threads and caches (both draw the same tasks), and
+    // every job of the first waits until the second has run a job.
+    let two_cores =
+        SweepSpec::fractions(GeneratorPreset::Small, vec![2], vec![0.1, 0.3], 6, 0xD1CE)
+            .with_analyses(AnalysisSelection::from_keys(["het", "hom", "rendezvous"]));
+    let four_cores =
+        SweepSpec::fractions(GeneratorPreset::Small, vec![4], vec![0.1, 0.3], 6, 0xD1CE)
+            .with_analyses(AnalysisSelection::from_keys(["het", "sim", "rendezvous"]));
+    let registry = |rendezvous: &Arc<Rendezvous>| {
+        let mut registry = AnalysisRegistry::builtin();
+        registry.register(Arc::clone(rendezvous) as Arc<dyn Analysis>);
+        registry
+    };
+
+    let rendezvous = Arc::new(Rendezvous::default());
+    let engine = Engine::with_registry(2, registry(&rendezvous));
+    let first = engine.submit(&two_cores).expect("submit 2 cores");
+    let second = engine.submit(&four_cores).expect("submit 4 cores");
+    let together = [
+        first.wait().expect("2-core sweep"),
+        second.wait().expect("4-core sweep"),
+    ];
+    assert!(
+        !rendezvous.timed_out.load(Ordering::SeqCst),
+        "the 4-core sweep never ran while the 2-core sweep waited"
+    );
+
+    // Solo runs, each on a fresh engine, with the rendezvous already met
+    // so no job waits.
+    let solo = Arc::new(Rendezvous::default());
+    *solo.four_cores_ran.lock().expect("rendezvous lock") = true;
+    for (spec, out) in [&two_cores, &four_cores].into_iter().zip(&together) {
+        let alone = Engine::with_registry(2, registry(&solo))
+            .run(spec)
+            .expect("solo run");
+        assert_eq!(out.stats.jobs, alone.stats.jobs);
+        assert_eq!(
+            format!("{:?}", out.aggregate),
+            format!("{:?}", alone.aggregate)
         );
     }
 }

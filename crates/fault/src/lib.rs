@@ -10,9 +10,8 @@
 //!   recovery) run after run.
 //! - [`RecordLog`] — an append-only, FNV-64 checksummed, atomically
 //!   sealed segment log. The engine's sweep journal builds on it to
-//!   make sweeps crash-safe: done jobs and aggregate keyframes are
-//!   durable, and a torn tail from a crash costs at most the record
-//!   in flight.
+//!   make sweeps crash-safe: done jobs are durable, and a torn tail
+//!   from a crash costs at most the record in flight.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -31,8 +31,8 @@ pub struct SpanRecord {
     pub end: Instant,
 }
 
-/// One sampled counter value (a Chrome `"C"` event), e.g. the injector
-/// queue depth at a refill.
+/// One sampled counter value (a Chrome `"C"` event), e.g. the engine
+/// pool's count of jobs not yet claimed.
 #[derive(Debug, Clone)]
 pub struct CounterSample {
     /// Static counter name.

@@ -2,7 +2,7 @@
 //! engine, dependency-free on top of `std::net`.
 //!
 //! One [`Server`] owns one [`Engine`](hetrta_engine::Engine) — one
-//! work-stealing pool, one disk cache, one metrics registry — and
+//! worker pool, one disk cache, one metrics registry — and
 //! serves many concurrent clients over a length-delimited,
 //! checksummed binary protocol ([`proto`]). Admission control
 //! ([`admission`]) bounds the pending queue with per-tenant round-robin

@@ -695,7 +695,7 @@ pub mod test_runner {
     /// `prop_assume!`, or *panics* (shrunk inputs can take code paths the
     /// generator never produced — those panics are contained, not
     /// propagated, so the original failure's report is never lost) ends
-    /// the ladder. Called by the [`proptest!`] macro expansion; not part
+    /// the ladder. Called by the [`proptest!`](crate::proptest!) macro expansion; not part
     /// of the upstream-compatible surface.
     ///
     /// # Panics

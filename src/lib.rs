@@ -11,13 +11,13 @@
 //! | [`dag`] | `hetrta-dag` | DAG model, graph algorithms, exact arithmetic |
 //! | [`gen`] | `hetrta-gen` | random DAG task generators (paper §5.1) |
 //! | [`analysis`] | `hetrta-core` | Algorithm 1 transformation + Theorem 1 RTA |
-//! | [`api`] | `hetrta-api` | unified [`Analysis`](api::Analysis) trait, typed request/outcome, key-addressed registry |
+//! | [`api`] | `hetrta-api` | unified [`Analysis`] trait, typed request/outcome, key-addressed registry |
 //! | [`sim`] | `hetrta-sim` | work-conserving execution simulator (paper §5.2) |
 //! | [`exact`] | `hetrta-exact` | exact minimum-makespan solver (ILP substitute, §5.3) |
 //! | [`sched`] | `hetrta-sched` | multi-task global schedulability (extension: future work "(i) more tasks") |
 //! | [`suspend`] | `hetrta-suspend` | self-suspending baselines (the related work of §6) |
 //! | [`cond`] | `hetrta-cond` | conditional DAG tasks (the model of reference \[12\]) with offloading |
-//! | [`engine`] | `hetrta-engine` | registry-driven work-stealing batch-analysis engine with bounded content-addressed caching |
+//! | [`engine`] | `hetrta-engine` | registry-driven parallel batch-analysis engine with bounded content-addressed caching |
 //!
 //! The most common entry points are also re-exported at the crate root.
 //!
