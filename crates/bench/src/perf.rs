@@ -252,10 +252,11 @@ fn timed_sweep(name: &'static str, engine: &Engine, spec: &SweepSpec) -> SweepRe
 }
 
 /// The disk cache's cost model. One op of `disk/write_600` is 600 result
-/// writes into a fresh directory (a cold paper-preset sweep makes 600);
-/// one op of `disk/open_lookup_100k` opens a fresh handle on a directory
-/// already holding 100k entries and looks up 300 of them, so it slows
-/// down with the directory if opening ever reads the entries.
+/// writes into a fresh directory and their commit (a cold paper-preset
+/// sweep makes 600); one op of `disk/open_lookup_100k` opens a fresh
+/// handle on a directory already holding 100k entries and looks up 300 of
+/// them, so it slows down with the directory if opening ever reads the
+/// entries.
 fn disk_kernels(budget: Duration) -> Vec<KernelResult> {
     let root = std::env::temp_dir().join(format!("hetrta-bench-disk-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -276,6 +277,8 @@ fn disk_kernels(budget: Duration) -> Vec<KernelResult> {
             let (key, outcome) = entry(i);
             cache.store_result(key, &outcome);
         }
+        // The op includes the commit, and the count covers its failures.
+        cache.flush();
         cache.write_failed()
     });
     let filled = root.join("filled-100k");

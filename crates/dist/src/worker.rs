@@ -22,7 +22,11 @@
 //! Workers pointed at the same `--cache-dir` share one disk-cache
 //! namespace: keys are content-addressed, so a cell warmed by any fleet
 //! member (or by an earlier single-process run) is a pure read for
-//! every other.
+//! every other. A worker stages its disk writes and commits them in
+//! batches, the last when [`Engine::run_job_subset`] returns, before its
+//! `ShardDone`: the rest of the fleet reads a cell about a second after
+//! the worker computed it, and at the latest once the worker ends its
+//! assignment.
 
 use std::io::Write as _;
 use std::net::TcpStream;

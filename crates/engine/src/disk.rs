@@ -27,10 +27,17 @@
 //! and key — two positioned reads in the common case, and opening a
 //! handle reads nothing in proportion to the directory.
 //!
-//! A write appends the record and claims a slot (a fresh one, or the
-//! key's own when it is rewritten) under one exclusive lock on the index
-//! file, so every process sharing the directory takes its turn. Nothing is
-//! fsynced: a lost entry is only a miss.
+//! A write stages its record line in the handle, and the handle's own
+//! reads see it at once. A commit takes one exclusive lock on the index
+//! file, appends every staged line with one write and claims one slot per
+//! record (a fresh one, or the key's own when it is rewritten), so every
+//! process sharing the directory takes its turn once per batch. A handle
+//! commits when a write finds 64 KiB staged or its oldest staged record a
+//! second old, on [`DiskCache::flush`], before gc and when it drops; an
+//! engine flushes at the end of every run. Other handles see a record
+//! once it is committed. Reads never wait for a commit: a record on its
+//! way to the log reads as a miss. Nothing is fsynced: a lost entry,
+//! staged or committed, is only a miss.
 //!
 //! Robustness contract: a corrupt, truncated, stale-versioned, or
 //! concurrently half-written entry **reads as a miss** (the engine
@@ -40,7 +47,7 @@
 //! [`DiskCache::gc`] compacts the live generation into a fresh one and
 //! publishes it by renaming `CURRENT`. Nothing rewrites a live generation,
 //! so a handle still reading a retired one stays correct (its open files
-//! outlive the directory) and follows the flip on its next write, or
+//! outlive the directory) and follows the flip on its next commit, or
 //! within a second otherwise.
 
 use std::collections::HashMap;
@@ -48,7 +55,7 @@ use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Once, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError, RwLock};
 use std::time::Instant;
 
 use hetrta_api::wire::fnv64;
@@ -86,6 +93,13 @@ const MAX_RECORD: u32 = 1 << 26;
 /// How often a handle that only reads checks whether gc retired its
 /// generation.
 const FOLLOW_EVERY_MS: u64 = 1000;
+
+/// Staged bytes at which a write commits the batch.
+const BATCH_BYTES: usize = 64 * 1024;
+
+/// Age of the oldest staged record at which a write commits the batch,
+/// so that slow sweeps do not keep results from other processes for long.
+const BATCH_MS: u128 = 1000;
 
 /// The two entry namespaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -153,12 +167,16 @@ impl Slot {
         bytes
     }
 
-    /// The slot's contents when its check verifies for `ns`; empty, torn
-    /// and other-namespace slots are `None`.
-    fn decode(bytes: &[u8], ns: Ns) -> Option<Slot> {
+    /// The slot's contents when it holds `key` and its check verifies for
+    /// `ns`; empty, torn, other-key and other-namespace slots are `None`.
+    /// The key is compared first, so another key's slot costs no hash.
+    fn decode(bytes: &[u8], ns: Ns, key: u128) -> Option<Slot> {
+        if bytes[..16] != key.to_le_bytes() {
+            return None;
+        }
         let check = u32::from_le_bytes(bytes[28..32].try_into().ok()?);
         (check != 0 && check == slot_check(ns, &bytes[..28])).then(|| Slot {
-            key: u128::from_le_bytes(bytes[..16].try_into().expect("16 bytes")),
+            key,
             offset: u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")),
             len: u32::from_le_bytes(bytes[24..28].try_into().expect("4 bytes")),
         })
@@ -237,7 +255,7 @@ impl Generation {
                 if slot_is_empty(bytes) {
                     return Ok(None);
                 }
-                if let Some(slot) = Slot::decode(bytes, ns).filter(|s| s.key == key) {
+                if let Some(slot) = Slot::decode(bytes, ns, key) {
                     return Ok(Some(slot));
                 }
             }
@@ -253,7 +271,7 @@ impl Generation {
             let at = window_offset(level0, level, ns, slot.key);
             let window = self.window(at)?;
             for (i, bytes) in window.chunks_exact(SLOT).enumerate() {
-                let ours = Slot::decode(bytes, ns).is_some_and(|s| s.key == slot.key);
+                let ours = Slot::decode(bytes, ns, slot.key).is_some();
                 if ours || slot_is_empty(bytes) {
                     return write_at(&self.index, &slot.encode(ns), at + (i * SLOT) as u64);
                 }
@@ -263,8 +281,7 @@ impl Generation {
     }
 
     /// Reads the record `slot` points at and returns its value when the
-    /// record verifies for `ns` and `key`. `flip` injects read corruption
-    /// (`disk.read.bitflip`) before verification.
+    /// record verifies (see [`verify_record`]).
     fn record(
         &self,
         ns: Ns,
@@ -277,13 +294,64 @@ impl Generation {
         }
         let mut bytes = vec![0u8; slot.len as usize];
         read_exact_at(&self.log, &mut bytes, slot.offset).ok()?;
-        if let (Some(bits), false) = (flip(), bytes.is_empty()) {
-            let index = (bits as usize) % bytes.len();
-            bytes[index] ^= 1 << ((bits >> 32) % 8);
-        }
-        let payload = hetrta_fault::verify(bytes.strip_suffix(b"\n")?)?;
-        let (found_ns, found_key, value) = parse_payload(payload)?;
-        (found_ns == ns && found_key == key).then(|| value.to_owned())
+        verify_record(bytes, ns, key, flip)
+    }
+}
+
+/// The value of one record line, from the log or the staging buffer, when
+/// it verifies for `ns` and `key`. `flip` injects read corruption
+/// (`disk.read.bitflip`) before verification.
+fn verify_record(
+    mut bytes: Vec<u8>,
+    ns: Ns,
+    key: u128,
+    flip: impl FnOnce() -> Option<u64>,
+) -> Option<String> {
+    if let (Some(bits), false) = (flip(), bytes.is_empty()) {
+        let index = (bits as usize) % bytes.len();
+        bytes[index] ^= 1 << ((bits >> 32) % 8);
+    }
+    let payload = hetrta_fault::verify(bytes.strip_suffix(b"\n")?)?;
+    let (found_ns, found_key, value) = parse_payload(payload)?;
+    (found_ns == ns && found_key == key).then(|| value.to_owned())
+}
+
+/// The record lines a handle wrote but has not committed, back to back as
+/// they will sit in the log, and one slot per record whose offset is
+/// relative to the start of the batch.
+#[derive(Debug, Default)]
+struct Staged {
+    bytes: Vec<u8>,
+    records: Vec<(Ns, Slot)>,
+    /// When the oldest staged record was staged.
+    since: Option<Instant>,
+}
+
+impl Staged {
+    fn push(&mut self, ns: Ns, key: u128, line: &[u8], len: u32) {
+        let offset = self.bytes.len() as u64;
+        self.bytes.extend_from_slice(line);
+        self.records.push((ns, Slot { key, offset, len }));
+        self.since.get_or_insert_with(Instant::now);
+    }
+
+    /// `true` once the batch is large or old enough to commit.
+    fn due(&self) -> bool {
+        self.bytes.len() >= BATCH_BYTES
+            || self
+                .since
+                .is_some_and(|t| t.elapsed().as_millis() >= BATCH_MS)
+    }
+
+    /// The newest staged line of `key` in `ns`.
+    fn line(&self, ns: Ns, key: u128) -> Option<&[u8]> {
+        let (_, slot) = self
+            .records
+            .iter()
+            .rev()
+            .find(|(n, slot)| *n == ns && slot.key == key)?;
+        let start = slot.offset as usize;
+        Some(&self.bytes[start..start + slot.len as usize])
     }
 }
 
@@ -350,15 +418,18 @@ fn generation_number(name: &str) -> Option<u64> {
 }
 
 /// Opens the live generation. A gc may retire the generation `CURRENT`
-/// named between reading it and opening the files, so the name is read
-/// again afterwards and the open retried when it moved.
+/// named between reading it and opening the files, and remove its
+/// directory mid-open, so the name is read again afterwards and the open
+/// retried when it moved, whether or not the open succeeded.
 fn open_current(root: &Path) -> std::io::Result<Generation> {
     let mut name = current_name(root);
     for _ in 0..8 {
-        let generation = Generation::open(root, name)?;
-        name = current_name(root);
-        if name == generation.name {
-            return Ok(generation);
+        let opened = Generation::open(root, name.clone());
+        let live = current_name(root);
+        match opened {
+            Ok(generation) if generation.name == live => return Ok(generation),
+            Err(error) if name == live => return Err(error),
+            _ => name = live,
         }
     }
     Generation::open(root, name)
@@ -386,9 +457,12 @@ impl Drop for IndexLock<'_> {
 pub struct DiskCache {
     root: PathBuf,
     generation: RwLock<Arc<Generation>>,
-    /// Serializes this handle's writers and gc; the index lock is per
+    /// Records written but not yet committed; its lock covers a push, a
+    /// scan or taking the batch, never I/O.
+    staged: Mutex<Staged>,
+    /// Serializes this handle's commits and gc: the index lock is per
     /// open file, so threads sharing a handle need this as well.
-    writer: Mutex<()>,
+    committer: Mutex<()>,
     /// Windows in the index's level 0 ([`LEVEL0_WINDOWS`]; smaller in
     /// unit tests, to reach deep levels with few entries).
     level0: u64,
@@ -425,7 +499,8 @@ impl DiskCache {
         Ok(DiskCache {
             root,
             generation: RwLock::new(Arc::new(generation)),
-            writer: Mutex::new(()),
+            staged: Mutex::new(Staged::default()),
+            committer: Mutex::new(()),
             level0,
             opened: Instant::now(),
             checked_ms: AtomicU64::new(0),
@@ -440,7 +515,7 @@ impl DiskCache {
 
     /// Rebinds this cache's counters onto `metrics` (as `disk.hits`,
     /// `disk.misses`, `disk.write_failed`) and routes `disk.read` /
-    /// `disk.write` / `disk.gc` spans to `recorder`.
+    /// `disk.write` / `disk.commit` / `disk.gc` spans to `recorder`.
     ///
     /// Called by the engine builder before the cache is shared; counts
     /// are zero at that point, so the swap is lossless.
@@ -515,14 +590,14 @@ impl DiskCache {
 
     /// Runs `op` on the live generation under its index lock, with the
     /// log's length, following a flip that happened while waiting for the
-    /// lock. Writers detect a retired generation by its removed log;
-    /// `strict` (gc) also checks that `CURRENT` still names it.
+    /// lock. Commits detect a retired generation by its removed log;
+    /// `strict` (gc) also checks that `CURRENT` still names it. The
+    /// caller holds the commit lock.
     fn locked<T>(
         &self,
         strict: bool,
         mut op: impl FnMut(&Generation, u64) -> std::io::Result<T>,
     ) -> std::io::Result<T> {
-        let _writer = self.writer.lock().expect("disk writer");
         let mut generation = self.generation();
         for _ in 0..8 {
             let lock = IndexLock::acquire(&generation.index)?;
@@ -536,13 +611,72 @@ impl DiskCache {
         Err(std::io::Error::other("cache generation keeps moving"))
     }
 
-    /// Appends one record line for `key` and points the index at it.
-    fn append(&self, ns: Ns, key: u128, line: &[u8]) -> std::io::Result<()> {
-        let len = u32::try_from(line.len()).map_err(std::io::Error::other)?;
-        self.locked(false, |generation, offset| {
-            (&generation.log).write_all(line)?;
-            generation.claim(self.level0, ns, Slot { key, offset, len })
-        })
+    /// This handle's staged records, locked. A panic mid-update leaves
+    /// at worst a staged line no slot will point at, which commits as an
+    /// unindexed record, so a poisoned lock is taken over rather than
+    /// fatal: [`Drop`] commits through it too.
+    fn staged(&self) -> MutexGuard<'_, Staged> {
+        self.staged.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// This handle's commit lock; a commit that panicked leaves nothing
+    /// behind it, so a poisoned lock is taken over.
+    fn committer(&self) -> MutexGuard<'_, ()> {
+        self.committer
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes the staged batch and commits it: one index lock, one log
+    /// write, one slot claim per record. Batches commit in the order they
+    /// were taken, because the caller holds the commit lock. A failure
+    /// counts every record of the batch; the batch is dropped either way.
+    fn commit(&self) {
+        let batch = std::mem::take(&mut *self.staged());
+        if batch.records.is_empty() {
+            return;
+        }
+        let records = batch.records.len() as u64;
+        let _span = span!(self.recorder.as_ref(), "disk.commit", records = records);
+        let committed = self.locked(false, |generation, end| {
+            (&generation.log).write_all(&batch.bytes)?;
+            for &(ns, slot) in &batch.records {
+                let offset = end + slot.offset;
+                generation.claim(self.level0, ns, Slot { offset, ..slot })?;
+            }
+            Ok(())
+        });
+        if let Err(error) = committed {
+            self.count_failed(records, &error);
+        }
+    }
+
+    /// Counts `records` entries that did not persist, and warns once.
+    fn count_failed(&self, records: u64, error: &std::io::Error) {
+        self.write_errors.add(records);
+        let _span = span!(
+            self.recorder.as_ref(),
+            "disk.write_failed",
+            records = records
+        );
+        self.write_warn.call_once(|| {
+            eprintln!(
+                "hetrta: disk cache write failed ({error}) at {}; \
+                 continuing with in-memory results (disk.write_failed counts)",
+                self.root.display()
+            );
+        });
+    }
+
+    /// Commits the records this handle has staged, so that other handles,
+    /// in this process or another, read them. A handle also commits on
+    /// its own when a write finds 64 KiB staged or the oldest staged
+    /// record a second old, before [`DiskCache::gc`] and when it drops,
+    /// and an engine flushes its cache at the end of every run. A failed
+    /// commit counts each of its records in `disk.write_failed`.
+    pub fn flush(&self) {
+        let _commit = self.committer();
+        self.commit();
     }
 
     /// Reads and verifies one entry's value; `None` on any defect.
@@ -552,51 +686,62 @@ impl DiskCache {
     /// the full decode has succeeded or failed.
     fn read_value(&self, ns: Ns, key: u128) -> Option<String> {
         let _span = span!(self.recorder.as_ref(), "disk.read", ns = ns.name());
-        let generation = self.generation();
-        let slot = generation.find(self.level0, ns, key).ok()??;
         // Injected read corruption flips one bit of the record before
         // verification — it must read as a miss, never as data.
-        generation.record(ns, key, slot, || {
+        let flip = || {
             self.fault
                 .as_deref()
                 .and_then(|p| p.fires("disk.read.bitflip"))
-        })
+        };
+        // A staged record is newer than anything committed for its key. A
+        // record taken by a commit in flight reads as a miss until its
+        // slot is claimed.
+        let staged = self.staged().line(ns, key).map(<[u8]>::to_vec);
+        if let Some(line) = staged {
+            return verify_record(line, ns, key, flip);
+        }
+        let generation = self.generation();
+        let slot = generation.find(self.level0, ns, key).ok()??;
+        generation.record(ns, key, slot, flip)
     }
 
-    /// Persists one entry (record append + slot claim); failures are
-    /// counted and swallowed.
+    /// Stages one entry, committing the batch once it holds
+    /// [`BATCH_BYTES`] or is [`BATCH_MS`] old; failures are counted and
+    /// swallowed.
     fn write_value(&self, ns: Ns, key: u128, value: &str) {
-        let _span = span!(self.recorder.as_ref(), "disk.write", ns = ns.name());
-        let mut line = hetrta_fault::encode(&record_payload(ns, key, value)).into_bytes();
-        // Injected torn write: commit a truncated record, as a crash
-        // mid-append could — it must later read as a miss and be
-        // recomputed, never misread.
-        if let Some(bits) = self
-            .fault
-            .as_deref()
-            .and_then(|p| p.fires("disk.write.torn"))
-        {
-            line.truncate(1 + (bits as usize) % line.len());
-        }
-        let written = if self
-            .fault
-            .as_deref()
-            .is_some_and(|p| p.fires("disk.write.enospc").is_some())
-        {
-            Err(std::io::Error::other("injected ENOSPC (chaos)"))
-        } else {
-            self.append(ns, key, &line)
+        let due = {
+            let _span = span!(self.recorder.as_ref(), "disk.write", ns = ns.name());
+            let mut line = hetrta_fault::encode(&record_payload(ns, key, value)).into_bytes();
+            // Injected torn write: stage a truncated record, as a crash
+            // mid-append could leave one — it must read as a miss and be
+            // recomputed, never misread.
+            if let Some(bits) = self
+                .fault
+                .as_deref()
+                .and_then(|p| p.fires("disk.write.torn"))
+            {
+                line.truncate(1 + (bits as usize) % line.len());
+            }
+            let len = if self
+                .fault
+                .as_deref()
+                .is_some_and(|p| p.fires("disk.write.enospc").is_some())
+            {
+                Err(std::io::Error::other("injected ENOSPC (chaos)"))
+            } else {
+                u32::try_from(line.len()).map_err(std::io::Error::other)
+            };
+            let len = match len {
+                Ok(len) => len,
+                Err(error) => return self.count_failed(1, &error),
+            };
+            let mut staged = self.staged();
+            staged.push(ns, key, &line, len);
+            staged.due()
         };
-        if let Err(error) = written {
-            self.write_errors.incr();
-            let _span = span!(self.recorder.as_ref(), "disk.write_failed", ns = ns.name());
-            self.write_warn.call_once(|| {
-                eprintln!(
-                    "hetrta: disk cache write failed ({error}) at {}; \
-                     continuing with in-memory results (disk.write_failed counts)",
-                    self.root.display()
-                );
-            });
+        // The commit is a span of its own, outside the `disk.write` one.
+        if due {
+            self.flush();
         }
     }
 
@@ -615,7 +760,9 @@ impl DiskCache {
         decoded
     }
 
-    /// Persists one analysis outcome.
+    /// Persists one analysis outcome. This handle reads it back at once;
+    /// other handles read it once it is committed (see
+    /// [`DiskCache::flush`]).
     pub fn store_result(&self, key: u128, outcome: &AnalysisOutcome) {
         self.write_value(Ns::Results, key, &outcome.encode());
     }
@@ -642,7 +789,8 @@ impl DiskCache {
         decoded
     }
 
-    /// Persists one identity entry.
+    /// Persists one identity entry. Like [`DiskCache::store_result`], it
+    /// reaches other handles once it is committed.
     pub fn store_identity(&self, key: u128, content: Option<u128>) {
         let value = match content {
             None => SKIP.to_owned(),
@@ -663,12 +811,13 @@ impl DiskCache {
     /// identity records alone exceed the bound, gc reports
     /// `remaining_bytes > max_bytes` instead of violating that invariant.
     ///
-    /// The new generation is published by an atomic rename of `CURRENT`,
-    /// then the old one, generations a crashed gc left behind, and a
-    /// format-v1 tree (`results/`, `identity/`) are removed. Compaction
-    /// holds the old generation's index lock throughout, so no write to it
-    /// is lost; writers waiting on the lock continue in the new
-    /// generation, and readers of the old one keep their open files.
+    /// This handle's staged records are committed first, so they are
+    /// compacted too. The new generation is published by an atomic rename
+    /// of `CURRENT`, then the old one, generations a crashed gc left
+    /// behind, and a format-v1 tree (`results/`, `identity/`) are removed.
+    /// Compaction holds the old generation's index lock throughout, so no
+    /// commit to it is lost; commits waiting on the lock continue in the
+    /// new generation, and readers of the old one keep their open files.
     ///
     /// # Errors
     ///
@@ -676,6 +825,8 @@ impl DiskCache {
     /// or the new one cannot be written and published.
     pub fn gc(&self, max_bytes: u64) -> Result<GcStats, String> {
         let _span = span!(self.recorder.as_ref(), "disk.gc", max_bytes = max_bytes);
+        let _commit = self.committer();
+        self.commit();
         let (stats, live) = self
             .locked(true, |old, scanned| self.compact(old, scanned, max_bytes))
             .map_err(|e| format!("cache gc in {}: {e}", self.root.display()))?;
@@ -782,6 +933,13 @@ impl DiskCache {
     }
 }
 
+impl Drop for DiskCache {
+    /// Commits what the handle still stages.
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
 /// One verified record line of a log being compacted.
 #[derive(Debug, Clone, Copy)]
 struct Record<'a> {
@@ -831,6 +989,17 @@ mod tests {
         std::fs::read(dir.join(current_name(dir)).join("log")).unwrap()
     }
 
+    impl DiskCache {
+        /// Stages one raw (possibly defective) record line for `key` and
+        /// commits it on the path every write takes.
+        fn commit_line(&self, ns: Ns, key: u128, line: &[u8]) {
+            let failed = self.write_failed();
+            self.staged().push(ns, key, line, line.len() as u32);
+            self.flush();
+            assert_eq!(self.write_failed(), failed, "the line committed");
+        }
+    }
+
     #[test]
     fn result_roundtrip_across_handles() {
         let dir = temp_dir("roundtrip");
@@ -838,10 +1007,13 @@ mod tests {
         assert_eq!(cache.load_result(42), None);
         cache.store_result(42, &outcome());
         assert_eq!(cache.load_result(42), Some(outcome()));
-        // A second handle on the same directory (≈ a second process).
+        // A second handle on the same directory (≈ a second process)
+        // reads the record once the writer commits it.
         let other = DiskCache::open(&dir).unwrap();
+        assert_eq!(other.load_result(42), None, "still staged");
+        cache.flush();
         assert_eq!(other.load_result(42), Some(outcome()));
-        assert_eq!(other.counters().hits, 1);
+        assert_eq!(other.counters(), CacheCounters { hits: 1, misses: 1 });
         assert_eq!(cache.counters(), CacheCounters { hits: 1, misses: 1 });
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -857,6 +1029,12 @@ mod tests {
         assert_eq!(cache.load_identity(8), Some(None));
         // One key, two namespaces: neither reads the other's record.
         assert_eq!(cache.load_result(7), None);
+        // The same from the log and the index, once committed.
+        cache.flush();
+        assert_eq!(cache.load_identity(7), Some(Some(0xFEED_F00D)));
+        assert_eq!(cache.load_identity(8), Some(None));
+        assert_eq!(cache.load_result(7), None);
+        assert_eq!(cache.counters(), CacheCounters { hits: 4, misses: 3 });
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -865,7 +1043,7 @@ mod tests {
         let dir = temp_dir("corrupt");
         let cache = DiskCache::open(&dir).unwrap();
         let good = record_payload(Ns::Results, 1, &outcome().encode());
-        let write = |line: &str| cache.append(Ns::Results, 1, line.as_bytes()).unwrap();
+        let write = |line: &str| cache.commit_line(Ns::Results, 1, line.as_bytes());
 
         // Flipped value byte: the checksum rejects it.
         write(&hetrta_fault::encode(&good).replace("17", "99"));
@@ -903,8 +1081,10 @@ mod tests {
         assert_eq!(cache.load_result(1), None);
         assert_eq!(cache.counters().hits, 0, "no defect may count as a hit");
 
-        // Rewriting repairs the entry.
+        // Rewriting repairs the entry, staged and committed.
         cache.store_result(1, &outcome());
+        assert_eq!(cache.load_result(1), Some(outcome()));
+        cache.flush();
         assert_eq!(cache.load_result(1), Some(outcome()));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -974,11 +1154,9 @@ mod tests {
         cache.store_result(1, &outcome());
         cache.store_result(1, &outcome());
         let torn = record(2);
-        cache
-            .append(Ns::Results, 2, &torn.as_bytes()[..40])
-            .unwrap();
+        cache.commit_line(Ns::Results, 2, &torn.as_bytes()[..40]);
         cache.store_result(3, &outcome());
-        cache.append(Ns::Results, 4, b"0123 torn tail").unwrap();
+        cache.commit_line(Ns::Results, 4, b"0123 torn tail");
         let stats = cache.gc(u64::MAX).unwrap();
         assert_eq!(stats.deleted_entries, 0, "only valid, distinct keys count");
         assert_eq!(
@@ -1017,6 +1195,7 @@ mod tests {
         assert!(!dir.join("identity").exists());
         // The directory works as a v2 cache.
         cache.store_result(5, &outcome());
+        cache.flush();
         assert_eq!(
             DiskCache::open(&dir).unwrap().load_result(5),
             Some(outcome())
@@ -1030,14 +1209,18 @@ mod tests {
         let reader = DiskCache::open(&dir).unwrap();
         reader.store_result(1, &outcome());
         reader.store_identity(2, Some(0xBB));
+        // Committed now, so the reads below come from the log, not from
+        // the staged batch.
+        reader.flush();
         let operator = DiskCache::open(&dir).unwrap();
         operator.gc(0).unwrap();
         assert_ne!(current_name(&dir), "gen-0");
         assert_eq!(operator.load_result(1), None, "compacted away");
         // The old handle still answers from its (removed) generation.
         assert_eq!(reader.load_result(1), Some(outcome()));
-        // Its next write lands in the live generation.
+        // Its next commit lands in the live generation.
         reader.store_result(3, &outcome());
+        reader.flush();
         assert_eq!(operator.load_result(3), Some(outcome()));
         assert_eq!(
             DiskCache::open(&dir).unwrap().load_result(3),
@@ -1054,6 +1237,7 @@ mod tests {
         let writer = DiskCache::open(&dir).unwrap();
         writer.gc(0).unwrap();
         writer.store_result(4, &outcome());
+        writer.flush();
         assert_eq!(
             reader.load_result(4),
             None,
@@ -1081,6 +1265,7 @@ mod tests {
                     for i in 0..per_thread {
                         cache.store_identity(t << 64 | i, Some(i));
                     }
+                    cache.flush();
                     assert_eq!(cache.write_failed(), 0);
                 })
             })
@@ -1131,10 +1316,14 @@ mod tests {
             FaultPlan::with_rate(0x70B2, 1, 1).restrict_to(["disk.write.torn"]),
         ));
         cache.store_result(42, &outcome());
-        // The torn record committed (no write error) but must never
-        // decode; the engine recomputes and rewrites.
+        // The torn record is stored (no write error) but must never
+        // decode, staged or committed; the engine recomputes and rewrites.
+        assert_eq!(cache.load_result(42), None, "from the staged batch");
+        cache.flush();
         assert_eq!(cache.write_failed(), 0);
-        assert_eq!(cache.load_result(42), None);
+        assert!(!log_of(&dir).is_empty(), "the torn record committed");
+        assert_eq!(cache.load_result(42), None, "from the log");
+        assert_eq!(cache.counters(), CacheCounters { hits: 0, misses: 2 });
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1147,8 +1336,165 @@ mod tests {
         cache.set_fault_plan(Arc::new(
             FaultPlan::with_rate(0xB17F, 1, 1).restrict_to(["disk.read.bitflip"]),
         ));
-        assert_eq!(cache.load_result(42), None, "flipped bit fails checksum");
+        // A flipped bit fails the checksum of a staged record and of a
+        // committed one alike.
+        assert_eq!(cache.load_result(42), None, "from the staged batch");
+        cache.flush();
+        assert_eq!(cache.load_result(42), None, "from the log");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dropping_a_handle_commits_its_staged_records() {
+        let dir = temp_dir("drop");
+        let cache = DiskCache::open(&dir).unwrap();
+        cache.store_result(1, &outcome());
+        cache.store_identity(2, None);
+        assert!(log_of(&dir).is_empty(), "staged, not committed");
+        drop(cache);
+        let other = DiskCache::open(&dir).unwrap();
+        assert_eq!(other.load_result(1), Some(outcome()));
+        assert_eq!(other.load_identity(2), Some(None));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gc_commits_staged_records_first() {
+        let dir = temp_dir("gc-staged");
+        let cache = DiskCache::open(&dir).unwrap();
+        cache.store_identity(1, Some(0xAA));
+        cache.store_result(2, &outcome());
+        let stats = cache.gc(u64::MAX).unwrap();
+        assert!(stats.scanned_bytes > 0, "the staged records were compacted");
+        assert_eq!(stats.remaining_bytes, stats.scanned_bytes);
+        let other = DiskCache::open(&dir).unwrap();
+        assert_eq!(other.load_identity(1), Some(Some(0xAA)));
+        assert_eq!(other.load_result(2), Some(outcome()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_batch_past_the_threshold_commits_without_a_flush() {
+        let dir = temp_dir("threshold");
+        let recorder = Arc::new(hetrta_obs::TraceRecorder::new());
+        let mut cache = DiskCache::open(&dir).unwrap();
+        cache.bind_observability(&MetricsRegistry::new(), Arc::clone(&recorder) as _);
+        let other = DiskCache::open(&dir).unwrap();
+        let line = hetrta_fault::encode(&record_payload(Ns::Results, 0, &outcome().encode()));
+        let batch = BATCH_BYTES.div_ceil(line.len()) as u128;
+        for key in 0..batch - 1 {
+            cache.store_result(key, &outcome());
+        }
+        assert_eq!(other.load_result(0), None, "below the threshold");
+        cache.store_result(batch - 1, &outcome());
+        assert_eq!(
+            log_of(&dir).len(),
+            batch as usize * line.len(),
+            "one commit"
+        );
+        assert_eq!(other.load_result(0), Some(outcome()));
+        assert_eq!(other.load_result(batch - 1), Some(outcome()));
+        // One commit span for the batch, outside every `disk.write` span.
+        let spans = recorder.spans();
+        let commits: Vec<_> = spans.iter().filter(|s| s.name == "disk.commit").collect();
+        assert_eq!(commits.len(), 1);
+        assert_eq!(commits[0].detail, Some(format!("records={batch}")));
+        assert_eq!(commits[0].depth, 0, "not nested in a write span");
+        let writes = spans.iter().filter(|s| s.name == "disk.write").count();
+        assert_eq!(writes as u128, batch, "one write span per record");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_write_commits_once_the_oldest_staged_record_is_a_second_old() {
+        let dir = temp_dir("age");
+        let cache = DiskCache::open(&dir).unwrap();
+        let other = DiskCache::open(&dir).unwrap();
+        cache.store_result(1, &outcome());
+        std::thread::sleep(std::time::Duration::from_millis(BATCH_MS as u64 + 50));
+        assert_eq!(other.load_result(1), None, "no write, no commit");
+        cache.store_result(2, &outcome());
+        assert_eq!(other.load_result(1), Some(outcome()));
+        assert_eq!(other.load_result(2), Some(outcome()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reads_do_not_wait_for_a_commit() {
+        let dir = temp_dir("no-wait");
+        let cache = Arc::new(DiskCache::open(&dir).unwrap());
+        cache.store_result(1, &outcome());
+        // Another handle's index lock (an operator's gc, say) holds the
+        // commit back once it has taken the batch.
+        let operator = DiskCache::open(&dir).unwrap();
+        let generation = operator.generation();
+        let lock = IndexLock::acquire(&generation.index).unwrap();
+        let committing = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || cache.flush())
+        };
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        loop {
+            if let Ok(staged) = cache.staged.try_lock() {
+                if staged.records.is_empty() {
+                    break;
+                }
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the commit holds the staging lock"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        cache.store_result(2, &outcome());
+        assert_eq!(
+            cache.load_result(2),
+            Some(outcome()),
+            "staged after the take"
+        );
+        assert_eq!(cache.load_result(1), None, "on its way to the log");
+        drop(lock);
+        committing.join().unwrap();
+        assert_eq!(cache.load_result(1), Some(outcome()), "committed");
+        cache.flush();
+        assert_eq!(operator.load_result(2), Some(outcome()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_key_staged_twice_reads_back_its_latest_value() {
+        let dir = temp_dir("twice");
+        let cache = DiskCache::open(&dir).unwrap();
+        let latest = AnalysisOutcome::Sim(SimOutcome {
+            makespan: 18,
+            transformed_makespan: None,
+        });
+        cache.store_result(9, &outcome());
+        cache.store_result(9, &latest);
+        assert_eq!(cache.load_result(9), Some(latest.clone()), "staged");
+        cache.flush();
+        assert_eq!(cache.load_result(9), Some(latest.clone()), "committed");
+        let other = DiskCache::open(&dir).unwrap();
+        assert_eq!(other.load_result(9), Some(latest));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_failed_commit_counts_every_record_of_its_batch() {
+        let dir = temp_dir("failed-commit");
+        let cache = DiskCache::open(&dir).unwrap();
+        cache.store_result(1, &outcome());
+        cache.store_identity(2, Some(0xCC));
+        cache.store_result(3, &outcome());
+        // A file replaces the directory: the commit finds its generation
+        // removed and cannot open a live one.
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::write(&dir, b"").unwrap();
+        cache.flush();
+        assert_eq!(cache.write_failed(), 3, "every record of the batch");
+        assert_eq!(cache.load_result(1), None, "the batch is dropped");
+        let _ = std::fs::remove_file(&dir);
     }
 
     #[test]

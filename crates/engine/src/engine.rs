@@ -62,6 +62,7 @@ pub const INPUT_CACHE_CAP: usize = 4096;
 /// ([`EngineBuilder::with_cache_dir`]): memory misses probe the disk
 /// before computing, and fresh results are written through, so a second
 /// engine — in this process or another — replays instead of recomputing.
+/// The writes are staged and commit at the latest when a run ends.
 #[derive(Debug)]
 pub struct EngineCaches {
     pub(crate) transform: MemoCache<Result<TransformedTask, String>>,
@@ -874,8 +875,9 @@ impl Executor {
     /// each result to `consume` on the calling thread; `on_start` runs on
     /// the worker as it picks a job up. Feeds the per-analysis latency
     /// histograms, the queue-depth gauge and (once per call) the `pool.*`
-    /// counters. Once `cancel` flips, unclaimed jobs are skipped;
-    /// in-flight jobs finish and still reach `consume`.
+    /// counters, then commits the disk cache's staged writes. Once
+    /// `cancel` flips, unclaimed jobs are skipped; in-flight jobs finish
+    /// and still reach `consume`.
     fn run(
         &self,
         jobs: &[Job],
@@ -934,6 +936,12 @@ impl Executor {
         metrics
             .counter("pool.idle_us")
             .add(worker_stats.iter().map(|w| micros(w.idle)).sum());
+        // Every front end ends its run here, so its disk writes reach
+        // other handles (a daemon's next client, a fleet's other workers)
+        // before the run is reported done.
+        if let Some(disk) = &caches.disk {
+            disk.flush();
+        }
         worker_stats
     }
 }

@@ -71,6 +71,41 @@ fn second_engine_instance_replays_from_disk_with_zero_recomputes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs `first` on engine A, then a fresh engine B over the same
+/// directory while A is still alive: nothing has dropped A's disk handle,
+/// so B replays only what A committed when its run ended.
+fn replays_while_the_writer_lives(tag: &str, first: impl FnOnce(&Engine)) {
+    let dir = temp_dir(tag);
+    let writer = engine_on(&dir);
+    first(&writer);
+    let warm = engine_on(&dir).run(&spec()).expect("warm run");
+    assert_eq!(
+        warm.stats.cached_jobs as usize, warm.stats.jobs,
+        "zero recomputes while the writer lives"
+    );
+    let reference = Engine::new(2).run(&spec()).expect("reference run");
+    assert_eq!(warm.aggregate, reference.aggregate);
+    drop(writer);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_run_commits_its_disk_writes_when_it_ends() {
+    replays_while_the_writer_lives("run-end", |engine| {
+        engine.run(&spec()).expect("cold run");
+    });
+}
+
+#[test]
+fn a_job_subset_commits_its_disk_writes_when_it_ends() {
+    // The fleet worker's call: every index, results to a sink.
+    replays_while_the_writer_lives("subset-end", |engine| {
+        let all: Vec<usize> = (0..spec().job_count()).collect();
+        let ran = engine.run_job_subset(&spec(), &all, |_| {});
+        assert_eq!(ran.expect("cold subset"), all.len());
+    });
+}
+
 #[test]
 fn identity_entries_are_written_once_per_recipe() {
     // Every recipe runs at m = 2 and at m = 8. The m = 8 job finds the
@@ -207,15 +242,23 @@ fn two_engines_share_one_cache_dir_under_concurrent_gc() {
     let reference = Engine::new(2).run(&spec()).expect("reference run");
 
     let stop = Arc::new(AtomicBool::new(false));
+    // The engines start with the gc thread's first pass, so the race does
+    // not depend on the scheduler reaching the gc thread before two short
+    // sweeps finish. `sweeps` counts the passes that started before both
+    // engines were done.
+    let start = Arc::new(std::sync::Barrier::new(3));
     let gc_thread = {
         let dir = dir.clone();
-        let stop = Arc::clone(&stop);
+        let (stop, start) = (Arc::clone(&stop), Arc::clone(&start));
         std::thread::spawn(move || {
             // A dedicated handle, like an operator's `hetrta cache gc`
             // racing the daemons.
             let cache = hetrta_engine::DiskCache::open(&dir).expect("gc handle");
             let mut sweeps = 0u64;
             while !stop.load(Ordering::Relaxed) {
+                if sweeps == 0 {
+                    start.wait();
+                }
                 cache.gc(0).expect("gc never errors");
                 sweeps += 1;
                 std::thread::sleep(std::time::Duration::from_millis(1));
@@ -226,8 +269,11 @@ fn two_engines_share_one_cache_dir_under_concurrent_gc() {
 
     let runs: Vec<_> = (0..2)
         .map(|_| {
-            let dir = dir.clone();
-            std::thread::spawn(move || engine_on(&dir).run(&spec()).expect("concurrent run"))
+            let (dir, start) = (dir.clone(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                engine_on(&dir).run(&spec()).expect("concurrent run")
+            })
         })
         .collect();
     let outputs: Vec<_> = runs
