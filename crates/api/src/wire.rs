@@ -22,8 +22,9 @@ use std::io::{Read, Write};
 pub const WIRE_MAGIC: [u8; 4] = *b"HRTA";
 
 /// Wire format version; bumping it orphans (never misreads) frames
-/// written by older builds.
-pub const WIRE_VERSION: u16 = 1;
+/// written by older builds. Version 2: aggregate updates name their cell
+/// shape and carry one token per cell statistic.
+pub const WIRE_VERSION: u16 = 2;
 
 /// Upper bound on a frame's payload length. A garbage length field must
 /// not make a reader allocate gigabytes before the checksum can reject

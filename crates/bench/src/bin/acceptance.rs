@@ -12,7 +12,7 @@
 //! ```
 
 use hetrta_bench::table::{pct, Table};
-use hetrta_engine::{CellKind, Engine, SweepSpec, TestKind};
+use hetrta_engine::{CellStat, Engine, SweepSpec, TestKind};
 use hetrta_sched::taskset::TaskSetParams;
 
 fn main() {
@@ -43,13 +43,13 @@ fn main() {
                 .chain(TestKind::ALL.iter().map(|t| t.label().to_string()))
                 .collect(),
         );
+        let ratio = |cell: &hetrta_engine::CellSummary, t| {
+            cell.share(CellStat::accepted(t)).expect("acceptance cells")
+        };
         for cell in &out.aggregate.cells {
-            let CellKind::Set(s) = &cell.kind else {
-                unreachable!("acceptance cells")
-            };
             table.row(
                 std::iter::once(format!("{:.2}", cell.grid_value))
-                    .chain(TestKind::ALL.iter().map(|&t| pct(s.ratio(t, cell.samples))))
+                    .chain(TestKind::ALL.iter().map(|&t| pct(ratio(cell, t))))
                     .collect(),
             );
         }
@@ -62,10 +62,8 @@ fn main() {
                 .aggregate
                 .cells
                 .iter()
-                .filter_map(|cell| match &cell.kind {
-                    CellKind::Set(s) if s.ratio(t, cell.samples) >= 0.5 => Some(cell.grid_value),
-                    _ => None,
-                })
+                .filter(|cell| ratio(cell, t) >= 0.5)
+                .map(|cell| cell.grid_value)
                 .fold(f64::NAN, f64::max);
             println!(
                 "  {:>9}: 50% acceptance up to U/m ≈ {breakeven:.2}",

@@ -9,7 +9,7 @@
 //! are skipped) reproduced exactly — pinned by the `engine_parity` tests.
 
 use hetrta_cond::CondGenParams;
-use hetrta_engine::{CellKind, Engine, SweepSpec};
+use hetrta_engine::{CellStat, Engine, SweepSpec};
 
 use crate::table::{pct, Table};
 
@@ -99,16 +99,17 @@ pub fn run_on(engine: &Engine, config: &Config) -> Vec<Point> {
         .cells
         .iter()
         .map(|cell| {
-            let CellKind::Cond(c) = &cell.kind else {
-                unreachable!("conditional sweeps produce cond cells")
+            let mean = |stat| {
+                cell.real(stat)
+                    .expect("conditional sweeps produce cond cells")
             };
             Point {
                 p_cond: cell.grid_value,
                 m: cell.m,
-                flat_overhead: c.mean_flat_overhead,
-                dp_overhead: c.mean_dp_overhead,
-                realizations: c.mean_realizations,
-                samples: c.included,
+                flat_overhead: mean(CellStat::MeanFlatOverhead),
+                dp_overhead: mean(CellStat::MeanDpOverhead),
+                realizations: mean(CellStat::MeanRealizations),
+                samples: cell.count(CellStat::Included).expect("cond cell") as usize,
             }
         })
         .collect()

@@ -12,7 +12,7 @@
 //! m = 2/4/8/16) and helps substantially beyond (τ up to 24% slower than
 //! τ' for m = 2).
 
-use hetrta_engine::{CellKind, Engine, GeneratorPreset, SweepSpec};
+use hetrta_engine::{CellStat, Engine, GeneratorPreset, SweepSpec};
 use hetrta_gen::series::fraction_sweep_wide;
 use hetrta_gen::NfjParams;
 use hetrta_sim::metrics::percentage_change;
@@ -125,11 +125,12 @@ pub fn run_on(engine: &Engine, config: &Config) -> Results {
         .cells
         .iter()
         .map(|cell| {
-            let CellKind::Task(t) = &cell.kind else {
-                unreachable!("fraction sweeps produce task cells")
-            };
-            let avg_original = t.mean_sim_makespan.expect("simulation selected");
-            let avg_transformed = t.mean_sim_transformed.expect("sim_transformed selected");
+            let avg_original = cell
+                .real(CellStat::MeanSimMakespan)
+                .expect("simulation selected");
+            let avg_transformed = cell
+                .real(CellStat::MeanSimTransformed)
+                .expect("sim_transformed selected");
             Point {
                 m: cell.m,
                 fraction: cell.grid_value,

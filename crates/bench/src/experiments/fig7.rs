@@ -10,7 +10,7 @@
 //! budget are skipped, exactly as the paper skips instances CPLEX could
 //! not solve within 12 hours.
 
-use hetrta_engine::{CellKind, Engine, GeneratorPreset, SweepSpec};
+use hetrta_engine::{CellStat, Engine, GeneratorPreset, SweepSpec};
 use hetrta_exact::SolverConfig;
 use hetrta_gen::series::fraction_sweep_fine;
 use hetrta_gen::NfjParams;
@@ -157,16 +157,15 @@ pub fn run_on(engine: &Engine, config: &Config) -> Results {
             .run(&panel_spec(config, panel))
             .expect("sweep succeeds");
         points.extend(out.aggregate.cells.iter().map(|cell| {
-            let CellKind::Task(t) = &cell.kind else {
-                unreachable!("fraction sweeps produce task cells")
-            };
-            let accuracy = t.accuracy.as_ref().expect("exact+hom+het selected");
+            let increment = |stat| cell.real(stat).expect("exact+hom+het selected");
             Point {
                 m: cell.m,
                 fraction: cell.grid_value,
-                hom_increment: accuracy.mean_hom_increment,
-                het_increment: accuracy.mean_het_increment,
-                solved: accuracy.solved,
+                hom_increment: increment(CellStat::HomIncrement),
+                het_increment: increment(CellStat::HetIncrement),
+                solved: cell
+                    .count(CellStat::Solved)
+                    .expect("exact+hom+het selected") as usize,
             }
         }));
     }

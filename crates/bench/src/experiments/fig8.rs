@@ -7,7 +7,7 @@
 //! with `C_off` — earlier on larger hosts because `R_hom(G_par)` shrinks
 //! with `m`.
 
-use hetrta_engine::{CellKind, Engine, GeneratorPreset, SweepSpec};
+use hetrta_engine::{CellStat, Engine, GeneratorPreset, SweepSpec};
 use hetrta_gen::series::fraction_sweep_fine;
 use hetrta_gen::NfjParams;
 
@@ -113,16 +113,16 @@ pub fn run_on(engine: &Engine, config: &Config) -> Results {
         .cells
         .iter()
         .map(|cell| {
-            let CellKind::Task(t) = &cell.kind else {
-                unreachable!("fraction sweeps produce task cells")
+            let share = |stat| {
+                cell.share(stat)
+                    .expect("fraction sweeps produce task cells")
             };
-            let (s1, s21, s22) = t.scenario_shares(cell.samples);
             Point {
                 m: cell.m,
                 fraction: cell.grid_value,
-                s1,
-                s21,
-                s22,
+                s1: share(CellStat::S1),
+                s21: share(CellStat::S21),
+                s22: share(CellStat::S22),
             }
         })
         .collect();

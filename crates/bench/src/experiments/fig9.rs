@@ -10,7 +10,7 @@
 //! (70%/55%/40%/30%) is reached where `C_off = R_hom(G_par)`; maximum
 //! observed differences are 95.0%/82.5%/65.3%/47.7%.
 
-use hetrta_engine::{CellKind, Engine, GeneratorPreset, SweepSpec};
+use hetrta_engine::{CellStat, Engine, GeneratorPreset, SweepSpec};
 use hetrta_gen::series::fraction_sweep_wide;
 use hetrta_gen::NfjParams;
 
@@ -121,14 +121,12 @@ pub fn run_on(engine: &Engine, config: &Config) -> Results {
         .cells
         .iter()
         .map(|cell| {
-            let CellKind::Task(t) = &cell.kind else {
-                unreachable!("fraction sweeps produce task cells")
-            };
+            let change = |stat| cell.real(stat).expect("fraction sweeps produce task cells");
             Point {
                 m: cell.m,
                 fraction: cell.grid_value,
-                mean_change: t.mean_improvement,
-                max_change: t.max_improvement,
+                mean_change: change(CellStat::MeanImprovement),
+                max_change: change(CellStat::MaxImprovement),
             }
         })
         .collect();

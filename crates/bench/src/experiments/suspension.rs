@@ -7,7 +7,7 @@
 //! derivation (and its skip-on-generation-failure convention) reproduced
 //! exactly — pinned by the `engine_parity` tests.
 
-use hetrta_engine::{CellKind, Engine, SweepSpec};
+use hetrta_engine::{CellStat, Engine, SweepSpec};
 
 use crate::table::Table;
 
@@ -107,19 +107,17 @@ pub fn run_on(engine: &Engine, config: &Config) -> Vec<Point> {
         .cells
         .iter()
         .map(|cell| {
-            let CellKind::Task(t) = &cell.kind else {
-                unreachable!("suspension sweeps produce task cells")
-            };
-            let s = t.suspend.as_ref().expect("suspend selected");
+            let mean = |stat| cell.real(stat).expect("suspend selected");
+            let violations = cell.count(CellStat::NaiveViolations);
             Point {
                 m: cell.m,
                 pct: (cell.grid_value * 100.0).round() as u32,
-                oblivious: s.mean_oblivious,
-                barrier: s.mean_barrier,
-                het: s.mean_het_tight,
-                naive: s.mean_naive,
-                worst: s.mean_worst_observed.unwrap_or(0.0),
-                violations: s.naive_violations,
+                oblivious: mean(CellStat::SuspendOblivious),
+                barrier: mean(CellStat::SuspendBarrier),
+                het: mean(CellStat::SuspendHetTight),
+                naive: mean(CellStat::SuspendNaive),
+                worst: cell.real(CellStat::SuspendWorst).unwrap_or(0.0),
+                violations: violations.expect("suspend selected") as usize,
                 samples: cell.samples,
             }
         })

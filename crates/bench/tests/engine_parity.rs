@@ -436,10 +436,13 @@ fn streaming_session_equals_the_serial_reference_bitwise() {
 
     assert_eq!(out.aggregate.cells.len(), serial.len());
     for (cell, point) in out.aggregate.cells.iter().zip(&serial) {
-        let hetrta_engine::CellKind::Task(t) = &cell.kind else {
-            panic!("task cell")
-        };
-        let (s1, s21, s22) = t.scenario_shares(cell.samples);
+        use hetrta_engine::CellStat;
+        let share = |stat| cell.share(stat).expect("task cell");
+        let (s1, s21, s22) = (
+            share(CellStat::S1),
+            share(CellStat::S21),
+            share(CellStat::S22),
+        );
         assert_eq!((cell.m, cell.grid_value), (point.m, point.fraction));
         assert_eq!(s1.to_bits(), point.s1.to_bits());
         assert_eq!(s21.to_bits(), point.s21.to_bits());

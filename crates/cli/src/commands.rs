@@ -11,14 +11,16 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
+use hetrta_bench::table::Table;
 use hetrta_core::federated::{minimum_cores, AnalysisKind};
 use hetrta_core::{transform, HeterogeneousAnalysis};
 use hetrta_dag::dot::{to_dot, DotOptions};
 use hetrta_dag::io::{parse_task, render_task, TaskKind};
 use hetrta_dag::{HeteroDagTask, NodeId, Ticks};
 use hetrta_engine::{
-    AggregateUpdate, AggregateView, AnalysisSelection, CellKind, EngineBuilder, GeneratorPreset,
-    JournalConfig, SessionConfig, SweepDriver, SweepEvent, SweepSpec, TestKind, TraceRecorder,
+    AggregateUpdate, AggregateView, AnalysisSelection, CellSummary, EngineBuilder, GeneratorPreset,
+    JournalConfig, SessionConfig, StatDef, StatKind, SweepAggregate, SweepDriver, SweepEvent,
+    SweepSpec, TraceRecorder,
 };
 use hetrta_exact::{lp, solve, SolverConfig};
 use hetrta_gen::offload::{make_hetero_task, CoffSizing, OffloadSelection};
@@ -1425,8 +1427,7 @@ fn engine_sweep_cmd(args: &ParsedArgs) -> Result<String, String> {
             let (shard, shards) = hetrta_dist::parse_shard(raw)?;
             let (driver, _) =
                 SweepDriver::open(&spec, engine.registry(), None).map_err(|e| e.to_string())?;
-            let mut driver =
-                driver.with_partials(partial_every, SessionConfig::default().keyframe_every);
+            let mut driver = driver.with_partials(partial_every);
             let total = driver.total();
             let indices = hetrta_dist::shard_indices(total, shard, shards);
             let ran = engine
@@ -1485,9 +1486,9 @@ fn engine_sweep_cmd(args: &ParsedArgs) -> Result<String, String> {
     };
 
     let mut text = if args.has("--csv") {
-        render_cells_csv(&aggregate.cells)
+        render_cells_csv(&aggregate)
     } else {
-        render_cells_table(&aggregate.cells)
+        render_cells_table(&aggregate)
     };
     text.push('\n');
     text.push_str(&summary);
@@ -1685,9 +1686,9 @@ fn submit_cmd(args: &ParsedArgs) -> Result<String, String> {
     progress.done(outcome.completed, spec.job_count());
 
     let mut text = if args.has("--csv") {
-        render_cells_csv(&outcome.aggregate.cells)
+        render_cells_csv(&outcome.aggregate)
     } else {
-        render_cells_table(&outcome.aggregate.cells)
+        render_cells_table(&outcome.aggregate)
     };
     text.push('\n');
     let _ = writeln!(
@@ -1837,308 +1838,84 @@ fn loadgen_dist(args: &ParsedArgs, raw: &str) -> Result<String, String> {
     Ok(text)
 }
 
-fn render_cells_table(cells: &[hetrta_engine::CellSummary]) -> String {
-    let mut out = String::new();
-    match cells.first().map(|c| &c.kind) {
-        Some(CellKind::Set(_)) => {
-            let _ = writeln!(
-                out,
-                "  m   U/m  {}",
-                TestKind::ALL.map(|t| format!("{:>9}", t.label())).join(" ")
-            );
-            for cell in cells {
-                let CellKind::Set(s) = &cell.kind else {
-                    continue;
-                };
-                let ratios = TestKind::ALL
-                    .map(|t| format!("{:>8.1}%", s.ratio(t, cell.samples) * 100.0))
-                    .join(" ");
-                let _ = writeln!(out, "{:>3}  {:>4.2}  {ratios}", cell.m, cell.grid_value);
-            }
+/// The aggregate as one table per section of its shape's statistics that
+/// holds a present, nonzero value: `m`, the grid value and `samples`, then
+/// the section's statistics (shares as percentages, reals to two
+/// decimals, `-` when absent).
+fn render_cells_table(aggregate: &SweepAggregate) -> String {
+    let shown = |def: &StatDef, cell: &CellSummary| {
+        cell.count(def.stat).is_some_and(|c| c != 0)
+            || cell.real(def.stat).is_some_and(|v| v != 0.0)
+    };
+    let mut blocks = Vec::new();
+    for section in aggregate
+        .shape
+        .stats()
+        .chunk_by(|a, b| a.section == b.section)
+    {
+        if !aggregate
+            .cells
+            .iter()
+            .any(|cell| section.iter().any(|def| shown(def, cell)))
+        {
+            continue;
         }
-        Some(CellKind::Cond(_)) => {
-            let _ = writeln!(
-                out,
-                "  m  p_cond  included  flat-vs-aware  aware-vs-exact  avg-realizations"
-            );
-            for cell in cells {
-                let CellKind::Cond(c) = &cell.kind else {
-                    continue;
+        let mut table = Table::new(
+            ["m", aggregate.shape.grid_name(), "samples"]
+                .into_iter()
+                .chain(section.iter().map(|def| def.name))
+                .map(str::to_owned)
+                .collect(),
+        );
+        for cell in &aggregate.cells {
+            let values = section.iter().map(|def| {
+                let value = match def.kind {
+                    StatKind::Count => cell.count(def.stat).map(|c| c.to_string()),
+                    StatKind::Share => cell.share(def.stat).map(|v| format!("{:.1}%", v * 100.0)),
+                    StatKind::Real => cell.real(def.stat).map(|v| format!("{v:.2}")),
                 };
-                let _ = writeln!(
-                    out,
-                    "{:>3}  {:>6.2}  {:>8}  {:>+12.2}%  {:>+13.3}%  {:>16.1}",
-                    cell.m,
-                    cell.grid_value,
-                    c.included,
-                    c.mean_flat_overhead,
-                    c.mean_dp_overhead,
-                    c.mean_realizations,
-                );
-            }
-        }
-        _ => {
-            // The scenario/improvement table only carries data when the
-            // het analysis ran; suspend- or sim-only sweeps skip it.
-            let has_het = cells.iter().any(|c| {
-                matches!(&c.kind, CellKind::Task(t)
-                    if t.scenario_counts.iter().sum::<usize>() > 0)
+                value.unwrap_or_else(|| "-".to_owned())
             });
-            if has_het {
-                let _ = writeln!(
-                    out,
-                    "  m  C_off/vol        s1      s2.1      s2.2  mean-impr   max-impr  sched(het)"
-                );
-                for cell in cells {
-                    let CellKind::Task(t) = &cell.kind else {
-                        continue;
-                    };
-                    let (s1, s21, s22) = t.scenario_shares(cell.samples);
-                    let _ = writeln!(
-                        out,
-                        "{:>3}  {:>8.2}%  {:>7.1}%  {:>7.1}%  {:>7.1}%  {:>+8.2}%  {:>+8.2}%  {:>6}/{}",
-                        cell.m,
-                        cell.grid_value * 100.0,
-                        s1 * 100.0,
-                        s21 * 100.0,
-                        s22 * 100.0,
-                        t.mean_improvement,
-                        t.max_improvement,
-                        t.schedulable_het,
-                        cell.samples,
-                    );
-                }
-            }
-            if cells
-                .iter()
-                .any(|c| matches!(&c.kind, CellKind::Task(t) if t.mean_sim_makespan.is_some()))
-            {
-                if has_het {
-                    let _ = writeln!(out);
-                }
-                let _ = writeln!(out, "  m  C_off/vol   mean-sim  mean-sim(tau')");
-                for cell in cells {
-                    let CellKind::Task(t) = &cell.kind else {
-                        continue;
-                    };
-                    let Some(sim) = t.mean_sim_makespan else {
-                        continue;
-                    };
-                    let trans = t
-                        .mean_sim_transformed
-                        .map_or("-".to_owned(), |v| format!("{v:.2}"));
-                    let _ = writeln!(
-                        out,
-                        "{:>3}  {:>8.2}%  {:>9.2}  {:>14}",
-                        cell.m,
-                        cell.grid_value * 100.0,
-                        sim,
-                        trans,
-                    );
-                }
-            }
-            if cells
-                .iter()
-                .any(|c| matches!(&c.kind, CellKind::Task(t) if t.accuracy.is_some()))
-            {
-                let _ = writeln!(out, "\n  m  C_off/vol  R_hom-inc  R_het-inc  solved");
-                for cell in cells {
-                    let CellKind::Task(t) = &cell.kind else {
-                        continue;
-                    };
-                    let Some(a) = &t.accuracy else { continue };
-                    let _ = writeln!(
-                        out,
-                        "{:>3}  {:>8.2}%  {:>+8.2}%  {:>+8.2}%  {:>6}/{}",
-                        cell.m,
-                        cell.grid_value * 100.0,
-                        a.mean_hom_increment,
-                        a.mean_het_increment,
-                        a.solved,
-                        cell.samples,
-                    );
-                }
-            }
-            if cells
-                .iter()
-                .any(|c| matches!(&c.kind, CellKind::Task(t) if t.suspend.is_some()))
-            {
-                let _ = writeln!(
-                    out,
-                    "\n  m  C_off/vol  oblivious    barrier     R_het~   naive(!)  violations"
-                );
-                for cell in cells {
-                    let CellKind::Task(t) = &cell.kind else {
-                        continue;
-                    };
-                    let Some(s) = &t.suspend else { continue };
-                    let _ = writeln!(
-                        out,
-                        "{:>3}  {:>8.2}%  {:>9.2}  {:>9.2}  {:>9.2}  {:>9.2}  {:>6}/{}",
-                        cell.m,
-                        cell.grid_value * 100.0,
-                        s.mean_oblivious,
-                        s.mean_barrier,
-                        s.mean_het_tight,
-                        s.mean_naive,
-                        s.naive_violations,
-                        cell.samples,
-                    );
-                }
-            }
-            if cells
-                .iter()
-                .any(|c| matches!(&c.kind, CellKind::Task(t) if t.sampled.is_some()))
-            {
-                let _ = writeln!(
-                    out,
-                    "\n  m  C_off/vol   mean-mk      ±CI        min        max  samples"
-                );
-                for cell in cells {
-                    let CellKind::Task(t) = &cell.kind else {
-                        continue;
-                    };
-                    let Some(s) = &t.sampled else { continue };
-                    let _ = writeln!(
-                        out,
-                        "{:>3}  {:>8.2}%  {:>9.2}  {:>7.2}  {:>9}  {:>9}  {:>7}",
-                        cell.m,
-                        cell.grid_value * 100.0,
-                        s.mean,
-                        s.mean_ci_half,
-                        s.min,
-                        s.max,
-                        s.total_samples,
-                    );
-                }
-            }
-            if cells
-                .iter()
-                .any(|c| matches!(&c.kind, CellKind::Task(t) if t.anytime.is_some()))
-            {
-                let _ = writeln!(out, "\n  m  C_off/vol      lower      upper  optimal");
-                for cell in cells {
-                    let CellKind::Task(t) = &cell.kind else {
-                        continue;
-                    };
-                    let Some(a) = &t.anytime else { continue };
-                    let _ = writeln!(
-                        out,
-                        "{:>3}  {:>8.2}%  {:>9.2}  {:>9.2}  {:>5}/{}",
-                        cell.m,
-                        cell.grid_value * 100.0,
-                        a.mean_lower,
-                        a.mean_upper,
-                        a.optimal,
-                        cell.samples,
-                    );
-                }
-            }
+            let coordinates = [
+                cell.m.to_string(),
+                cell.grid_value.to_string(),
+                cell.samples.to_string(),
+            ];
+            table.row(coordinates.into_iter().chain(values).collect());
         }
+        blocks.push(table.render());
     }
-    out
+    blocks.join("\n")
 }
 
-fn render_cells_csv(cells: &[hetrta_engine::CellSummary]) -> String {
-    let mut out = String::new();
-    let opt = |v: Option<f64>| v.map_or(String::new(), |x| format!("{x:.6}"));
-    match cells.first().map(|c| &c.kind) {
-        Some(CellKind::Set(_)) => {
-            let labels = TestKind::ALL.map(|t| t.label().to_owned()).join(",");
-            let _ = writeln!(out, "m,normalized_util,samples,{labels}");
-            for cell in cells {
-                let CellKind::Set(s) = &cell.kind else {
-                    continue;
+/// The aggregate as CSV: `m`, the grid value and `samples`, then one
+/// column per statistic of its shape (counts as integers, shares and
+/// reals to six decimals, absent values empty).
+fn render_cells_csv(aggregate: &SweepAggregate) -> String {
+    let stats = aggregate.shape.stats();
+    let names: Vec<&str> = stats.iter().map(|def| def.name).collect();
+    let grid = aggregate.shape.grid_name();
+    let mut out = format!("m,{grid},samples,{}\n", names.join(","));
+    for cell in &aggregate.cells {
+        let values: Vec<String> = stats
+            .iter()
+            .map(|def| {
+                let value = match def.kind {
+                    StatKind::Count => cell.count(def.stat).map(|c| c.to_string()),
+                    StatKind::Share => cell.share(def.stat).map(|v| format!("{v:.6}")),
+                    StatKind::Real => cell.real(def.stat).map(|v| format!("{v:.6}")),
                 };
-                let ratios = TestKind::ALL
-                    .map(|t| format!("{:.6}", s.ratio(t, cell.samples)))
-                    .join(",");
-                let _ = writeln!(
-                    out,
-                    "{},{},{},{ratios}",
-                    cell.m, cell.grid_value, cell.samples
-                );
-            }
-        }
-        Some(CellKind::Cond(_)) => {
-            let _ = writeln!(
-                out,
-                "m,p_cond,samples,included,mean_flat_overhead,mean_dp_overhead,mean_realizations"
-            );
-            for cell in cells {
-                let CellKind::Cond(c) = &cell.kind else {
-                    continue;
-                };
-                let _ = writeln!(
-                    out,
-                    "{},{},{},{},{:.6},{:.6},{:.6}",
-                    cell.m,
-                    cell.grid_value,
-                    cell.samples,
-                    c.included,
-                    c.mean_flat_overhead,
-                    c.mean_dp_overhead,
-                    c.mean_realizations,
-                );
-            }
-        }
-        _ => {
-            let _ = writeln!(
-                out,
-                "m,fraction,samples,s1,s21,s22,mean_improvement,max_improvement,\
-                 schedulable_het,schedulable_hom,mean_r_het,mean_r_hom,\
-                 mean_sim_makespan,mean_sim_transformed,exact_solved,mean_exact_makespan,\
-                 hom_increment,het_increment,solved,\
-                 suspend_oblivious,suspend_barrier,suspend_het_tight,suspend_naive,\
-                 suspend_worst,naive_violations,\
-                 sampled_mean,sampled_ci_half,sampled_min,sampled_max,sampled_total,\
-                 anytime_lower,anytime_upper,anytime_optimal"
-            );
-            for cell in cells {
-                let CellKind::Task(t) = &cell.kind else {
-                    continue;
-                };
-                let (s1, s21, s22) = t.scenario_shares(cell.samples);
-                let accuracy = t.accuracy.as_ref();
-                let suspend = t.suspend.as_ref();
-                let sampled = t.sampled.as_ref();
-                let anytime = t.anytime.as_ref();
-                let _ = writeln!(
-                    out,
-                    "{},{},{},{s1:.6},{s21:.6},{s22:.6},{:.6},{:.6},{},{},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                    cell.m,
-                    cell.grid_value,
-                    cell.samples,
-                    t.mean_improvement,
-                    t.max_improvement,
-                    t.schedulable_het,
-                    t.schedulable_hom,
-                    t.mean_r_het,
-                    t.mean_r_hom,
-                    opt(t.mean_sim_makespan),
-                    opt(t.mean_sim_transformed),
-                    t.exact_solved,
-                    opt(t.mean_exact_makespan),
-                    opt(accuracy.map(|a| a.mean_hom_increment)),
-                    opt(accuracy.map(|a| a.mean_het_increment)),
-                    accuracy.map_or(String::new(), |a| a.solved.to_string()),
-                    opt(suspend.map(|s| s.mean_oblivious)),
-                    opt(suspend.map(|s| s.mean_barrier)),
-                    opt(suspend.map(|s| s.mean_het_tight)),
-                    opt(suspend.map(|s| s.mean_naive)),
-                    opt(suspend.and_then(|s| s.mean_worst_observed)),
-                    suspend.map_or(String::new(), |s| s.naive_violations.to_string()),
-                    opt(sampled.map(|s| s.mean)),
-                    opt(sampled.map(|s| s.mean_ci_half)),
-                    sampled.map_or(String::new(), |s| s.min.to_string()),
-                    sampled.map_or(String::new(), |s| s.max.to_string()),
-                    sampled.map_or(String::new(), |s| s.total_samples.to_string()),
-                    opt(anytime.map(|a| a.mean_lower)),
-                    opt(anytime.map(|a| a.mean_upper)),
-                    anytime.map_or(String::new(), |a| a.optimal.to_string()),
-                );
-            }
-        }
+                value.unwrap_or_default()
+            })
+            .collect();
+        let _ = writeln!(
+            out,
+            "{},{},{},{}",
+            cell.m,
+            cell.grid_value,
+            cell.samples,
+            values.join(",")
+        );
     }
     out
 }
@@ -2179,12 +1956,40 @@ mod tests {
         list.iter().map(|s| (*s).to_owned()).collect()
     }
 
+    /// The arguments of one command line, separated by single spaces.
+    fn words(line: &str) -> Vec<String> {
+        line.split(' ').map(str::to_owned).collect()
+    }
+
+    /// Runs one command line.
+    fn cli(line: &str) -> Result<String, String> {
+        run(&words(line))
+    }
+
     /// Registry keys available to `--analyses`.
     fn registry_keys() -> Vec<String> {
         hetrta_engine::AnalysisRegistry::builtin()
             .keys()
             .iter()
             .map(|&k| k.to_owned())
+            .collect()
+    }
+
+    /// The parent-pinned CSV header of task-shaped sweeps.
+    const TASK_CSV_HEADER: &str = "m,fraction,samples,s1,s21,s22,mean_improvement,\
+        max_improvement,schedulable_het,schedulable_hom,mean_r_het,mean_r_hom,\
+        mean_sim_makespan,mean_sim_transformed,exact_solved,mean_exact_makespan,\
+        hom_increment,het_increment,solved,suspend_oblivious,suspend_barrier,\
+        suspend_het_tight,suspend_naive,suspend_worst,naive_violations,sampled_mean,\
+        sampled_ci_half,sampled_min,sampled_max,sampled_total,anytime_lower,\
+        anytime_upper,anytime_optimal";
+
+    /// The CSV cell block of a `--csv` sweep: every line before the first
+    /// blank one, newlines included.
+    fn csv_block(text: &str) -> String {
+        text.lines()
+            .take_while(|l| !l.is_empty())
+            .map(|l| format!("{l}\n"))
             .collect()
     }
 
@@ -2310,29 +2115,17 @@ mod tests {
 
     #[test]
     fn generate_emits_parseable_file() {
-        let out = run(&args(&["generate", "--seed", "7", "--fraction", "0.3"])).unwrap();
+        let out = cli("generate --seed 7 --fraction 0.3").unwrap();
         let parsed = hetrta_dag::io::parse_task(&out).unwrap();
         assert!(parsed.task.offloaded().is_some());
     }
 
     #[test]
     fn engine_sweep_reports_cells_and_stats() {
-        let out = run(&args(&[
-            "engine",
-            "sweep",
-            "--threads",
-            "2",
-            "--cores",
-            "2,4",
-            "--per-point",
-            "4",
-            "--fractions",
-            "0.1,0.3",
-            "--seed",
-            "9",
-        ]))
-        .unwrap();
-        assert!(out.contains("C_off/vol"), "{out}");
+        let out =
+            cli("engine sweep --threads 2 --cores 2,4 --per-point 4 --fractions 0.1,0.3 --seed 9")
+                .unwrap();
+        assert!(out.contains("mean_improvement"), "{out}");
         assert!(out.contains("result cache"), "{out}");
         assert!(out.contains("worker 0"), "{out}");
         assert!(out.contains("worker 1"), "{out}");
@@ -2349,38 +2142,18 @@ mod tests {
         let addr = server.local_addr().to_string();
         let daemon = std::thread::spawn(move || server.run().unwrap());
 
-        let shape = [
-            "--cores",
-            "2",
-            "--per-point",
-            "4",
-            "--fractions",
-            "0.1,0.3",
-            "--seed",
-            "5",
-            "--csv",
-        ];
-        let mut local_args = args(&["engine", "sweep", "--threads", "2"]);
-        local_args.extend(shape.iter().map(|s| (*s).to_owned()));
-        let mut remote_args = args(&["submit", "--addr", &addr]);
-        remote_args.extend(shape.iter().map(|s| (*s).to_owned()));
-        let local = run(&local_args).unwrap();
-        let remote = run(&remote_args).unwrap();
+        let shape = "--cores 2 --per-point 4 --fractions 0.1,0.3 --seed 5 --csv";
+        let local = cli(&format!("engine sweep --threads 2 {shape}")).unwrap();
+        let remote = cli(&format!("submit --addr {addr} {shape}")).unwrap();
         // Same flags, same CSV cell block: the daemon path is bitwise
         // the local engine path.
-        let cells = |text: &str| {
-            text.lines()
-                .take_while(|l| !l.is_empty())
-                .map(String::from)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(cells(&local), cells(&remote));
+        assert_eq!(csv_block(&local), csv_block(&remote));
         assert!(remote.contains("remote: 8 jobs"), "{remote}");
 
-        let stats = run(&args(&["submit", "--addr", &addr, "--stats"])).unwrap();
+        let stats = cli(&format!("submit --addr {addr} --stats")).unwrap();
         assert!(stats.contains("serve.tenant.cli.completed"), "{stats}");
 
-        let bye = run(&args(&["submit", "--addr", &addr, "--shutdown"])).unwrap();
+        let bye = cli(&format!("submit --addr {addr} --shutdown")).unwrap();
         assert!(bye.contains("draining"), "{bye}");
         daemon.join().unwrap();
     }
@@ -2415,156 +2188,114 @@ mod tests {
         }
 
         // Conflict rules come from the FlagSpec table, not handler code.
-        for bad in [
-            ["--workers", "2", "--shard", "0/2"],
-            ["--workers", "2", "--metrics", ""],
-        ] {
-            let mut argv = args(&["engine", "sweep"]);
-            argv.extend(
-                bad.iter()
-                    .filter(|s| !s.is_empty())
-                    .map(|s| (*s).to_owned()),
-            );
-            let err = run(&argv).unwrap_err();
+        for bad in ["--workers 2 --shard 0/2", "--workers 2 --metrics"] {
+            let err = cli(&format!("engine sweep {bad}")).unwrap_err();
             assert!(err.contains("conflicts with"), "{err}");
         }
-        let err = run(&args(&["engine", "sweep", "--shard", "2/2"])).unwrap_err();
+        let err = cli("engine sweep --shard 2/2").unwrap_err();
         assert!(err.contains("out of range"), "{err}");
     }
 
     #[test]
     fn engine_sweep_single_thread_matches_parallel() {
         let sweep = |threads: &str| {
-            run(&args(&[
-                "engine",
-                "sweep",
-                "--threads",
-                threads,
-                "--cores",
-                "2",
-                "--per-point",
-                "6",
-                "--fractions",
-                "0.2,0.4",
-                "--seed",
-                "11",
-                "--csv",
-            ]))
+            cli(&format!(
+                "engine sweep --threads {threads} --cores 2 --per-point 6 \
+                 --fractions 0.2,0.4 --seed 11 --csv"
+            ))
             .unwrap()
         };
-        let cells = |text: String| {
-            text.lines()
-                .take_while(|l| !l.is_empty())
-                .map(String::from)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(cells(sweep("1")), cells(sweep("3")));
+        assert_eq!(csv_block(&sweep("1")), csv_block(&sweep("3")));
     }
 
     #[test]
     fn engine_sweep_acceptance_mode() {
-        let out = run(&args(&[
-            "engine",
-            "sweep",
-            "--threads",
-            "2",
-            "--cores",
-            "2",
-            "--per-point",
-            "4",
-            "--utils",
-            "0.2,0.8",
-            "--n-tasks",
-            "3",
-            "--seed",
-            "5",
-        ]))
-        .unwrap();
+        let sweep = |csv: bool| {
+            let mut line = "engine sweep --threads 2 --cores 2 --per-point 4 --utils 0.2,0.8 --n-tasks 3 --seed 5".to_owned();
+            if csv {
+                line.push_str(" --csv");
+            }
+            cli(&line).unwrap()
+        };
+        let out = sweep(false);
         assert!(out.contains("GFP-hom"), "{out}");
-        assert!(out.contains("U/m"), "{out}");
+        assert!(out.contains("normalized_util"), "{out}");
         assert!(out.contains("engine: 8 jobs"), "{out}");
+        assert_eq!(
+            csv_block(&sweep(true)),
+            "m,normalized_util,samples,GFP-hom,GFP-het,GEDF-hom,GEDF-het,FED-hom,FED-het\n\
+             2,0.2,4,1.000000,1.000000,0.500000,0.750000,0.000000,0.000000\n\
+             2,0.8,4,0.250000,1.000000,0.000000,0.000000,0.000000,0.000000\n"
+        );
     }
 
     #[test]
     fn engine_sweep_conditional_mode() {
-        let out = run(&args(&[
-            "engine",
-            "sweep",
-            "--threads",
-            "2",
-            "--cores",
-            "2",
-            "--per-point",
-            "6",
-            "--cond-shares",
-            "0.2,0.4",
-            "--realization-cap",
-            "512",
-        ]))
-        .unwrap();
-        assert!(out.contains("flat-vs-aware"), "{out}");
+        let sweep = |csv: bool| {
+            let mut line = "engine sweep --threads 2 --cores 2 --per-point 6 --cond-shares 0.2,0.4 --realization-cap 512".to_owned();
+            if csv {
+                line.push_str(" --csv");
+            }
+            cli(&line).unwrap()
+        };
+        let out = sweep(false);
+        assert!(out.contains("mean_flat_overhead"), "{out}");
         assert!(out.contains("p_cond"), "{out}");
         assert!(out.contains("engine: 12 jobs"), "{out}");
+        assert_eq!(
+            csv_block(&sweep(true)),
+            "m,p_cond,samples,included,mean_flat_overhead,mean_dp_overhead,mean_realizations\n\
+             2,0.2,6,6,73.337091,0.856590,39.500000\n\
+             2,0.4,6,5,51.632178,0.222841,5.400000\n"
+        );
     }
 
     #[test]
     fn engine_sweep_suspend_analysis() {
-        let out = run(&args(&[
-            "engine",
-            "sweep",
-            "--threads",
-            "1",
-            "--cores",
-            "2",
-            "--per-point",
-            "3",
-            "--fractions",
-            "0.2",
-            "--analyses",
-            "suspend",
-            "--explore-seeds",
-            "4",
-        ]))
-        .unwrap();
-        assert!(out.contains("naive(!)"), "{out}");
-        assert!(out.contains("violations"), "{out}");
+        let sweep = |csv: bool| {
+            let mut line = "engine sweep --threads 1 --cores 2 --per-point 3 --fractions 0.2 --analyses suspend --explore-seeds 4".to_owned();
+            if csv {
+                line.push_str(" --csv");
+            }
+            cli(&line).unwrap()
+        };
+        let out = sweep(false);
+        assert!(out.contains("suspend_naive"), "{out}");
+        assert!(out.contains("naive_violations"), "{out}");
+        assert_eq!(
+            csv_block(&sweep(true)),
+            format!(
+                "{TASK_CSV_HEADER}\n2,0.2,3,0.000000,0.000000,0.000000,0.000000,0.000000,0,0,\
+                 0.000000,0.000000,,,0,,,,,1331.500000,1058.333333,1058.333333,1135.500000,\
+                 961.000000,0,,,,,,,,\n"
+            )
+        );
     }
 
     #[test]
     fn engine_sweep_sampled_and_anytime_analyses() {
         let sweep = |csv: bool| {
-            let mut argv = vec![
-                "engine",
-                "sweep",
-                "--threads",
-                "1",
-                "--cores",
-                "2",
-                "--per-point",
-                "3",
-                "--fractions",
-                "0.2",
-                "--analyses",
-                "sampled,anytime",
-                "--sample-budget",
-                "8",
-                "--sample-seed",
-                "7",
-                "--exact-budget",
-                "5000",
-            ];
+            let mut line = "engine sweep --threads 1 --cores 2 --per-point 3 --fractions 0.2 --analyses sampled,anytime --sample-budget 8 --sample-seed 7 --exact-budget 5000".to_owned();
             if csv {
-                argv.push("--csv");
+                line.push_str(" --csv");
             }
-            run(&args(&argv)).unwrap()
+            cli(&line).unwrap()
         };
         let table = sweep(false);
-        assert!(table.contains("mean-mk"), "{table}");
-        assert!(table.contains("±CI"), "{table}");
-        assert!(table.contains("optimal"), "{table}");
+        assert!(table.contains("sampled_mean"), "{table}");
+        assert!(table.contains("sampled_ci_half"), "{table}");
+        assert!(table.contains("anytime_optimal"), "{table}");
         let csv = sweep(true);
         assert!(csv.contains("sampled_mean"), "{csv}");
         assert!(csv.contains("anytime_upper"), "{csv}");
+        assert_eq!(
+            csv_block(&csv),
+            format!(
+                "{TASK_CSV_HEADER}\n2,0.2,3,0.000000,0.000000,0.000000,0.000000,0.000000,0,0,\
+                 0.000000,0.000000,,,0,,,,,,,,,,,968.625000,70.199656,441,2019,24,821.333333,\
+                 861.333333,1\n"
+            )
+        );
         // 3 jobs × 8 samples land in the one cell.
         let data = csv.lines().nth(1).unwrap();
         let cols: Vec<&str> = data.split(',').collect();
@@ -2577,152 +2308,77 @@ mod tests {
 
     #[test]
     fn engine_sweep_accuracy_analyses() {
-        let out = run(&args(&[
-            "engine",
-            "sweep",
-            "--threads",
-            "2",
-            "--cores",
-            "2",
-            "--per-point",
-            "3",
-            "--fractions",
-            "0.25",
-            "--analyses",
-            "exact,hom,het",
-            "--csv",
-        ]))
+        let out = cli("engine sweep --threads 2 --cores 2 --per-point 3 --fractions 0.25 --analyses exact,hom,het --csv")
         .unwrap();
         assert!(out.contains("hom_increment"), "{out}");
         let data_line = out.lines().nth(1).unwrap();
         assert!(!data_line.is_empty(), "{out}");
+        assert_eq!(
+            csv_block(&out),
+            format!(
+                "{TASK_CSV_HEADER}\n2,0.25,3,0.000000,0.333333,0.666667,40.580152,50.912584,3,3,\
+                 1690.500000,2504.666667,,,3,1516.666667,22.018349,0.000000,1,,,,,,,,,,,,,,\n"
+            )
+        );
     }
 
     #[test]
     fn engine_sweep_rejects_bad_flags() {
-        assert!(run(&args(&["engine"])).unwrap_err().contains("subcommand"));
-        assert!(run(&args(&["engine", "frob"]))
-            .unwrap_err()
-            .contains("unknown engine"));
-        assert!(run(&args(&["engine", "sweep", "--threads", "x"]))
+        assert!(cli("engine").unwrap_err().contains("subcommand"));
+        assert!(cli("engine frob").unwrap_err().contains("unknown engine"));
+        assert!(cli("engine sweep --threads x")
             .unwrap_err()
             .contains("invalid thread count"));
-        assert!(run(&args(&["engine", "sweep", "--analyses", "zig"]))
+        assert!(cli("engine sweep --analyses zig")
             .unwrap_err()
             .contains("unknown analysis"));
-        assert!(run(&args(&[
-            "engine",
-            "sweep",
-            "--fractions",
-            "0.1",
-            "--utils",
-            "0.5"
-        ]))
-        .unwrap_err()
-        .contains("not both"));
-        assert!(run(&args(&[
-            "engine",
-            "sweep",
-            "--cond-shares",
-            "0.2",
-            "--utils",
-            "0.5"
-        ]))
-        .unwrap_err()
-        .contains("not both"));
-        assert!(run(&args(&["engine", "sweep", "--preset", "giant"]))
+        assert!(cli("engine sweep --fractions 0.1 --utils 0.5")
+            .unwrap_err()
+            .contains("not both"));
+        assert!(cli("engine sweep --cond-shares 0.2 --utils 0.5")
+            .unwrap_err()
+            .contains("not both"));
+        assert!(cli("engine sweep --preset giant")
             .unwrap_err()
             .contains("unknown preset"));
         // Grid/analysis conflicts are decided by the registry (each key
         // declares its input kind), and the error names the keys that fit.
-        let err = run(&args(&[
-            "engine",
-            "sweep",
-            "--utils",
-            "0.5",
-            "--analyses",
-            "hom",
-        ]))
-        .unwrap_err();
+        let err = cli("engine sweep --utils 0.5 --analyses hom").unwrap_err();
         assert!(err.contains("`hom` expects a task"), "{err}");
         assert!(err.contains("produces a task set"), "{err}");
         assert!(err.contains("acceptance"), "{err}");
-        let err = run(&args(&[
-            "engine",
-            "sweep",
-            "--cond-shares",
-            "0.2",
-            "--analyses",
-            "het",
-        ]))
-        .unwrap_err();
+        let err = cli("engine sweep --cond-shares 0.2 --analyses het").unwrap_err();
         assert!(err.contains("`het` expects a task"), "{err}");
         assert!(err.contains("conditional expression"), "{err}");
         assert!(err.contains("cond"), "{err}");
-        assert!(run(&args(&[
-            "engine", "sweep", "--utils", "0.5", "--preset", "large"
-        ]))
-        .unwrap_err()
-        .contains("fraction sweeps"));
-        assert!(run(&args(&["engine", "sweep", "--n-tasks", "3"]))
+        assert!(cli("engine sweep --utils 0.5 --preset large")
+            .unwrap_err()
+            .contains("fraction sweeps"));
+        assert!(cli("engine sweep --n-tasks 3")
             .unwrap_err()
             .contains("utilization sweeps"));
         // Fraction-only knobs are rejected (not dropped) on other grids.
-        assert!(run(&args(&[
-            "engine",
-            "sweep",
-            "--utils",
-            "0.5",
-            "--explore-seeds",
-            "5"
-        ]))
-        .unwrap_err()
-        .contains("fraction sweeps"));
-        assert!(run(&args(&[
-            "engine",
-            "sweep",
-            "--cond-shares",
-            "0.2",
-            "--sim-transformed"
-        ]))
-        .unwrap_err()
-        .contains("fraction sweeps"));
-        assert!(run(&args(&[
-            "engine",
-            "sweep",
-            "--utils",
-            "0.5",
-            "--realization-cap",
-            "9"
-        ]))
-        .unwrap_err()
-        .contains("conditional sweeps"));
-        assert!(run(&args(&[
-            "engine",
-            "sweep",
-            "--utils",
-            "0.5",
-            "--sample-budget",
-            "8"
-        ]))
-        .unwrap_err()
-        .contains("fraction sweeps"));
-        assert!(run(&args(&[
-            "engine",
-            "sweep",
-            "--fractions",
-            "0.2",
-            "--sample-budget",
-            "0"
-        ]))
-        .unwrap_err()
-        .contains("sample budget"));
+        assert!(cli("engine sweep --utils 0.5 --explore-seeds 5")
+            .unwrap_err()
+            .contains("fraction sweeps"));
+        assert!(cli("engine sweep --cond-shares 0.2 --sim-transformed")
+            .unwrap_err()
+            .contains("fraction sweeps"));
+        assert!(cli("engine sweep --utils 0.5 --realization-cap 9")
+            .unwrap_err()
+            .contains("conditional sweeps"));
+        assert!(cli("engine sweep --utils 0.5 --sample-budget 8")
+            .unwrap_err()
+            .contains("fraction sweeps"));
+        assert!(cli("engine sweep --fractions 0.2 --sample-budget 0")
+            .unwrap_err()
+            .contains("sample budget"));
     }
 
     #[test]
     fn analyses_flag_accepts_every_registry_key_error_lists_them() {
         // Unknown keys list every valid key, so the error is self-serving.
-        let err = run(&args(&["engine", "sweep", "--analyses", "zig"])).unwrap_err();
+        let err = cli("engine sweep --analyses zig").unwrap_err();
         for key in registry_keys() {
             assert!(err.contains(&key), "`{key}` missing from: {err}");
         }
@@ -2732,40 +2388,18 @@ mod tests {
     fn explicit_analyses_work_on_every_grid_kind() {
         // Selecting the grid's own analysis explicitly is no longer an
         // error: validity comes from the registry's input kinds.
-        let utils = run(&args(&[
-            "engine",
-            "sweep",
-            "--cores",
-            "2",
-            "--per-point",
-            "2",
-            "--utils",
-            "0.5",
-            "--analyses",
-            "acceptance",
-        ]))
-        .unwrap();
+        let utils =
+            cli("engine sweep --cores 2 --per-point 2 --utils 0.5 --analyses acceptance").unwrap();
         assert!(utils.contains("GFP-hom"), "{utils}");
-        let cond = run(&args(&[
-            "engine",
-            "sweep",
-            "--cores",
-            "2",
-            "--per-point",
-            "2",
-            "--cond-shares",
-            "0.2",
-            "--analyses",
-            "cond",
-        ]))
-        .unwrap();
-        assert!(cond.contains("flat-vs-aware"), "{cond}");
+        let cond =
+            cli("engine sweep --cores 2 --per-point 2 --cond-shares 0.2 --analyses cond").unwrap();
+        assert!(cond.contains("mean_flat_overhead"), "{cond}");
     }
 
     #[test]
     fn sweep_help_lists_every_registry_key() {
         // The --analyses help line is generated from the registry.
-        let help = run(&args(&["engine", "sweep", "--help"])).unwrap();
+        let help = cli("engine sweep --help").unwrap();
         for key in registry_keys() {
             assert!(help.contains(&key), "`{key}` missing from:\n{help}");
         }
@@ -2778,23 +2412,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hetrta-cli-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let sweep = || {
-            run(&args(&[
-                "engine",
-                "sweep",
-                "--threads",
-                "2",
-                "--cores",
-                "2",
-                "--per-point",
-                "4",
-                "--fractions",
-                "0.1,0.3",
-                "--seed",
-                "9",
-                "--cache-dir",
-                dir.to_str().unwrap(),
-            ]))
-            .unwrap()
+            let mut argv = words(
+                "engine sweep --threads 2 --cores 2 --per-point 4 --fractions 0.1,0.3 \
+                 --seed 9 --cache-dir",
+            );
+            argv.push(dir.to_str().unwrap().to_owned());
+            run(&argv).unwrap()
         };
         let cold = sweep();
         assert!(cold.contains("disk cache"), "{cold}");
@@ -2819,29 +2442,12 @@ mod tests {
 
     #[test]
     fn progress_flag_streams_without_disturbing_the_output() {
-        let base = args(&[
-            "engine",
-            "sweep",
-            "--threads",
-            "2",
-            "--cores",
-            "2",
-            "--per-point",
-            "4",
-            "--fractions",
-            "0.1,0.3",
-            "--seed",
-            "9",
-            "--csv",
-        ]);
+        let base = words(
+            "engine sweep --threads 2 --cores 2 --per-point 4 --fractions 0.1,0.3 --seed 9 --csv",
+        );
         // Progress renders to stderr; stdout's cells are untouched — on
         // the plain, sharded and journaled paths alike.
-        let cells = |text: &str| {
-            text.lines()
-                .take_while(|l| !l.is_empty())
-                .map(String::from)
-                .collect::<Vec<_>>()
-        };
+        let cells = csv_block;
         let dir = std::env::temp_dir().join(format!("hetrta-cli-progress-{}", std::process::id()));
         for (tag, extra) in [
             ("plain", vec![]),
@@ -2863,21 +2469,9 @@ mod tests {
 
     #[test]
     fn engine_sweep_without_het_has_no_infinite_improvement() {
-        let out = run(&args(&[
-            "engine",
-            "sweep",
-            "--threads",
-            "1",
-            "--cores",
-            "2",
-            "--fractions",
-            "0.2",
-            "--per-point",
-            "2",
-            "--analyses",
-            "sim",
-            "--csv",
-        ]))
+        let out = cli(
+            "engine sweep --threads 1 --cores 2 --fractions 0.2 --per-point 2 --analyses sim --csv",
+        )
         .unwrap();
         assert!(!out.contains("inf"), "{out}");
         assert!(out.contains("mean_sim_makespan"), "{out}");
@@ -2885,21 +2479,9 @@ mod tests {
 
     #[test]
     fn sim_transformed_flag_fills_the_transformed_column() {
-        let base = args(&[
-            "engine",
-            "sweep",
-            "--threads",
-            "1",
-            "--cores",
-            "2",
-            "--fractions",
-            "0.3",
-            "--per-point",
-            "2",
-            "--analyses",
-            "sim",
-            "--csv",
-        ]);
+        let base = words(
+            "engine sweep --threads 1 --cores 2 --fractions 0.3 --per-point 2 --analyses sim --csv",
+        );
         let without = run(&base).unwrap();
         let mut with = base.clone();
         with.push("--sim-transformed".into());
@@ -2917,11 +2499,19 @@ mod tests {
         };
         assert!(column(&without, "mean_sim_transformed").is_empty());
         assert!(!column(&with, "mean_sim_transformed").is_empty());
+        let cells = |transformed: &str| {
+            format!(
+                "{TASK_CSV_HEADER}\n2,0.3,2,0.000000,0.000000,0.000000,0.000000,0.000000,0,0,\
+                 0.000000,0.000000,1364.500000,{transformed},0,,,,,,,,,,,,,,,,,,\n"
+            )
+        };
+        assert_eq!(csv_block(&without), cells(""));
+        assert_eq!(csv_block(&with), cells("1066.500000"));
     }
 
     #[test]
     fn example_command_roundtrips() {
-        let out = run(&args(&["example"])).unwrap();
+        let out = cli("example").unwrap();
         let parsed = hetrta_dag::io::parse_task(&out).unwrap();
         assert_eq!(parsed.task.dag().node_count(), 6);
     }
@@ -2999,24 +2589,16 @@ mod tests {
 
     #[test]
     fn sched_rejects_homogeneous_and_missing_files() {
-        assert!(run(&args(&["sched", "-m", "2"]))
-            .unwrap_err()
-            .contains("no task files"));
-        assert!(run(&args(&["baselines"]))
-            .unwrap_err()
-            .contains("missing task file"));
+        assert!(cli("sched -m 2").unwrap_err().contains("no task files"));
+        assert!(cli("baselines").unwrap_err().contains("missing task file"));
     }
 
     #[test]
     fn errors_are_informative() {
-        assert!(run(&args(&["frobnicate"]))
-            .unwrap_err()
-            .contains("unknown command"));
+        assert!(cli("frobnicate").unwrap_err().contains("unknown command"));
         assert!(run(&[]).unwrap_err().contains("missing command"));
-        assert!(run(&args(&["analyze"]))
-            .unwrap_err()
-            .contains("missing task file"));
-        assert!(run(&args(&["analyze", "/nonexistent/x.hdag"]))
+        assert!(cli("analyze").unwrap_err().contains("missing task file"));
+        assert!(cli("analyze /nonexistent/x.hdag")
             .unwrap_err()
             .contains("cannot read"));
         let path = write_example();
@@ -3042,11 +2624,11 @@ mod tests {
 
     #[test]
     fn global_help_lists_every_command() {
-        let help = run(&args(&["help"])).unwrap();
+        let help = cli("help").unwrap();
         for command in COMMANDS {
             assert!(help.contains(command.name), "`{}` missing", command.name);
         }
-        assert_eq!(help, run(&args(&["--help"])).unwrap());
+        assert_eq!(help, cli("--help").unwrap());
         let usage = usage();
         for command in COMMANDS {
             assert!(usage.contains(command.name), "`{}` missing", command.name);
@@ -3055,18 +2637,15 @@ mod tests {
 
     #[test]
     fn per_command_help_is_generated_from_the_spec() {
-        let analyze_help = run(&args(&["analyze", "--help"])).unwrap();
-        assert_eq!(analyze_help, run(&args(&["help", "analyze"])).unwrap());
-        let sweep_help = run(&args(&["engine", "sweep", "--help"])).unwrap();
+        let analyze_help = cli("analyze --help").unwrap();
+        assert_eq!(analyze_help, cli("help analyze").unwrap());
+        let sweep_help = cli("engine sweep --help").unwrap();
         assert_eq!(sweep_help, run(&args(&["help", "engine sweep"])).unwrap());
         // A single-member family resolves by its family name too.
-        assert_eq!(sweep_help, run(&args(&["help", "engine"])).unwrap());
+        assert_eq!(sweep_help, cli("help engine").unwrap());
         // --help short-circuits even with other flags present.
-        assert_eq!(
-            sweep_help,
-            run(&args(&["engine", "sweep", "--cores", "2", "--help"])).unwrap()
-        );
-        assert_eq!(sweep_help, run(&args(&["engine", "--help"])).unwrap());
+        assert_eq!(sweep_help, cli("engine sweep --cores 2 --help").unwrap());
+        assert_eq!(sweep_help, cli("engine --help").unwrap());
         for flag in ["--analyses", "--cond-shares", "--sim-transformed", "--csv"] {
             assert!(sweep_help.contains(flag), "`{flag}` missing:\n{sweep_help}");
         }
@@ -3085,7 +2664,7 @@ usage:
 flags:
   -m CORES[,CORES...]  host core counts (default 2,4,8,16; single-platform commands use the first)
 ";
-        assert_eq!(run(&args(&["analyze", "--help"])).unwrap(), expected);
+        assert_eq!(cli("analyze --help").unwrap(), expected);
     }
 
     #[test]

@@ -37,8 +37,8 @@ use std::time::{Duration, Instant};
 
 use hetrta_api::wire::{self, FrameFaults, WireError};
 use hetrta_engine::{
-    AggregateUpdate, AnalysisRegistry, FaultPlan, JournalConfig, SessionConfig, SweepAggregate,
-    SweepDriver, SweepSpec,
+    AggregateUpdate, AnalysisRegistry, FaultPlan, JournalConfig, SweepAggregate, SweepDriver,
+    SweepSpec,
 };
 use hetrta_obs::{span, Recorder};
 
@@ -305,10 +305,7 @@ pub fn run_distributed(
     // dispatched below only ever contain the remainder.
     let (driver, _pending) =
         SweepDriver::open(spec, &AnalysisRegistry::builtin(), config.journal.as_ref())?;
-    let mut driver = driver.with_partials(
-        config.partial_every,
-        SessionConfig::default().keyframe_every,
-    );
+    let mut driver = driver.with_partials(config.partial_every);
     let total = driver.total();
 
     let listener = match &config.launch {

@@ -1,4 +1,4 @@
-//! Streaming aggregation of job results into per-cell summaries.
+//! Streaming aggregation of job results into per-cell statistics.
 //!
 //! Results arrive in nondeterministic completion order; the aggregator
 //! stores them into expansion-order slots (plus cheap running counters for
@@ -11,6 +11,14 @@
 //! each tag feeds its own accumulators, so any registry selection — the
 //! four classic per-task analyses, suspension baselines, conditional
 //! bounds, acceptance tests — reduces without bespoke job shapes.
+//!
+//! Every statistic a cell can carry is declared once, as a row of
+//! [`CELL_STATS`]: its [`CellStat`] variant, its name, the [`CellShape`]
+//! whose cells carry it, its table section and its [`StatKind`]. A
+//! [`CellSummary`] holds one optional value per statistic of its shape,
+//! and the wire codec ([`crate::wire`]) and the CLI's CSV and table read
+//! the rows instead of knowing each analysis. A new statistic is one
+//! variant, one row, and the rollup line below that computes it.
 
 use hetrta_api::AnalysisOutcome;
 use hetrta_sched::acceptance::TestKind;
@@ -19,161 +27,191 @@ use crate::job::{JobMetrics, JobResult};
 use crate::spec::{CellInfo, CellShape};
 use crate::EngineError;
 
-/// Per-cell summary of a per-task sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaskCellSummary {
-    /// Scenario occurrence counts `[s1, s2.1, s2.2]` (Figure 8).
-    pub scenario_counts: [usize; 3],
-    /// Mean `100·(R_hom − R_het)/R_het` over the cell (Figure 9).
-    pub mean_improvement: f64,
-    /// Maximum observed improvement within the cell.
-    pub max_improvement: f64,
-    /// Mean `R_het` over the cell.
-    pub mean_r_het: f64,
-    /// Mean `R_hom(τ)` over the cell.
-    pub mean_r_hom: f64,
+/// How a statistic's value is stored and rendered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatKind {
+    /// An integer count.
+    Count,
+    /// A count rendered as a share of the cell's samples
+    /// ([`CellSummary::share`]).
+    Share,
+    /// A real number.
+    Real,
+}
+
+/// One row of [`CELL_STATS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatDef {
+    /// The statistic.
+    pub stat: CellStat,
+    /// Its name: the CSV column and the table header.
+    pub name: &'static str,
+    /// The shape of the cells that carry it.
+    pub shape: CellShape,
+    /// The table block it renders in (one per analysis).
+    pub section: &'static str,
+    /// How its value is stored and rendered.
+    pub kind: StatKind,
+}
+
+/// Declares [`CellStat`] and [`CELL_STATS`] from one list of rows, so a
+/// variant's position is its row's.
+macro_rules! cell_stats {
+    ($($(#[$doc:meta])* $stat:ident: $name:expr, $shape:ident, $section:expr, $kind:ident;)*) => {
+        /// A statistic of a sweep cell; its row of [`CELL_STATS`] declares it.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum CellStat {
+            $($(#[$doc])* $stat,)*
+        }
+
+        /// Every cell statistic, grouped by shape in column order:
+        /// variant, name, shape, table section and kind.
+        pub const CELL_STATS: &[StatDef] = &[$(StatDef {
+            stat: CellStat::$stat,
+            name: $name,
+            shape: CellShape::$shape,
+            section: $section,
+            kind: StatKind::$kind,
+        },)*];
+    };
+}
+
+cell_stats! {
+    /// Tasks in scenario 1, `v_off` off the critical path (Figure 8).
+    S1: "s1", Task, "het", Share;
+    /// Tasks in scenario 2.1, `v_off` on a critical path and dominant.
+    S21: "s21", Task, "het", Share;
+    /// Tasks in scenario 2.2, `v_off` on a critical path and dominated.
+    S22: "s22", Task, "het", Share;
+    /// Mean `100·(R_hom − R_het)/R_het` (Figure 9).
+    MeanImprovement: "mean_improvement", Task, "het", Real;
+    /// Largest improvement in the cell.
+    MaxImprovement: "max_improvement", Task, "het", Real;
     /// Tasks with `R_het ≤ D`.
-    pub schedulable_het: usize,
+    SchedulableHet: "schedulable_het", Task, "het", Count;
     /// Tasks with `R_hom ≤ D`.
-    pub schedulable_hom: usize,
-    /// Mean simulated makespan of `τ`, if simulation was selected.
-    pub mean_sim_makespan: Option<f64>,
-    /// Mean simulated makespan of the transformed `τ'`, if the simulation
-    /// ran with `sim_transformed` (Figure 6).
-    pub mean_sim_transformed: Option<f64>,
+    SchedulableHom: "schedulable_hom", Task, "het", Count;
+    /// Mean `R_het`.
+    MeanRHet: "mean_r_het", Task, "het", Real;
+    /// Mean `R_hom(τ)`.
+    MeanRHom: "mean_r_hom", Task, "het", Real;
+    /// Mean simulated makespan of `τ`.
+    MeanSimMakespan: "mean_sim_makespan", Task, "sim", Real;
+    /// Mean simulated makespan of the transformed `τ'` (Figure 6).
+    MeanSimTransformed: "mean_sim_transformed", Task, "sim", Real;
     /// Tasks the bounded exact solver finished.
-    pub exact_solved: usize,
-    /// Mean exact makespan over the solved tasks.
-    pub mean_exact_makespan: Option<f64>,
-    /// Accuracy of the analytical bounds against the exact optimum, when
-    /// the sweep ran `exact`, `hom` and `het` together (Figure 7).
-    pub accuracy: Option<AccuracySummary>,
-    /// Self-suspending baseline means, when `suspend` was selected.
-    pub suspend: Option<SuspendCellSummary>,
-    /// Sampled-simulation statistics, when `sampled` was selected.
-    pub sampled: Option<SampledCellSummary>,
-    /// Anytime exact-bound means, when `anytime` was selected.
-    pub anytime: Option<AnytimeCellSummary>,
-}
-
-/// Per-cell statistics of the sampled makespan simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SampledCellSummary {
-    /// Mean of the per-job sample means.
-    pub mean: f64,
-    /// Mean per-job 95% CI half-width (the sampling noise indicator).
-    pub mean_ci_half: f64,
-    /// Smallest sampled makespan across the cell.
-    pub min: u64,
-    /// Largest sampled makespan across the cell.
-    pub max: u64,
-    /// Total simulation samples drawn across the cell's jobs.
-    pub total_samples: u64,
-}
-
-/// Per-cell means of the anytime exact bounds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnytimeCellSummary {
-    /// Mean proven lower bound.
-    pub mean_lower: f64,
-    /// Mean feasible upper bound.
-    pub mean_upper: f64,
-    /// Jobs whose bounds were proven tight.
-    pub optimal: usize,
-}
-
-/// Mean percentage increments of the analytical bounds over the proven
-/// exact optimum (instances the solver could not close are skipped, like
-/// the paper skips instances CPLEX could not solve).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AccuracySummary {
-    /// Mean `100·(R_hom − opt)/opt` over solved instances.
-    pub mean_hom_increment: f64,
-    /// Mean `100·(R_het − opt)/opt` over solved instances.
-    pub mean_het_increment: f64,
-    /// Instances where the solver proved optimality (and `opt > 0`).
-    pub solved: usize,
-}
-
-/// Per-cell means of the self-suspending baselines.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SuspendCellSummary {
+    ExactSolved: "exact_solved", Task, "exact", Count;
+    /// Mean exact makespan over the finished tasks.
+    MeanExactMakespan: "mean_exact_makespan", Task, "exact", Real;
+    /// Mean `100·(R_hom − opt)/opt` over proven optima (Figure 7).
+    HomIncrement: "hom_increment", Task, "accuracy", Real;
+    /// Mean `100·(R_het − opt)/opt` over proven optima (Figure 7).
+    HetIncrement: "het_increment", Task, "accuracy", Real;
+    /// Proven nonzero optima the increments average over.
+    Solved: "solved", Task, "accuracy", Count;
     /// Mean suspension-oblivious bound.
-    pub mean_oblivious: f64,
+    SuspendOblivious: "suspend_oblivious", Task, "suspend", Real;
     /// Mean phase-barrier bound.
-    pub mean_barrier: f64,
+    SuspendBarrier: "suspend_barrier", Task, "suspend", Real;
     /// Mean `min(R_het, R_hom(τ'))`.
-    pub mean_het_tight: f64,
+    SuspendHetTight: "suspend_het_tight", Task, "suspend", Real;
     /// Mean of the unsound naive discount.
-    pub mean_naive: f64,
-    /// Mean worst observed makespan, when the exploration ran.
-    pub mean_worst_observed: Option<f64>,
+    SuspendNaive: "suspend_naive", Task, "suspend", Real;
+    /// Mean worst observed makespan of the exploration.
+    SuspendWorst: "suspend_worst", Task, "suspend", Real;
     /// Samples whose observed worst case exceeded the naive discount.
-    pub naive_violations: usize,
-}
-
-/// Per-cell summary of an acceptance sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SetCellSummary {
-    /// Sets accepted per test, in [`TestKind::ALL`] order.
-    pub accepted: [usize; 6],
-}
-
-impl SetCellSummary {
-    /// Acceptance ratio of `test` in `[0, 1]`.
-    #[must_use]
-    pub fn ratio(&self, test: TestKind, samples: usize) -> f64 {
-        let idx = TestKind::ALL
-            .iter()
-            .position(|&t| t == test)
-            .expect("known test");
-        self.accepted[idx] as f64 / samples.max(1) as f64
-    }
-}
-
-impl TaskCellSummary {
-    /// Scenario shares `(s1, s2.1, s2.2)` in `[0, 1]`.
-    #[must_use]
-    pub fn scenario_shares(&self, samples: usize) -> (f64, f64, f64) {
-        let n = samples as f64;
-        (
-            self.scenario_counts[0] as f64 / n,
-            self.scenario_counts[1] as f64 / n,
-            self.scenario_counts[2] as f64 / n,
-        )
-    }
-}
-
-/// Per-cell summary of a conditional-bound sweep. Samples enter the means
-/// only when the exact enumeration succeeded with a nonzero bound — the
-/// serial ablation's inclusion rule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CondCellSummary {
-    /// Samples included in the means.
-    pub included: usize,
+    NaiveViolations: "naive_violations", Task, "suspend", Count;
+    /// Mean of the per-job sampled makespan means.
+    SampledMean: "sampled_mean", Task, "sampled", Real;
+    /// Mean per-job 95% CI half-width (the sampling noise indicator).
+    SampledCiHalf: "sampled_ci_half", Task, "sampled", Real;
+    /// Smallest sampled makespan.
+    SampledMin: "sampled_min", Task, "sampled", Count;
+    /// Largest sampled makespan.
+    SampledMax: "sampled_max", Task, "sampled", Count;
+    /// Simulation samples drawn across the cell's jobs.
+    SampledTotal: "sampled_total", Task, "sampled", Count;
+    /// Mean proven lower bound of the anytime exact search.
+    AnytimeLower: "anytime_lower", Task, "anytime", Real;
+    /// Mean feasible upper bound of the anytime exact search.
+    AnytimeUpper: "anytime_upper", Task, "anytime", Real;
+    /// Jobs whose anytime bounds were proven tight.
+    AnytimeOptimal: "anytime_optimal", Task, "anytime", Count;
+    /// Sets accepted by [`TestKind::GfpHomogeneous`].
+    GfpHom: TestKind::GfpHomogeneous.label(), Set, "acceptance", Share;
+    /// Sets accepted by [`TestKind::GfpHeterogeneous`].
+    GfpHet: TestKind::GfpHeterogeneous.label(), Set, "acceptance", Share;
+    /// Sets accepted by [`TestKind::GedfHomogeneous`].
+    GedfHom: TestKind::GedfHomogeneous.label(), Set, "acceptance", Share;
+    /// Sets accepted by [`TestKind::GedfHeterogeneous`].
+    GedfHet: TestKind::GedfHeterogeneous.label(), Set, "acceptance", Share;
+    /// Sets accepted by [`TestKind::FederatedHomogeneous`].
+    FedHom: TestKind::FederatedHomogeneous.label(), Set, "acceptance", Share;
+    /// Sets accepted by [`TestKind::FederatedHeterogeneous`].
+    FedHet: TestKind::FederatedHeterogeneous.label(), Set, "acceptance", Share;
+    /// Expressions whose exact enumeration succeeded with a nonzero
+    /// bound (the only ones the conditional means include).
+    Included: "included", Cond, "cond", Count;
     /// Mean % by which flatten-all exceeds the conditional-aware bound.
-    pub mean_flat_overhead: f64,
+    MeanFlatOverhead: "mean_flat_overhead", Cond, "cond", Real;
     /// Mean % by which the DP bound exceeds the exact enumeration.
-    pub mean_dp_overhead: f64,
+    MeanDpOverhead: "mean_dp_overhead", Cond, "cond", Real;
     /// Mean realizations per included expression.
-    pub mean_realizations: f64,
+    MeanRealizations: "mean_realizations", Cond, "cond", Real;
 }
 
-/// Aggregated contents of one sweep cell.
-//
-// Task cells dwarf the other variants (every optional per-analysis
-// summary lives inline), but an aggregate holds one cell per grid
-// point — dozens, not millions — so indirection would cost more in
-// destructuring churn than it saves in memory.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum CellKind {
-    /// Per-task metrics.
-    Task(TaskCellSummary),
-    /// Acceptance-test counts.
-    Set(SetCellSummary),
-    /// Conditional-bound overheads.
-    Cond(CondCellSummary),
+impl CellStat {
+    /// This statistic's row of [`CELL_STATS`].
+    #[must_use]
+    pub fn def(self) -> &'static StatDef {
+        &CELL_STATS[self as usize]
+    }
+
+    /// The acceptance count of `test`.
+    #[must_use]
+    pub fn accepted(test: TestKind) -> CellStat {
+        match test {
+            TestKind::GfpHomogeneous => CellStat::GfpHom,
+            TestKind::GfpHeterogeneous => CellStat::GfpHet,
+            TestKind::GedfHomogeneous => CellStat::GedfHom,
+            TestKind::GedfHeterogeneous => CellStat::GedfHet,
+            TestKind::FederatedHomogeneous => CellStat::FedHom,
+            TestKind::FederatedHeterogeneous => CellStat::FedHet,
+        }
+    }
+}
+
+/// The `[start, end)` rows of [`CELL_STATS`] of each shape, indexed by
+/// `CellShape as usize`, computed from the table.
+const SHAPE_ROWS: [(usize, usize); 3] = {
+    let mut rows = [(usize::MAX, 0); 3];
+    let mut i = 0;
+    while i < CELL_STATS.len() {
+        let shape = CELL_STATS[i].shape as usize;
+        if rows[shape].0 == usize::MAX {
+            rows[shape].0 = i;
+        }
+        rows[shape].1 = i + 1;
+        i += 1;
+    }
+    rows
+};
+
+impl CellShape {
+    /// The rows of [`CELL_STATS`] this shape's cells carry, in column
+    /// order.
+    #[must_use]
+    pub fn stats(self) -> &'static [StatDef] {
+        let (start, end) = SHAPE_ROWS[self as usize];
+        &CELL_STATS[start..end]
+    }
+}
+
+/// A stored statistic value: counts and shares as [`StatValue::Count`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum StatValue {
+    Count(u64),
+    Real(f64),
 }
 
 /// One finalized sweep cell.
@@ -186,13 +224,90 @@ pub struct CellSummary {
     pub grid_value: f64,
     /// Jobs aggregated into this cell (declined samples excluded).
     pub samples: usize,
-    /// The metrics.
-    pub kind: CellKind,
+    /// One value per statistic of the cell's shape, in column order;
+    /// `None` when the analysis did not run or had nothing to average.
+    values: Vec<Option<StatValue>>,
+}
+
+impl CellSummary {
+    /// A cell of `shape` with every value absent.
+    pub(crate) fn new(shape: CellShape, m: u64, grid_value: f64, samples: usize) -> Self {
+        CellSummary {
+            m,
+            grid_value,
+            samples,
+            values: vec![None; shape.stats().len()],
+        }
+    }
+
+    /// The shape whose statistics this cell holds (the shapes declare
+    /// different numbers of them).
+    pub(crate) fn shape(&self) -> Option<CellShape> {
+        [CellShape::Task, CellShape::Set, CellShape::Cond]
+            .into_iter()
+            .find(|shape| shape.stats().len() == self.values.len())
+    }
+
+    /// The slot of `stat`, if this cell's shape carries it.
+    fn slot(&self, stat: CellStat) -> Option<usize> {
+        let (start, end) = SHAPE_ROWS[stat.def().shape as usize];
+        (self.values.len() == end - start).then(|| stat as usize - start)
+    }
+
+    fn value(&self, stat: CellStat) -> Option<StatValue> {
+        self.values[self.slot(stat)?]
+    }
+
+    fn set(&mut self, stat: CellStat, value: StatValue) {
+        let slot = self.slot(stat).expect("a statistic of the cell's shape");
+        self.values[slot] = Some(value);
+    }
+
+    /// The value of a count or share statistic, if present.
+    #[must_use]
+    pub fn count(&self, stat: CellStat) -> Option<u64> {
+        match self.value(stat)? {
+            StatValue::Count(count) => Some(count),
+            StatValue::Real(_) => None,
+        }
+    }
+
+    /// The value of a real statistic, if present.
+    #[must_use]
+    pub fn real(&self, stat: CellStat) -> Option<f64> {
+        match self.value(stat)? {
+            StatValue::Real(value) => Some(value),
+            StatValue::Count(_) => None,
+        }
+    }
+
+    /// A count as a share of the cell's samples, in `[0, 1]`:
+    /// `count / max(samples, 1)`, so a cell without samples reads 0.
+    #[must_use]
+    pub fn share(&self, stat: CellStat) -> Option<f64> {
+        self.count(stat)
+            .map(|count| count as f64 / self.samples.max(1) as f64)
+    }
+
+    pub(crate) fn set_count(&mut self, stat: CellStat, count: u64) {
+        debug_assert_ne!(stat.def().kind, StatKind::Real, "{stat:?} is real");
+        self.set(stat, StatValue::Count(count));
+    }
+
+    /// Sets a real statistic; `None` leaves it absent.
+    pub(crate) fn set_real(&mut self, stat: CellStat, value: impl Into<Option<f64>>) {
+        debug_assert_eq!(stat.def().kind, StatKind::Real, "{stat:?} is a count");
+        if let Some(value) = value.into() {
+            self.set(stat, StatValue::Real(value));
+        }
+    }
 }
 
 /// The deterministic result of a sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepAggregate {
+    /// The shape of every cell.
+    pub shape: CellShape,
     /// One summary per cell, in expansion order (core counts outer, grid
     /// values inner).
     pub cells: Vec<CellSummary>,
@@ -214,18 +329,16 @@ impl SweepAggregate {
 /// Huge sweeps emit hundreds of partial snapshots over thousands of
 /// cells, but between two consecutive snapshots only the cells of the
 /// jobs that completed in between actually change. The session stream
-/// therefore carries *changed cells only*, with a periodic full keyframe
-/// (cadence set by
-/// [`SessionConfig::keyframe_every`](crate::SessionConfig)) so a consumer
-/// that joined late — or fell behind a drop-oldest event buffer — can
-/// resynchronize. Updates carry a per-stream sequence number so a
-/// consumer can *detect* gaps (the bounded event buffer drops oldest
-/// events under pressure): [`AggregateView`] refuses to apply a delta
-/// whose predecessor it never saw and reports unsynced until the next
-/// keyframe, rather than silently patching stale state. Reconstruction
-/// is otherwise bitwise exact: the view's state after applying an update
-/// equals the full snapshot the encoder saw (pinned by the unit tests
-/// below).
+/// therefore carries *changed cells only*, with a full keyframe every
+/// 16th update so a consumer that joined late — or fell behind a
+/// drop-oldest event buffer — can resynchronize. Updates carry a
+/// per-stream sequence number so a consumer can *detect* gaps (the
+/// bounded event buffer drops oldest events under pressure):
+/// [`AggregateView`] refuses to apply a delta whose predecessor it never
+/// saw and reports unsynced until the next keyframe, rather than silently
+/// patching stale state. Reconstruction is otherwise bitwise exact: the
+/// view's state after applying an update equals the full snapshot the
+/// encoder saw (pinned by the unit tests below).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AggregateUpdate {
     /// A complete snapshot (always the first update of a stream).
@@ -503,6 +616,7 @@ fn summarize_cells(
     per_cell: &[Vec<&[AnalysisOutcome]>],
 ) -> SweepAggregate {
     SweepAggregate {
+        shape,
         cells: cells
             .iter()
             .zip(per_cell)
@@ -512,17 +626,13 @@ fn summarize_cells(
 }
 
 fn summarize_cell(shape: CellShape, info: &CellInfo, jobs: &[&[AnalysisOutcome]]) -> CellSummary {
-    let kind = match shape {
-        CellShape::Set => CellKind::Set(summarize_set_cell(jobs)),
-        CellShape::Cond => CellKind::Cond(summarize_cond_cell(jobs)),
-        CellShape::Task => CellKind::Task(summarize_task_cell(jobs)),
-    };
-    CellSummary {
-        m: info.m,
-        grid_value: info.grid_value,
-        samples: jobs.len(),
-        kind,
+    let mut cell = CellSummary::new(shape, info.m, info.grid_value, jobs.len());
+    match shape {
+        CellShape::Set => summarize_set_cell(&mut cell, jobs),
+        CellShape::Cond => summarize_cond_cell(&mut cell, jobs),
+        CellShape::Task => summarize_task_cell(&mut cell, jobs),
     }
+    cell
 }
 
 /// Mean/max reductions mirror `hetrta_bench::stats::summarize` operation
@@ -552,21 +662,23 @@ fn mean_opt(values: &[f64]) -> Option<f64> {
     }
 }
 
-fn summarize_set_cell(jobs: &[&[AnalysisOutcome]]) -> SetCellSummary {
-    let mut accepted = [0usize; 6];
+fn summarize_set_cell(cell: &mut CellSummary, jobs: &[&[AnalysisOutcome]]) {
+    let mut accepted = [0u64; 6];
     for outcomes in jobs {
         for outcome in *outcomes {
             if let AnalysisOutcome::Acceptance(a) = outcome {
                 for (count, &bit) in accepted.iter_mut().zip(&a.accepted) {
-                    *count += usize::from(bit);
+                    *count += u64::from(bit);
                 }
             }
         }
     }
-    SetCellSummary { accepted }
+    for (test, count) in TestKind::ALL.into_iter().zip(accepted) {
+        cell.set_count(CellStat::accepted(test), count);
+    }
 }
 
-fn summarize_cond_cell(jobs: &[&[AnalysisOutcome]]) -> CondCellSummary {
+fn summarize_cond_cell(cell: &mut CellSummary, jobs: &[&[AnalysisOutcome]]) {
     let mut flat_overheads = Vec::new();
     let mut dp_overheads = Vec::new();
     let mut realizations = Vec::new();
@@ -585,16 +697,15 @@ fn summarize_cond_cell(jobs: &[&[AnalysisOutcome]]) -> CondCellSummary {
             realizations.push(c.realizations as f64);
         }
     }
-    CondCellSummary {
-        included: flat_overheads.len(),
-        mean_flat_overhead: mean(&flat_overheads),
-        mean_dp_overhead: mean(&dp_overheads),
-        mean_realizations: mean(&realizations),
-    }
+    cell.set_count(CellStat::Included, flat_overheads.len() as u64);
+    cell.set_real(CellStat::MeanFlatOverhead, mean(&flat_overheads));
+    cell.set_real(CellStat::MeanDpOverhead, mean(&dp_overheads));
+    cell.set_real(CellStat::MeanRealizations, mean(&realizations));
 }
 
-fn summarize_task_cell(jobs: &[&[AnalysisOutcome]]) -> TaskCellSummary {
-    let mut scenario_counts = [0usize; 3];
+fn summarize_task_cell(cell: &mut CellSummary, jobs: &[&[AnalysisOutcome]]) {
+    use CellStat as S;
+    let mut scenario_counts = [0u64; 3];
     let mut improvements = Vec::with_capacity(jobs.len());
     let mut r_hets = Vec::with_capacity(jobs.len());
     let mut r_homs = Vec::with_capacity(jobs.len());
@@ -603,15 +714,15 @@ fn summarize_task_cell(jobs: &[&[AnalysisOutcome]]) -> TaskCellSummary {
     let mut exacts = Vec::new();
     let mut hom_increments = Vec::new();
     let mut het_increments = Vec::new();
-    let mut schedulable_het = 0usize;
-    let mut schedulable_hom = 0usize;
+    let mut schedulable_het = 0u64;
+    let mut schedulable_hom = 0u64;
     let mut accuracy_selected = false;
     let mut oblivious = Vec::new();
     let mut barriers = Vec::new();
     let mut het_tights = Vec::new();
     let mut naives = Vec::new();
     let mut worsts = Vec::new();
-    let mut naive_violations = 0usize;
+    let mut naive_violations = 0u64;
     let mut suspend_selected = false;
     let mut sampled_means = Vec::new();
     let mut sampled_cis = Vec::new();
@@ -620,7 +731,7 @@ fn summarize_task_cell(jobs: &[&[AnalysisOutcome]]) -> TaskCellSummary {
     let mut sampled_selected = false;
     let mut anytime_lowers = Vec::new();
     let mut anytime_uppers = Vec::new();
-    let mut anytime_optimal = 0usize;
+    let mut anytime_optimal = 0u64;
     let mut anytime_selected = false;
 
     for outcomes in jobs {
@@ -641,8 +752,8 @@ fn summarize_task_cell(jobs: &[&[AnalysisOutcome]]) -> TaskCellSummary {
                     improvements.push(h.improvement_percent);
                     r_hets.push(h.r_het);
                     r_homs.push(h.r_hom_original);
-                    schedulable_het += usize::from(h.schedulable_het);
-                    schedulable_hom += usize::from(h.schedulable_hom);
+                    schedulable_het += u64::from(h.schedulable_het);
+                    schedulable_hom += u64::from(h.schedulable_hom);
                     het_value = Some(h.r_het);
                 }
                 AnalysisOutcome::Hom { r_hom } => hom_value = Some(*r_hom),
@@ -668,7 +779,7 @@ fn summarize_task_cell(jobs: &[&[AnalysisOutcome]]) -> TaskCellSummary {
                     if let Some(w) = s.worst_observed {
                         worsts.push(w as f64);
                     }
-                    naive_violations += usize::from(s.naive_violated == Some(true));
+                    naive_violations += u64::from(s.naive_violated == Some(true));
                 }
                 AnalysisOutcome::Sampled(s) => {
                     sampled_selected = true;
@@ -682,7 +793,7 @@ fn summarize_task_cell(jobs: &[&[AnalysisOutcome]]) -> TaskCellSummary {
                     anytime_selected = true;
                     anytime_lowers.push(a.lower as f64);
                     anytime_uppers.push(a.upper as f64);
-                    anytime_optimal += usize::from(a.optimal);
+                    anytime_optimal += u64::from(a.optimal);
                 }
                 // Acceptance/Cond outcomes never appear in task cells by
                 // construction; ignore them defensively.
@@ -712,43 +823,43 @@ fn summarize_task_cell(jobs: &[&[AnalysisOutcome]]) -> TaskCellSummary {
         }
     }
 
-    TaskCellSummary {
-        scenario_counts,
-        mean_improvement: mean(&improvements),
-        max_improvement: max(&improvements),
-        mean_r_het: mean(&r_hets),
-        mean_r_hom: mean(&r_homs),
-        schedulable_het,
-        schedulable_hom,
-        mean_sim_makespan: mean_opt(&sims),
-        mean_sim_transformed: mean_opt(&sims_transformed),
-        exact_solved: exacts.len(),
-        mean_exact_makespan: mean_opt(&exacts),
-        accuracy: accuracy_selected.then(|| AccuracySummary {
-            mean_hom_increment: mean(&hom_increments),
-            mean_het_increment: mean(&het_increments),
-            solved: hom_increments.len(),
-        }),
-        suspend: suspend_selected.then(|| SuspendCellSummary {
-            mean_oblivious: mean(&oblivious),
-            mean_barrier: mean(&barriers),
-            mean_het_tight: mean(&het_tights),
-            mean_naive: mean(&naives),
-            mean_worst_observed: mean_opt(&worsts),
-            naive_violations,
-        }),
-        sampled: sampled_selected.then(|| SampledCellSummary {
-            mean: mean(&sampled_means),
-            mean_ci_half: mean(&sampled_cis),
-            min: sampled_min,
-            max: sampled_max,
-            total_samples: sampled_total,
-        }),
-        anytime: anytime_selected.then(|| AnytimeCellSummary {
-            mean_lower: mean(&anytime_lowers),
-            mean_upper: mean(&anytime_uppers),
-            optimal: anytime_optimal,
-        }),
+    for (stat, count) in [S::S1, S::S21, S::S22].into_iter().zip(scenario_counts) {
+        cell.set_count(stat, count);
+    }
+    cell.set_real(S::MeanImprovement, mean(&improvements));
+    cell.set_real(S::MaxImprovement, max(&improvements));
+    cell.set_count(S::SchedulableHet, schedulable_het);
+    cell.set_count(S::SchedulableHom, schedulable_hom);
+    cell.set_real(S::MeanRHet, mean(&r_hets));
+    cell.set_real(S::MeanRHom, mean(&r_homs));
+    cell.set_real(S::MeanSimMakespan, mean_opt(&sims));
+    cell.set_real(S::MeanSimTransformed, mean_opt(&sims_transformed));
+    cell.set_count(S::ExactSolved, exacts.len() as u64);
+    cell.set_real(S::MeanExactMakespan, mean_opt(&exacts));
+    if accuracy_selected {
+        cell.set_real(S::HomIncrement, mean(&hom_increments));
+        cell.set_real(S::HetIncrement, mean(&het_increments));
+        cell.set_count(S::Solved, hom_increments.len() as u64);
+    }
+    if suspend_selected {
+        cell.set_real(S::SuspendOblivious, mean(&oblivious));
+        cell.set_real(S::SuspendBarrier, mean(&barriers));
+        cell.set_real(S::SuspendHetTight, mean(&het_tights));
+        cell.set_real(S::SuspendNaive, mean(&naives));
+        cell.set_real(S::SuspendWorst, mean_opt(&worsts));
+        cell.set_count(S::NaiveViolations, naive_violations);
+    }
+    if sampled_selected {
+        cell.set_real(S::SampledMean, mean(&sampled_means));
+        cell.set_real(S::SampledCiHalf, mean(&sampled_cis));
+        cell.set_count(S::SampledMin, sampled_min);
+        cell.set_count(S::SampledMax, sampled_max);
+        cell.set_count(S::SampledTotal, sampled_total);
+    }
+    if anytime_selected {
+        cell.set_real(S::AnytimeLower, mean(&anytime_lowers));
+        cell.set_real(S::AnytimeUpper, mean(&anytime_uppers));
+        cell.set_count(S::AnytimeOptimal, anytime_optimal);
     }
 }
 
@@ -810,15 +921,47 @@ mod tests {
         let b = backward.finalize().unwrap();
         assert_eq!(a, b);
 
-        let CellKind::Task(t) = &a.cells[0].kind else {
-            panic!("task cell")
-        };
-        assert_eq!(t.scenario_counts, [2, 1, 0]);
-        assert_eq!(t.mean_improvement, 20.0);
-        assert_eq!(t.max_improvement, 30.0);
-        assert_eq!(t.schedulable_het, 3);
-        let (s1, s21, s22) = t.scenario_shares(a.cells[0].samples);
-        assert!((s1 - 2.0 / 3.0).abs() < 1e-12 && (s21 - 1.0 / 3.0).abs() < 1e-12 && s22 == 0.0);
+        let t = &a.cells[0];
+        let counts = [CellStat::S1, CellStat::S21, CellStat::S22].map(|s| t.count(s));
+        assert_eq!(counts, [Some(2), Some(1), Some(0)]);
+        assert_eq!(t.real(CellStat::MeanImprovement), Some(20.0));
+        assert_eq!(t.real(CellStat::MaxImprovement), Some(30.0));
+        assert_eq!(t.count(CellStat::SchedulableHet), Some(3));
+        let s1 = t.share(CellStat::S1).unwrap();
+        let s21 = t.share(CellStat::S21).unwrap();
+        assert!((s1 - 2.0 / 3.0).abs() < 1e-12 && (s21 - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(t.share(CellStat::S22), Some(0.0));
+        // A statistic of another shape is absent from a task cell.
+        assert_eq!(t.count(CellStat::Included), None);
+    }
+
+    #[test]
+    fn a_cell_of_declined_samples_has_zero_shares() {
+        let mut agg = Aggregator::new(cell_infos(), 2, CellShape::Task);
+        agg.accept(result(0, 0, JobMetrics::Skipped));
+        agg.accept(result(1, 0, JobMetrics::Skipped));
+        let a = agg.finalize().unwrap();
+        let t = &a.cells[0];
+        assert_eq!(t.samples, 0);
+        for stat in [CellStat::S1, CellStat::S21, CellStat::S22] {
+            assert_eq!(t.share(stat), Some(0.0), "{stat:?}");
+        }
+    }
+
+    #[test]
+    fn the_table_groups_rows_by_shape_under_unique_names() {
+        let shapes = [CellShape::Task, CellShape::Set, CellShape::Cond];
+        let lens = shapes.map(|shape| shape.stats().len());
+        // Per-shape CSV columns; distinct counts also tell a cell's shape.
+        assert_eq!(lens, [30, 6, 4]);
+        for shape in shapes {
+            assert!(shape.stats().iter().all(|def| def.shape == shape));
+        }
+        let names: std::collections::HashSet<_> = CELL_STATS.iter().map(|d| d.name).collect();
+        assert_eq!(names.len(), CELL_STATS.len(), "names are unique");
+        for test in TestKind::ALL {
+            assert_eq!(CellStat::accepted(test).def().name, test.label());
+        }
     }
 
     #[test]
@@ -843,12 +986,11 @@ mod tests {
             })]),
         ));
         let a = agg.finalize().unwrap();
-        let CellKind::Set(s) = &a.cells[0].kind else {
-            panic!("set cell")
-        };
-        assert_eq!(s.accepted, [1, 2, 0, 1, 0, 2]);
-        assert_eq!(s.ratio(TestKind::GfpHeterogeneous, a.cells[0].samples), 1.0);
-        assert_eq!(s.ratio(TestKind::GedfHomogeneous, a.cells[0].samples), 0.0);
+        let s = &a.cells[0];
+        let accepted = TestKind::ALL.map(|t| s.count(CellStat::accepted(t)).unwrap());
+        assert_eq!(accepted, [1, 2, 0, 1, 0, 2]);
+        assert_eq!(s.share(CellStat::GfpHet), Some(1.0));
+        assert_eq!(s.share(CellStat::GedfHom), Some(0.0));
     }
 
     #[test]
@@ -868,13 +1010,11 @@ mod tests {
         agg.accept(result(3, 0, JobMetrics::Skipped)); // generation declined
         let a = agg.finalize().unwrap();
         assert_eq!(a.cells[0].samples, 3, "skips leave the sample count");
-        let CellKind::Cond(c) = &a.cells[0].kind else {
-            panic!("cond cell")
-        };
-        assert_eq!(c.included, 1);
-        assert_eq!(c.mean_flat_overhead, 50.0);
-        assert_eq!(c.mean_dp_overhead, 100.0);
-        assert_eq!(c.mean_realizations, 4.0);
+        let c = &a.cells[0];
+        assert_eq!(c.count(CellStat::Included), Some(1));
+        assert_eq!(c.real(CellStat::MeanFlatOverhead), Some(50.0));
+        assert_eq!(c.real(CellStat::MeanDpOverhead), Some(100.0));
+        assert_eq!(c.real(CellStat::MeanRealizations), Some(4.0));
     }
 
     #[test]
@@ -893,17 +1033,15 @@ mod tests {
         agg.accept(result(0, 0, suspend(10.0, true)));
         agg.accept(result(1, 0, suspend(14.0, false)));
         let a = agg.finalize().unwrap();
-        let CellKind::Task(t) = &a.cells[0].kind else {
-            panic!("task cell")
-        };
-        let s = t.suspend.as_ref().expect("suspend summarized");
-        assert_eq!(s.mean_oblivious, 12.0);
-        assert_eq!(s.mean_naive, 9.0);
-        assert_eq!(s.mean_worst_observed, Some(8.0));
-        assert_eq!(s.naive_violations, 1);
+        let t = &a.cells[0];
+        assert_eq!(t.real(CellStat::SuspendOblivious), Some(12.0));
+        assert_eq!(t.real(CellStat::SuspendNaive), Some(9.0));
+        assert_eq!(t.real(CellStat::SuspendWorst), Some(8.0));
+        assert_eq!(t.count(CellStat::NaiveViolations), Some(1));
         // No het/hom outcomes → those reductions stay at their defaults.
-        assert_eq!(t.scenario_counts, [0, 0, 0]);
-        assert!(t.accuracy.is_none());
+        assert_eq!(t.count(CellStat::S1), Some(0));
+        assert_eq!(t.real(CellStat::HomIncrement), None);
+        assert_eq!(t.count(CellStat::Solved), None);
     }
 
     #[test]
@@ -929,20 +1067,17 @@ mod tests {
         agg.accept(result(0, 0, job(40.0, 30, true)));
         agg.accept(result(1, 0, job(44.0, 34, false)));
         let a = agg.finalize().unwrap();
-        let CellKind::Task(t) = &a.cells[0].kind else {
-            panic!("task cell")
-        };
-        let s = t.sampled.as_ref().expect("sampled summarized");
-        assert_eq!(s.mean, 42.0);
-        assert_eq!(s.mean_ci_half, 2.0);
-        assert_eq!((s.min, s.max), (36, 48));
-        assert_eq!(s.total_samples, 32);
-        let any = t.anytime.as_ref().expect("anytime summarized");
-        assert_eq!(any.mean_lower, 32.0);
-        assert_eq!(any.mean_upper, 34.0);
-        assert_eq!(any.optimal, 1);
+        let t = &a.cells[0];
+        assert_eq!(t.real(CellStat::SampledMean), Some(42.0));
+        assert_eq!(t.real(CellStat::SampledCiHalf), Some(2.0));
+        assert_eq!(t.count(CellStat::SampledMin), Some(36));
+        assert_eq!(t.count(CellStat::SampledMax), Some(48));
+        assert_eq!(t.count(CellStat::SampledTotal), Some(32));
+        assert_eq!(t.real(CellStat::AnytimeLower), Some(32.0));
+        assert_eq!(t.real(CellStat::AnytimeUpper), Some(34.0));
+        assert_eq!(t.count(CellStat::AnytimeOptimal), Some(1));
         // No het outcomes → the het reductions stay at defaults.
-        assert_eq!(t.scenario_counts, [0, 0, 0]);
+        assert_eq!(t.count(CellStat::S1), Some(0));
     }
 
     #[test]
@@ -970,16 +1105,14 @@ mod tests {
         agg.accept(result(1, 0, job(Some((10, false))))); // not proven optimal
         agg.accept(result(2, 0, job(None))); // solver gave up
         let a = agg.finalize().unwrap();
-        let CellKind::Task(t) = &a.cells[0].kind else {
-            panic!("task cell")
-        };
-        let acc = t.accuracy.as_ref().expect("accuracy selected");
-        assert_eq!(acc.solved, 1);
-        assert_eq!(acc.mean_hom_increment, 20.0);
-        assert!((acc.mean_het_increment - 10.0).abs() < 1e-12);
-        assert_eq!(t.exact_solved, 2, "feasible-but-unproven still counts");
+        let t = &a.cells[0];
+        assert_eq!(t.count(CellStat::Solved), Some(1));
+        assert_eq!(t.real(CellStat::HomIncrement), Some(20.0));
+        assert!((t.real(CellStat::HetIncrement).unwrap() - 10.0).abs() < 1e-12);
+        let solved = t.count(CellStat::ExactSolved);
+        assert_eq!(solved, Some(2), "feasible-but-unproven still counts");
         // R_hom enters the cell mean once per job (het's copy wins).
-        assert_eq!(t.mean_r_hom, 12.0);
+        assert_eq!(t.real(CellStat::MeanRHom), Some(12.0));
     }
 
     #[test]
@@ -1030,12 +1163,7 @@ mod tests {
 
     #[test]
     fn deltas_before_a_keyframe_or_after_a_gap_desynchronize_the_view() {
-        let cell = CellSummary {
-            m: 2,
-            grid_value: 0.5,
-            samples: 1,
-            kind: CellKind::Set(SetCellSummary { accepted: [0; 6] }),
-        };
+        let cell = CellSummary::new(CellShape::Set, 2, 0.5, 1);
         let mut view = AggregateView::new();
         // Orphan delta (keyframe dropped by the event buffer): refused.
         let orphan = AggregateUpdate::Delta {
@@ -1048,6 +1176,7 @@ mod tests {
         let keyframe = AggregateUpdate::Keyframe {
             seq: 4,
             aggregate: SweepAggregate {
+                shape: CellShape::Set,
                 cells: vec![cell.clone()],
             },
         };

@@ -28,7 +28,8 @@
 //! handle reads nothing in proportion to the directory.
 //!
 //! A write stages its record line in the handle, and the handle's own
-//! reads see it at once. A commit takes one exclusive lock on the index
+//! reads see it at once, without counting a disk hit: this process
+//! computed that value. A commit takes one exclusive lock on the index
 //! file, appends every staged line with one write and claims one slot per
 //! record (a fresh one, or the key's own when it is rewritten), so every
 //! process sharing the directory takes its turn once per batch. A handle
@@ -679,12 +680,13 @@ impl DiskCache {
         self.commit();
     }
 
-    /// Reads and verifies one entry's value; `None` on any defect.
+    /// Reads and verifies one entry's value, and whether it came from this
+    /// handle's own staging buffer; `None` on any defect.
     ///
     /// Does **not** count: a checksum-valid value can still fail to
     /// decode, so hit/miss accounting happens in the typed loaders once
     /// the full decode has succeeded or failed.
-    fn read_value(&self, ns: Ns, key: u128) -> Option<String> {
+    fn read_value(&self, ns: Ns, key: u128) -> Option<(String, bool)> {
         let _span = span!(self.recorder.as_ref(), "disk.read", ns = ns.name());
         // Injected read corruption flips one bit of the record before
         // verification — it must read as a miss, never as data.
@@ -698,11 +700,34 @@ impl DiskCache {
         // slot is claimed.
         let staged = self.staged().line(ns, key).map(<[u8]>::to_vec);
         if let Some(line) = staged {
-            return verify_record(line, ns, key, flip);
+            return verify_record(line, ns, key, flip).map(|value| (value, true));
         }
         let generation = self.generation();
         let slot = generation.find(self.level0, ns, key).ok()??;
-        generation.record(ns, key, slot, flip)
+        generation
+            .record(ns, key, slot, flip)
+            .map(|value| (value, false))
+    }
+
+    /// Counts one typed load. A value this handle staged itself was
+    /// computed in this process, so it reads back without counting a disk
+    /// hit; a defect counts a miss wherever it was read.
+    fn count_load<T>(
+        &self,
+        read: Option<(String, bool)>,
+        decode: impl FnOnce(&str) -> Option<T>,
+    ) -> Option<T> {
+        let Some((value, staged)) = read else {
+            self.misses.incr();
+            return None;
+        };
+        let decoded = decode(&value);
+        if decoded.is_none() {
+            self.misses.incr();
+        } else if !staged {
+            self.hits.incr();
+        }
+        decoded
     }
 
     /// Stages one entry, committing the batch once it holds
@@ -746,18 +771,11 @@ impl DiskCache {
     }
 
     /// Loads a persisted analysis outcome, or `None` (miss / unreadable /
-    /// corrupt / stale format).
+    /// corrupt / stale format). A record this handle staged reads back
+    /// without counting a hit.
     #[must_use]
     pub fn load_result(&self, key: u128) -> Option<AnalysisOutcome> {
-        let decoded = self
-            .read_value(Ns::Results, key)
-            .and_then(|value| AnalysisOutcome::decode(&value));
-        if decoded.is_some() {
-            self.hits.incr();
-        } else {
-            self.misses.incr();
-        }
-        decoded
+        self.count_load(self.read_value(Ns::Results, key), AnalysisOutcome::decode)
     }
 
     /// Persists one analysis outcome. This handle reads it back at once;
@@ -769,24 +787,18 @@ impl DiskCache {
 
     /// Loads a persisted identity entry: `Some(None)` for a memoized
     /// declined sample, `Some(Some(content))` for a content hash, `None`
-    /// for a miss.
+    /// for a miss. Counts like [`DiskCache::load_result`].
     #[must_use]
     pub fn load_identity(&self, key: u128) -> Option<Option<u128>> {
-        let decoded = self.read_value(Ns::Identity, key).and_then(|value| {
+        self.count_load(self.read_value(Ns::Identity, key), |value| {
             if value == SKIP {
                 return Some(None);
             }
-            match u128::from_str_radix(&value, 16) {
+            match u128::from_str_radix(value, 16) {
                 Ok(content) if value.len() == 32 => Some(Some(content)),
                 _ => None,
             }
-        });
-        if decoded.is_some() {
-            self.hits.incr();
-        } else {
-            self.misses.incr();
-        }
-        decoded
+        })
     }
 
     /// Persists one identity entry. Like [`DiskCache::store_result`], it
@@ -1014,7 +1026,9 @@ mod tests {
         cache.flush();
         assert_eq!(other.load_result(42), Some(outcome()));
         assert_eq!(other.counters(), CacheCounters { hits: 1, misses: 1 });
-        assert_eq!(cache.counters(), CacheCounters { hits: 1, misses: 1 });
+        // The writer's own staged read is no disk hit: it computed that
+        // record itself.
+        assert_eq!(cache.counters(), CacheCounters { hits: 0, misses: 1 });
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1034,7 +1048,8 @@ mod tests {
         assert_eq!(cache.load_identity(7), Some(Some(0xFEED_F00D)));
         assert_eq!(cache.load_identity(8), Some(None));
         assert_eq!(cache.load_result(7), None);
-        assert_eq!(cache.counters(), CacheCounters { hits: 4, misses: 3 });
+        // Only the two reads after the commit count as hits.
+        assert_eq!(cache.counters(), CacheCounters { hits: 2, misses: 3 });
         let _ = std::fs::remove_dir_all(&dir);
     }
 

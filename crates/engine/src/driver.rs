@@ -77,6 +77,10 @@ pub struct SweepDriver {
     replayed: usize,
 }
 
+/// Every `KEYFRAME_EVERY`-th partial snapshot is a full keyframe; the
+/// ones in between carry the changed cells only.
+const KEYFRAME_EVERY: usize = 16;
+
 /// Partial-snapshot cadence and the encoder that delta-encodes them.
 #[derive(Debug)]
 struct Partials {
@@ -137,12 +141,12 @@ impl SweepDriver {
 
     /// Makes [`SweepDriver::accept`] return a partial snapshot after every
     /// `every` completed jobs (`None` = never), delta-encoded with a full
-    /// keyframe every `keyframe_every`-th snapshot.
+    /// keyframe every 16th snapshot.
     #[must_use]
-    pub fn with_partials(mut self, every: Option<usize>, keyframe_every: usize) -> Self {
+    pub fn with_partials(mut self, every: Option<usize>) -> Self {
         self.partials = every.map(|every| Partials {
             every: every.max(1),
-            encoder: AggregateDeltaEncoder::new(keyframe_every),
+            encoder: AggregateDeltaEncoder::new(KEYFRAME_EVERY),
         });
         self
     }

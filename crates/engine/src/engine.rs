@@ -732,7 +732,7 @@ impl Engine {
         let _span = span!(self.exec.recorder.as_ref(), "sweep.submit");
         let (driver, jobs) = SweepDriver::open(spec, &self.exec.registry, config.journal.as_ref())?;
         let driver = driver
-            .with_partials(config.partial_every, config.keyframe_every)
+            .with_partials(config.partial_every)
             .with_recorder(Arc::clone(&self.exec.recorder));
         let shared = Arc::new(SessionShared {
             events: EventQueue::new(config.max_buffered_events),

@@ -77,8 +77,8 @@ pub mod spec;
 pub mod wire;
 
 pub use aggregate::{
-    AccuracySummary, AggregateUpdate, AggregateView, Aggregator, CellKind, CellSummary,
-    CondCellSummary, SetCellSummary, SuspendCellSummary, SweepAggregate, TaskCellSummary,
+    AggregateUpdate, AggregateView, Aggregator, CellStat, CellSummary, StatDef, StatKind,
+    SweepAggregate, CELL_STATS,
 };
 pub use cache::CacheCounters;
 pub use disk::{DiskCache, GcStats};

@@ -56,9 +56,8 @@ pub enum SweepEvent {
     /// A deterministic-so-far snapshot of the aggregate over every job
     /// that has completed (cadence set by [`SessionConfig::partial_every`]),
     /// delta-encoded: most events carry only the cells that changed since
-    /// the previous snapshot, with a periodic full keyframe (cadence set
-    /// by [`SessionConfig::keyframe_every`]). Reassemble with
-    /// [`AggregateView`](crate::AggregateView).
+    /// the previous snapshot, with a full keyframe every 16th snapshot.
+    /// Reassemble with [`AggregateView`](crate::AggregateView).
     PartialAggregate {
         /// Jobs aggregated into this snapshot.
         completed: usize,
@@ -93,11 +92,6 @@ pub struct SessionConfig {
     /// Emit a [`SweepEvent::PartialAggregate`] snapshot after every `n`
     /// completed jobs (`None` = only the terminal event).
     pub partial_every: Option<usize>,
-    /// Every `keyframe_every`-th partial aggregate is a full
-    /// [`AggregateUpdate::Keyframe`]; the ones in between are
-    /// changed-cells deltas. `1` disables delta encoding (every partial
-    /// is a keyframe); the default is 16.
-    pub keyframe_every: usize,
     /// Event-buffer bound; beyond it the oldest events are dropped.
     pub max_buffered_events: usize,
     /// Write-ahead journal for crash-safe resume: every finished job is
@@ -111,13 +105,11 @@ pub struct SessionConfig {
 }
 
 impl Default for SessionConfig {
-    /// Job events on, no partial snapshots, keyframe every 16 partials,
-    /// 64Ki-event buffer, no journal.
+    /// Job events on, no partial snapshots, 64Ki-event buffer, no journal.
     fn default() -> Self {
         SessionConfig {
             job_events: true,
             partial_every: None,
-            keyframe_every: 16,
             max_buffered_events: 1 << 16,
             journal: None,
         }

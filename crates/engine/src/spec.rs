@@ -182,15 +182,28 @@ impl SweepGrid {
     }
 }
 
-/// How cells of a sweep aggregate (decided by the grid).
+/// How cells of a sweep aggregate (decided by the grid); each shape
+/// carries its own statistics ([`CellShape::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellShape {
-    /// Per-task metrics ([`CellKind::Task`](crate::CellKind)).
+    /// Per-task metrics.
     Task,
-    /// Acceptance-test counts ([`CellKind::Set`](crate::CellKind)).
+    /// Acceptance-test counts.
     Set,
-    /// Conditional-bound overheads ([`CellKind::Cond`](crate::CellKind)).
+    /// Conditional-bound overheads.
     Cond,
+}
+
+impl CellShape {
+    /// The name of this shape's grid values in the CSV and the table.
+    #[must_use]
+    pub fn grid_name(self) -> &'static str {
+        match self {
+            CellShape::Task => "fraction",
+            CellShape::Set => "normalized_util",
+            CellShape::Cond => "p_cond",
+        }
+    }
 }
 
 /// Replication offset of a base seed for per-job sampled grids

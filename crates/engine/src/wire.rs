@@ -10,22 +10,24 @@
 //! defect decodes to a typed [`WireError`] rather than a panic or
 //! silent garbage. The frame layer around the payload contributes the
 //! magic, version and FNV checksum.
+//!
+//! A cell travels as one generic line read off
+//! [`CELL_STATS`](crate::CELL_STATS): its coordinates, then one token per
+//! statistic of its shape. The update header names the shape, so the
+//! codec knows no analysis and a new statistic needs no change here.
 
 use std::time::Duration;
 
 use hetrta_api::wire::{
-    self, fbits, malformed, opt_fbits, parse_fbits, parse_num, parse_opt_fbits, Tokens, WireError,
+    self, fbits, malformed, opt_fbits, parse_fbits, parse_num, Tokens, WireError,
 };
 use hetrta_cond::CondGenParams;
 use hetrta_gen::NfjParams;
 use hetrta_sched::taskset::TaskSetParams;
 
-use crate::aggregate::{
-    AccuracySummary, AggregateUpdate, AnytimeCellSummary, CellKind, CellSummary, CondCellSummary,
-    SampledCellSummary, SetCellSummary, SuspendCellSummary, SweepAggregate, TaskCellSummary,
-};
+use crate::aggregate::{AggregateUpdate, CellSummary, StatKind, SweepAggregate};
 use crate::session::SweepEvent;
-use crate::spec::{AnalysisSelection, GeneratorPreset, SweepGrid, SweepSpec};
+use crate::spec::{AnalysisSelection, CellShape, GeneratorPreset, SweepGrid, SweepSpec};
 
 /// Frame kind tag of an encoded [`AggregateUpdate`].
 pub const KIND_AGGREGATE: u8 = 0x11;
@@ -318,230 +320,97 @@ pub fn decode_spec(text: &str) -> Result<SweepSpec, WireError> {
 // Cells and aggregate updates
 // ---------------------------------------------------------------------------
 
-fn encode_cell(cell: &CellSummary) -> String {
-    let mut out = format!("{} {} {} ", cell.m, fbits(cell.grid_value), cell.samples);
-    match &cell.kind {
-        CellKind::Task(t) => {
-            let accuracy = t.accuracy.as_ref().map_or_else(
-                || "-".into(),
-                |a| {
-                    format!(
-                        "{}:{}:{}",
-                        fbits(a.mean_hom_increment),
-                        fbits(a.mean_het_increment),
-                        a.solved
-                    )
-                },
-            );
-            let suspend = t.suspend.as_ref().map_or_else(
-                || "-".into(),
-                |s| {
-                    format!(
-                        "{}:{}:{}:{}:{}:{}",
-                        fbits(s.mean_oblivious),
-                        fbits(s.mean_barrier),
-                        fbits(s.mean_het_tight),
-                        fbits(s.mean_naive),
-                        s.mean_worst_observed.map_or_else(|| "-".into(), fbits),
-                        s.naive_violations
-                    )
-                },
-            );
-            let sampled = t.sampled.as_ref().map_or_else(
-                || "-".into(),
-                |s| {
-                    format!(
-                        "{}:{}:{}:{}:{}",
-                        fbits(s.mean),
-                        fbits(s.mean_ci_half),
-                        s.min,
-                        s.max,
-                        s.total_samples
-                    )
-                },
-            );
-            let anytime = t.anytime.as_ref().map_or_else(
-                || "-".into(),
-                |a| {
-                    format!(
-                        "{}:{}:{}",
-                        fbits(a.mean_lower),
-                        fbits(a.mean_upper),
-                        a.optimal
-                    )
-                },
-            );
-            out.push_str(&format!(
-                "task {} {} {} {} {} {} {} {} {} {} {} {} {} {accuracy} {suspend} {sampled} {anytime}",
-                t.scenario_counts[0],
-                t.scenario_counts[1],
-                t.scenario_counts[2],
-                fbits(t.mean_improvement),
-                fbits(t.max_improvement),
-                fbits(t.mean_r_het),
-                fbits(t.mean_r_hom),
-                t.schedulable_het,
-                t.schedulable_hom,
-                opt_fbits(t.mean_sim_makespan),
-                opt_fbits(t.mean_sim_transformed),
-                t.exact_solved,
-                opt_fbits(t.mean_exact_makespan),
-            ));
-        }
-        CellKind::Set(s) => {
-            out.push_str("set");
-            for count in s.accepted {
-                out.push_str(&format!(" {count}"));
-            }
-        }
-        CellKind::Cond(c) => {
-            out.push_str(&format!(
-                "cond {} {} {} {}",
-                c.included,
-                fbits(c.mean_flat_overhead),
-                fbits(c.mean_dp_overhead),
-                fbits(c.mean_realizations)
-            ));
-        }
-    }
-    out
+/// Wire names of the cell shapes.
+const SHAPES: [(CellShape, &str); 3] = [
+    (CellShape::Task, "task"),
+    (CellShape::Set, "set"),
+    (CellShape::Cond, "cond"),
+];
+
+fn shape_name(shape: CellShape) -> &'static str {
+    SHAPES
+        .iter()
+        .find(|(s, _)| *s == shape)
+        .map(|&(_, name)| name)
+        .expect("every shape has a wire name")
 }
 
-fn decode_colon_accuracy(s: &str) -> Result<Option<AccuracySummary>, WireError> {
-    if s == "-" {
-        return Ok(None);
-    }
-    let fields: Vec<&str> = s.split(':').collect();
-    if fields.len() != 3 {
-        return Err(malformed(format!("accuracy pack `{s}` needs 3 fields")));
-    }
-    Ok(Some(AccuracySummary {
-        mean_hom_increment: parse_fbits(fields[0])?,
-        mean_het_increment: parse_fbits(fields[1])?,
-        solved: parse_num(fields[2], "accuracy solved")?,
-    }))
+fn parse_shape(token: &str) -> Result<CellShape, WireError> {
+    SHAPES
+        .iter()
+        .find(|(_, name)| *name == token)
+        .map(|&(shape, _)| shape)
+        .ok_or_else(|| malformed(format!("unknown cell shape `{token}`")))
 }
 
-fn decode_colon_suspend(s: &str) -> Result<Option<SuspendCellSummary>, WireError> {
-    if s == "-" {
-        return Ok(None);
+/// One cell line: `m`, the grid value's bits, `samples`, then one token
+/// per statistic of `shape` in column order — `-` when absent, decimal
+/// for counts and shares, sixteen hex digits of the bit pattern for reals.
+fn encode_cell(out: &mut String, shape: CellShape, cell: &CellSummary) {
+    out.push_str(&format!(
+        "{} {} {}",
+        cell.m,
+        fbits(cell.grid_value),
+        cell.samples
+    ));
+    for def in shape.stats() {
+        let token = match def.kind {
+            StatKind::Count | StatKind::Share => cell
+                .count(def.stat)
+                .map_or_else(|| "-".into(), |c| c.to_string()),
+            StatKind::Real => opt_fbits(cell.real(def.stat)),
+        };
+        out.push(' ');
+        out.push_str(&token);
     }
-    let fields: Vec<&str> = s.split(':').collect();
-    if fields.len() != 6 {
-        return Err(malformed(format!("suspend pack `{s}` needs 6 fields")));
-    }
-    Ok(Some(SuspendCellSummary {
-        mean_oblivious: parse_fbits(fields[0])?,
-        mean_barrier: parse_fbits(fields[1])?,
-        mean_het_tight: parse_fbits(fields[2])?,
-        mean_naive: parse_fbits(fields[3])?,
-        mean_worst_observed: parse_opt_fbits(fields[4])?,
-        naive_violations: parse_num(fields[5], "naive violations")?,
-    }))
+    out.push('\n');
 }
 
-fn decode_colon_sampled(s: &str) -> Result<Option<SampledCellSummary>, WireError> {
-    if s == "-" {
-        return Ok(None);
-    }
-    let fields: Vec<&str> = s.split(':').collect();
-    if fields.len() != 5 {
-        return Err(malformed(format!("sampled pack `{s}` needs 5 fields")));
-    }
-    Ok(Some(SampledCellSummary {
-        mean: parse_fbits(fields[0])?,
-        mean_ci_half: parse_fbits(fields[1])?,
-        min: parse_num(fields[2], "sampled min")?,
-        max: parse_num(fields[3], "sampled max")?,
-        total_samples: parse_num(fields[4], "sampled total")?,
-    }))
-}
-
-fn decode_colon_anytime(s: &str) -> Result<Option<AnytimeCellSummary>, WireError> {
-    if s == "-" {
-        return Ok(None);
-    }
-    let fields: Vec<&str> = s.split(':').collect();
-    if fields.len() != 3 {
-        return Err(malformed(format!("anytime pack `{s}` needs 3 fields")));
-    }
-    Ok(Some(AnytimeCellSummary {
-        mean_lower: parse_fbits(fields[0])?,
-        mean_upper: parse_fbits(fields[1])?,
-        optimal: parse_num(fields[2], "anytime optimal")?,
-    }))
-}
-
-fn decode_cell(tokens: &mut Tokens<'_>) -> Result<CellSummary, WireError> {
+fn decode_cell(shape: CellShape, tokens: &mut Tokens<'_>) -> Result<CellSummary, WireError> {
     let m = parse_num(tokens.next()?, "core count")?;
     let grid_value = parse_fbits(tokens.next()?)?;
     let samples = parse_num(tokens.next()?, "samples")?;
-    let kind = match tokens.next()? {
-        "task" => CellKind::Task(TaskCellSummary {
-            scenario_counts: [
-                parse_num(tokens.next()?, "scenario count")?,
-                parse_num(tokens.next()?, "scenario count")?,
-                parse_num(tokens.next()?, "scenario count")?,
-            ],
-            mean_improvement: parse_fbits(tokens.next()?)?,
-            max_improvement: parse_fbits(tokens.next()?)?,
-            mean_r_het: parse_fbits(tokens.next()?)?,
-            mean_r_hom: parse_fbits(tokens.next()?)?,
-            schedulable_het: parse_num(tokens.next()?, "schedulable count")?,
-            schedulable_hom: parse_num(tokens.next()?, "schedulable count")?,
-            mean_sim_makespan: parse_opt_fbits(tokens.next()?)?,
-            mean_sim_transformed: parse_opt_fbits(tokens.next()?)?,
-            exact_solved: parse_num(tokens.next()?, "exact solved")?,
-            mean_exact_makespan: parse_opt_fbits(tokens.next()?)?,
-            accuracy: decode_colon_accuracy(tokens.next()?)?,
-            suspend: decode_colon_suspend(tokens.next()?)?,
-            sampled: decode_colon_sampled(tokens.next()?)?,
-            anytime: decode_colon_anytime(tokens.next()?)?,
-        }),
-        "set" => {
-            let mut accepted = [0usize; 6];
-            for slot in &mut accepted {
-                *slot = parse_num(tokens.next()?, "acceptance count")?;
+    let mut cell = CellSummary::new(shape, m, grid_value, samples);
+    for def in shape.stats() {
+        match (tokens.next()?, def.kind) {
+            ("-", _) => {}
+            (token, StatKind::Count | StatKind::Share) => {
+                cell.set_count(def.stat, parse_num(token, def.name)?);
             }
-            CellKind::Set(SetCellSummary { accepted })
+            (token, StatKind::Real) => cell.set_real(def.stat, parse_fbits(token)?),
         }
-        "cond" => CellKind::Cond(CondCellSummary {
-            included: parse_num(tokens.next()?, "included count")?,
-            mean_flat_overhead: parse_fbits(tokens.next()?)?,
-            mean_dp_overhead: parse_fbits(tokens.next()?)?,
-            mean_realizations: parse_fbits(tokens.next()?)?,
-        }),
-        other => return Err(malformed(format!("unknown cell kind `{other}`"))),
-    };
-    Ok(CellSummary {
-        m,
-        grid_value,
-        samples,
-        kind,
-    })
+    }
+    Ok(cell)
 }
 
-/// Encodes an [`AggregateUpdate`] as a header line plus one line per
-/// carried cell — the keyframe/delta structure survives the wire, so
-/// remote consumers reassemble with the same
-/// [`AggregateView`](crate::AggregateView) local ones use.
+/// Encodes an [`AggregateUpdate`] as a header line (tag, cell shape,
+/// sequence number, cell count) plus one line per carried cell — the
+/// keyframe/delta structure survives the wire, so remote consumers
+/// reassemble with the same [`AggregateView`](crate::AggregateView) local
+/// ones use.
 #[must_use]
 pub fn encode_update(update: &AggregateUpdate) -> String {
     let mut out = String::new();
     match update {
         AggregateUpdate::Keyframe { seq, aggregate } => {
-            out.push_str(&format!("keyframe {seq} {}\n", aggregate.cells.len()));
+            let shape = aggregate.shape;
+            let count = aggregate.cells.len();
+            out.push_str(&format!("keyframe {} {seq} {count}\n", shape_name(shape)));
             for cell in &aggregate.cells {
-                out.push_str(&encode_cell(cell));
-                out.push('\n');
+                encode_cell(&mut out, shape, cell);
             }
         }
         AggregateUpdate::Delta { seq, changed } => {
-            out.push_str(&format!("delta {seq} {}\n", changed.len()));
+            // A delta's cells share one shape; an empty delta names any.
+            let shape = changed
+                .first()
+                .and_then(|(_, cell)| cell.shape())
+                .unwrap_or(CellShape::Task);
+            let count = changed.len();
+            out.push_str(&format!("delta {} {seq} {count}\n", shape_name(shape)));
             for (index, cell) in changed {
                 out.push_str(&format!("{index} "));
-                out.push_str(&encode_cell(cell));
-                out.push('\n');
+                encode_cell(&mut out, shape, cell);
             }
         }
     }
@@ -561,6 +430,7 @@ pub fn decode_update(text: &str) -> Result<AggregateUpdate, WireError> {
         .ok_or_else(|| malformed("empty aggregate update"))?;
     let mut head = Tokens::new(header, "update header");
     let tag = head.next()?;
+    let shape = parse_shape(head.next()?)?;
     let seq = parse_num(head.next()?, "sequence number")?;
     let count: usize = parse_num(head.next()?, "cell count")?;
     head.finish()?;
@@ -575,12 +445,12 @@ pub fn decode_update(text: &str) -> Result<AggregateUpdate, WireError> {
             let mut cells = Vec::with_capacity(count);
             for _ in 0..count {
                 let mut tokens = cell_line("keyframe cell")?;
-                cells.push(decode_cell(&mut tokens)?);
+                cells.push(decode_cell(shape, &mut tokens)?);
                 tokens.finish()?;
             }
             AggregateUpdate::Keyframe {
                 seq,
-                aggregate: SweepAggregate { cells },
+                aggregate: SweepAggregate { shape, cells },
             }
         }
         "delta" => {
@@ -588,7 +458,7 @@ pub fn decode_update(text: &str) -> Result<AggregateUpdate, WireError> {
             for _ in 0..count {
                 let mut tokens = cell_line("delta cell")?;
                 let index = parse_num(tokens.next()?, "cell index")?;
-                changed.push((index, decode_cell(&mut tokens)?));
+                changed.push((index, decode_cell(shape, &mut tokens)?));
                 tokens.finish()?;
             }
             AggregateUpdate::Delta { seq, changed }
@@ -734,52 +604,105 @@ pub fn decode_event(text: &str) -> Result<SweepEvent, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::CellStat;
     use crate::spec::GeneratorPreset;
     use crate::AggregateView;
 
-    fn task_cell(m: u64, grid: f64, full: bool) -> CellSummary {
-        CellSummary {
-            m,
-            grid_value: grid,
-            samples: 17,
-            kind: CellKind::Task(TaskCellSummary {
-                scenario_counts: [3, 9, 5],
-                mean_improvement: 12.75,
-                max_improvement: 31.0 + f64::EPSILON,
-                mean_r_het: 0.1 + 0.2,
-                mean_r_hom: 991.25,
-                schedulable_het: 15,
-                schedulable_hom: 11,
-                mean_sim_makespan: full.then_some(812.0),
-                mean_sim_transformed: None,
-                exact_solved: 4,
-                mean_exact_makespan: full.then_some(790.5),
-                accuracy: full.then_some(AccuracySummary {
-                    mean_hom_increment: 8.125,
-                    mean_het_increment: 2.5,
-                    solved: 4,
-                }),
-                suspend: full.then_some(SuspendCellSummary {
-                    mean_oblivious: 1000.0,
-                    mean_barrier: 950.0,
-                    mean_het_tight: 900.0,
-                    mean_naive: 870.0,
-                    mean_worst_observed: full.then_some(905.0),
-                    naive_violations: 2,
-                }),
-                sampled: full.then_some(SampledCellSummary {
-                    mean: 810.5,
-                    mean_ci_half: 3.25,
-                    min: 780,
-                    max: 860,
-                    total_samples: 1088,
-                }),
-                anytime: full.then_some(AnytimeCellSummary {
-                    mean_lower: 781.0,
-                    mean_upper: 812.5,
-                    optimal: 9,
-                }),
-            }),
+    /// Float bit patterns the codec must carry exactly: ±0, ±∞, NaNs
+    /// with random payloads, subnormals, and arbitrary bits.
+    fn real_bits(word: u64) -> f64 {
+        let sign = word & (1 << 63);
+        f64::from_bits(match word % 6 {
+            0 => sign,
+            1 => sign | 0x7FF0_0000_0000_0000,
+            2 => word | 0x7FF0_0000_0000_0001,
+            3 => word & 0x800F_FFFF_FFFF_FFFF,
+            _ => word,
+        })
+    }
+
+    /// A cell of `shape` drawn from `seed`: each statistic is absent a
+    /// third of the time, reals are raw bit patterns and counts reach
+    /// `u64::MAX`.
+    fn random_cell(shape: CellShape, seed: u64) -> CellSummary {
+        let mut words = (0..).map(|i| hetrta_sched::acceptance::splitmix64(seed ^ (i << 40)));
+        let mut word = || words.next().expect("endless");
+        let mut cell = CellSummary::new(shape, word(), real_bits(word()), word() as usize);
+        for def in shape.stats() {
+            let pick = word();
+            match (pick % 3, def.kind) {
+                (0, _) => {}
+                (_, StatKind::Real) => cell.set_real(def.stat, real_bits(word())),
+                (1, _) => cell.set_count(def.stat, u64::MAX - pick % 2),
+                _ => cell.set_count(def.stat, word() >> (pick % 64)),
+            }
+        }
+        cell
+    }
+
+    /// Every number an update carries, reals as bit patterns: NaN ≠ NaN,
+    /// so equal bits are the witness of a bitwise round trip. A keyframe
+    /// leads with its shape, a delta with `None`.
+    fn bits(update: &AggregateUpdate) -> Vec<Option<u64>> {
+        let (head, cells): (_, Vec<_>) = match update {
+            AggregateUpdate::Keyframe { aggregate, .. } => (
+                Some(aggregate.shape as u64),
+                aggregate.cells.iter().enumerate().collect(),
+            ),
+            AggregateUpdate::Delta { changed, .. } => {
+                (None, changed.iter().map(|(i, cell)| (*i, cell)).collect())
+            }
+        };
+        let mut out = vec![Some(update.seq()), head];
+        for (index, cell) in cells {
+            let shape = cell.shape().expect("a cell of a known shape");
+            out.extend([
+                Some(shape as u64),
+                Some(index as u64),
+                Some(cell.m),
+                Some(cell.grid_value.to_bits()),
+                Some(cell.samples as u64),
+            ]);
+            out.extend(shape.stats().iter().map(|def| match def.kind {
+                StatKind::Real => cell.real(def.stat).map(f64::to_bits),
+                StatKind::Count | StatKind::Share => cell.count(def.stat),
+            }));
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn random_cells_of_every_shape_roundtrip_bitwise(
+            shape in 0usize..3,
+            seed: u64,
+            cells in 0u64..5,
+            seq: u64,
+            delta: bool,
+        ) {
+            let shape = SHAPES[shape].0;
+            let cells = (0..cells).map(|i| random_cell(shape, seed.wrapping_add(i)));
+            let update = if delta {
+                AggregateUpdate::Delta {
+                    seq,
+                    changed: cells.enumerate().map(|(i, cell)| (3 * i + 1, cell)).collect(),
+                }
+            } else {
+                AggregateUpdate::Keyframe {
+                    seq,
+                    aggregate: SweepAggregate {
+                        shape,
+                        cells: cells.collect(),
+                    },
+                }
+            };
+            let text = encode_update(&update);
+            let back = decode_update(&text).unwrap_or_else(|e| panic!("{e} for:\n{text}"));
+            proptest::prop_assert_eq!(bits(&back), bits(&update));
+            let framed = AggregateUpdate::decode_frame(&update.encode_frame()).expect("frame");
+            proptest::prop_assert_eq!(bits(&framed), bits(&update));
         }
     }
 
@@ -861,47 +784,23 @@ mod tests {
     }
 
     #[test]
-    fn update_roundtrips_bitwise() {
-        let keyframe = AggregateUpdate::Keyframe {
-            seq: 0,
-            aggregate: SweepAggregate {
-                cells: vec![
-                    task_cell(2, 0.05, true),
-                    task_cell(8, 0.30, false),
-                    CellSummary {
-                        m: 4,
-                        grid_value: 0.5,
-                        samples: 9,
-                        kind: CellKind::Set(SetCellSummary {
-                            accepted: [9, 7, 5, 3, 1, 0],
-                        }),
-                    },
-                    CellSummary {
-                        m: 2,
-                        grid_value: 0.25,
-                        samples: 6,
-                        kind: CellKind::Cond(CondCellSummary {
-                            included: 5,
-                            mean_flat_overhead: 14.5,
-                            mean_dp_overhead: 3.25,
-                            mean_realizations: 12.0,
-                        }),
-                    },
-                ],
-            },
-        };
-        let delta = AggregateUpdate::Delta {
-            seq: 3,
-            changed: vec![
-                (1, task_cell(8, 0.30, true)),
-                (3, task_cell(2, 0.25, false)),
-            ],
-        };
-        for update in [keyframe, delta] {
-            let text = encode_update(&update);
-            assert_eq!(decode_update(&text).unwrap(), update, "text:\n{text}");
-            let frame = update.encode_frame();
-            assert_eq!(AggregateUpdate::decode_frame(&frame).unwrap(), update);
+    fn malformed_cell_lines_error_typed() {
+        let (grid, real) = (fbits(0.5), fbits(2.5));
+        let set = |line: &str| format!("keyframe set 0 1\n4 {grid} 9 {line}\n");
+        assert!(decode_update(&set("1 2 3 4 5 6")).is_ok());
+        for bad in [
+            set("1 2 3 4 5 6 7"),                          // one token too many
+            set("1 2 3 4 5"),                              // one token too few
+            set("1 x 3 4 5 6"),                            // non-numeric count
+            set("1 2 3 4 5 6").replace(&grid, "3fe00000"), // short float
+            set("1 2 3 4 5 6").replace("set", "hexagon"),  // unknown shape
+            format!("keyframe cond 0 1\n2 {grid} 6 5 12 {real} {real}\n"), // count as real
+            format!("delta cond 3 1\n0 2 {grid} 6 5 {real} {real}\n"), // delta, one short
+        ] {
+            assert!(
+                matches!(decode_update(&bad), Err(WireError::Malformed(_))),
+                "decoded unexpectedly:\n{bad}"
+            );
         }
     }
 
@@ -910,7 +809,8 @@ mod tests {
         let update = AggregateUpdate::Keyframe {
             seq: 0,
             aggregate: SweepAggregate {
-                cells: vec![task_cell(2, 0.1, true)],
+                shape: CellShape::Task,
+                cells: vec![random_cell(CellShape::Task, 7)],
             },
         };
         let frame = update.encode_frame();
@@ -935,17 +835,17 @@ mod tests {
             Err(WireError::Truncated)
         );
 
-        let alien = wire::encode_frame(0x66, b"keyframe 0 0\n");
+        let alien = wire::encode_frame(0x66, b"keyframe task 0 0\n");
         assert!(matches!(
             AggregateUpdate::decode_frame(&alien),
             Err(WireError::Malformed(_))
         ));
 
         for text in [
-            "keyframe 0 2\n",                // promises cells it lacks
-            "keyframe zero 0\n",             // unparseable seq
-            "delta 1 1\nnotanindex 2 x 3\n", // garbage delta line
-            "hologram 1 0\n",                // unknown tag
+            "keyframe task 0 2\n",                // promises cells it lacks
+            "keyframe task zero 0\n",             // unparseable seq
+            "delta task 1 1\nnotanindex 2 x 3\n", // garbage delta line
+            "hologram task 1 0\n",                // unknown tag
         ] {
             assert!(
                 matches!(decode_update(text), Err(WireError::Malformed(_))),
@@ -970,7 +870,12 @@ mod tests {
                 total: 48,
                 update: AggregateUpdate::Delta {
                     seq: 4,
-                    changed: vec![(0, task_cell(2, 0.05, false))],
+                    changed: vec![(0, {
+                        let mut cell = CellSummary::new(CellShape::Task, 2, 0.05, 17);
+                        cell.set_count(CellStat::S21, 9);
+                        cell.set_real(CellStat::MeanImprovement, 12.75);
+                        cell
+                    })],
                 },
             },
             SweepEvent::SweepFinished {
@@ -995,7 +900,6 @@ mod tests {
                 crate::SessionConfig {
                     job_events: false,
                     partial_every: Some(1),
-                    keyframe_every: 4,
                     ..crate::SessionConfig::default()
                 },
             )

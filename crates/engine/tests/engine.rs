@@ -2,7 +2,7 @@
 //! counts, and cache correctness (cached results equal fresh ones, hits
 //! occur whenever content repeats).
 
-use hetrta_engine::{AnalysisSelection, CellKind, Engine, GeneratorPreset, SweepSpec, TestKind};
+use hetrta_engine::{AnalysisSelection, CellStat, Engine, GeneratorPreset, SweepSpec, TestKind};
 use hetrta_sched::taskset::TaskSetParams;
 
 fn fraction_spec(seed: u64) -> SweepSpec {
@@ -123,12 +123,9 @@ fn engine_matches_serial_acceptance_sweep() {
     for (cell, point) in out.aggregate.cells.iter().zip(&serial) {
         assert_eq!(cell.grid_value, point.normalized_util);
         assert_eq!(cell.samples, point.sets);
-        let CellKind::Set(s) = &cell.kind else {
-            panic!("set cell")
-        };
         for t in TestKind::ALL {
             assert_eq!(
-                s.ratio(t, cell.samples),
+                cell.share(CellStat::accepted(t)).expect("set cell"),
                 point.ratio(t),
                 "{t:?} ratio diverges at U/m = {}",
                 point.normalized_util
@@ -152,20 +149,16 @@ fn exact_budget_is_part_of_the_cache_key() {
     let engine = Engine::new(1);
     let poor = engine.run(&starved).expect("starved run");
     let rich = engine.run(&generous).expect("generous run");
-    let CellKind::Task(poor_cell) = &poor.aggregate.cells[0].kind else {
-        panic!("task cell")
-    };
-    let CellKind::Task(rich_cell) = &rich.aggregate.cells[0].kind else {
-        panic!("task cell")
+    let solved = |out: &hetrta_engine::EngineOutput| {
+        out.aggregate.cells[0]
+            .count(CellStat::ExactSolved)
+            .expect("task cell")
     };
     assert!(
-        rich_cell.exact_solved >= poor_cell.exact_solved,
+        solved(&rich) >= solved(&poor),
         "larger budget solves at least as much"
     );
-    assert_eq!(
-        rich_cell.exact_solved, 3,
-        "default budget solves small tasks"
-    );
+    assert_eq!(solved(&rich), 3, "default budget solves small tasks");
     // And the default-budget result matches a cache-free engine.
     let fresh = Engine::new(1).run(&generous).expect("fresh run");
     assert_eq!(fresh.aggregate, rich.aggregate);
@@ -176,18 +169,20 @@ fn sim_and_exact_analyses_run_through_the_engine() {
     let spec = SweepSpec::fractions(GeneratorPreset::Small, vec![2], vec![0.25], 4, 3)
         .with_analyses(AnalysisSelection::all());
     let out = Engine::new(2).run(&spec).expect("run");
-    let CellKind::Task(t) = &out.aggregate.cells[0].kind else {
-        panic!("task cell")
-    };
-    let sim = t.mean_sim_makespan.expect("simulation selected");
-    let exact = t.mean_exact_makespan.expect("small tasks solve exactly");
-    assert_eq!(t.exact_solved, 4);
+    let t = &out.aggregate.cells[0];
+    let sim = t
+        .real(CellStat::MeanSimMakespan)
+        .expect("simulation selected");
+    let exact = t
+        .real(CellStat::MeanExactMakespan)
+        .expect("small tasks solve exactly");
+    assert_eq!(t.count(CellStat::ExactSolved), Some(4));
     assert!(
         exact <= sim + 1e-9,
         "mean exact optimum {exact} above mean simulated {sim}"
     );
     assert!(
-        t.mean_r_het >= exact,
+        t.real(CellStat::MeanRHet).expect("het selected") >= exact,
         "analytical bound below the exact optimum"
     );
 }

@@ -8,7 +8,7 @@
 //! Any change to graph layout, kernel order of operations, caching, or
 //! aggregation that moves a single mantissa bit fails this test.
 
-use hetrta_engine::{CellKind, Engine, GeneratorPreset, SweepSpec};
+use hetrta_engine::{CellStat, Engine, GeneratorPreset, SweepSpec};
 use hetrta_gen::NfjParams;
 
 /// One expected cell: `(m, grid-value bits, samples, scenario counts,
@@ -96,19 +96,26 @@ fn assert_matches_golden(engine: &Engine) {
     assert_eq!(out.aggregate.cells.len(), GOLDEN.len());
     for (cell, golden) in out.aggregate.cells.iter().zip(GOLDEN) {
         let (m, f_bits, samples, counts, mean_imp, max_imp, mean_het, mean_hom, sh, shm) = golden;
-        let CellKind::Task(t) = &cell.kind else {
-            panic!("fraction sweeps produce task cells")
+        let count = |stat| {
+            cell.count(stat)
+                .expect("fraction sweeps produce task cells")
         };
+        let bits = |stat| cell.real(stat).expect("task cell").to_bits();
         assert_eq!(cell.m, m);
         assert_eq!(cell.grid_value.to_bits(), f_bits);
         assert_eq!(cell.samples, samples);
-        assert_eq!(t.scenario_counts, counts);
-        assert_eq!(t.mean_improvement.to_bits(), mean_imp, "mean improvement");
-        assert_eq!(t.max_improvement.to_bits(), max_imp, "max improvement");
-        assert_eq!(t.mean_r_het.to_bits(), mean_het, "mean R_het");
-        assert_eq!(t.mean_r_hom.to_bits(), mean_hom, "mean R_hom");
-        assert_eq!(t.schedulable_het, sh);
-        assert_eq!(t.schedulable_hom, shm);
+        let scenarios = [CellStat::S1, CellStat::S21, CellStat::S22].map(count);
+        assert_eq!(scenarios, counts.map(|c| c as u64));
+        assert_eq!(
+            bits(CellStat::MeanImprovement),
+            mean_imp,
+            "mean improvement"
+        );
+        assert_eq!(bits(CellStat::MaxImprovement), max_imp, "max improvement");
+        assert_eq!(bits(CellStat::MeanRHet), mean_het, "mean R_het");
+        assert_eq!(bits(CellStat::MeanRHom), mean_hom, "mean R_hom");
+        assert_eq!(count(CellStat::SchedulableHet), sh as u64);
+        assert_eq!(count(CellStat::SchedulableHom), shm as u64);
     }
 }
 

@@ -109,7 +109,7 @@ fn unknown_keys_fail_helpfully_everywhere() {
 #[test]
 fn custom_analyses_flow_through_the_engine() {
     use hetrta_api::{Analysis, AnalysisContext, ApiError};
-    use hetrta_engine::{CellKind, Engine, GeneratorPreset, SweepSpec};
+    use hetrta_engine::{CellStat, Engine, GeneratorPreset, SweepSpec};
     use std::sync::Arc;
 
     /// Reports the critical-path length as a `hom`-tagged scalar.
@@ -141,8 +141,9 @@ fn custom_analyses_flow_through_the_engine() {
     let spec = SweepSpec::fractions(GeneratorPreset::Small, vec![2], vec![0.2], 4, 3)
         .with_analyses(AnalysisSelection::from_keys(["len"]));
     let out = engine.run(&spec).expect("custom analysis runs");
-    let CellKind::Task(t) = &out.aggregate.cells[0].kind else {
-        panic!("task cell")
-    };
-    assert!(t.mean_r_hom > 0.0, "custom scalar reduced into the cell");
+    let mean_r_hom = out.aggregate.cells[0].real(CellStat::MeanRHom);
+    assert!(
+        mean_r_hom.expect("task cell") > 0.0,
+        "custom scalar reduced into the cell"
+    );
 }

@@ -116,12 +116,10 @@ fn partial_aggregates_converge_to_the_final_aggregate() {
     // the final job's cell — and a partial over *all* results would be
     // the final. Check the last reconstructed partial's fully-populated
     // cells match. Partials stream delta-encoded; `AggregateView`
-    // reassembles them (keyframe cadence 4 exercises both variants).
+    // reassembles them (the keyframe cadence of 16 exercises both
+    // variants).
     let engine = Engine::new(1);
-    let config = SessionConfig {
-        keyframe_every: 4,
-        ..SessionConfig::with_partials(1)
-    };
+    let config = SessionConfig::with_partials(1);
     let handle = engine.submit_with(&spec(), config).expect("submit");
     let mut view = hetrta_engine::AggregateView::new();
     let mut keyframes = 0usize;
@@ -137,10 +135,10 @@ fn partial_aggregates_converge_to_the_final_aggregate() {
         }
     }
     let out = handle.wait().expect("run");
-    // 23 partials at cadence 4: keyframes at 0, 4, 8, ... — deltas carry
-    // the rest, and deltas must actually dominate the stream.
+    // 23 partials at cadence 16: keyframes at 0 and 16 — deltas carry
+    // the other 21, and deltas must actually dominate the stream.
     assert!(keyframes >= 1, "first partial must be a keyframe");
-    assert!(deltas > keyframes, "deltas should dominate at cadence 4");
+    assert!(deltas > keyframes, "deltas should dominate at cadence 16");
     let last = last_partial.expect("partials were emitted");
     assert_eq!(last.cells.len(), out.aggregate.cells.len());
     // All cells except the final one are complete in the last partial.
@@ -160,10 +158,7 @@ fn delta_encoded_partials_carry_fewer_cells_than_keyframes() {
     // cells of the jobs that completed in between change, so deltas must
     // be strictly smaller than the 4-cell keyframes on this sweep.
     let engine = Engine::new(1);
-    let config = SessionConfig {
-        keyframe_every: 8,
-        ..SessionConfig::with_partials(1)
-    };
+    let config = SessionConfig::with_partials(1);
     let handle = engine.submit_with(&spec(), config).expect("submit");
     let mut keyframe_cells = Vec::new();
     let mut delta_cells = Vec::new();
@@ -369,7 +364,6 @@ fn slow_consumers_see_their_drop_count_rise() {
     let config = SessionConfig {
         job_events: true,
         partial_every: Some(1),
-        keyframe_every: 1,
         max_buffered_events: 4,
         journal: None,
     };
@@ -411,7 +405,6 @@ fn hundred_thousand_job_sweep_keeps_the_event_buffer_bounded() {
     let config = SessionConfig {
         job_events: true,
         partial_every: Some(1),
-        keyframe_every: 16,
         max_buffered_events: 512,
         journal: None,
     };

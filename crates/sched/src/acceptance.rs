@@ -49,7 +49,7 @@ impl TestKind {
 
     /// Short column label.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub const fn label(self) -> &'static str {
         match self {
             TestKind::GfpHomogeneous => "GFP-hom",
             TestKind::GfpHeterogeneous => "GFP-het",

@@ -7,7 +7,9 @@ use std::io::Cursor;
 use std::sync::OnceLock;
 use std::time::Duration;
 
+use hetrta_cond::CondGenParams;
 use hetrta_engine::{Engine, GeneratorPreset, SweepEvent, SweepSpec};
+use hetrta_sched::taskset::TaskSetParams;
 use hetrta_serve::{Reply, Request};
 use proptest::prelude::*;
 
@@ -16,14 +18,23 @@ fn tiny_spec() -> SweepSpec {
 }
 
 /// Every protocol message once, encoded to its frame bytes. The `Done`
-/// reply carries a real aggregate (computed once — the expensive one).
+/// replies carry real aggregates of every cell shape — task, acceptance
+/// and conditional (computed once — the expensive part).
 fn sample_frames() -> &'static Vec<Vec<u8>> {
     static FRAMES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
     FRAMES.get_or_init(|| {
-        let aggregate = Engine::new(1)
-            .run(&tiny_spec())
-            .expect("tiny sweep")
-            .aggregate;
+        let shapes = [
+            tiny_spec(),
+            SweepSpec::acceptance(TaskSetParams::small(2, 1.0), vec![2], vec![0.5], 2, 2, 3),
+            SweepSpec::conditional(CondGenParams::small(), vec![2], vec![0.3], 2, 64),
+        ];
+        let engine = Engine::new(1);
+        let done = shapes.iter().map(|spec| Reply::Done {
+            completed: spec.job_count(),
+            cancelled: false,
+            events_dropped: 0,
+            aggregate: engine.run(spec).expect("tiny sweep").aggregate,
+        });
         let requests = [
             Request::Submit {
                 tenant: "prop".into(),
@@ -45,12 +56,6 @@ fn sample_frames() -> &'static Vec<Vec<u8>> {
                 cache_hit: true,
                 wall_time: Duration::from_micros(417),
             }),
-            Reply::Done {
-                completed: 1,
-                cancelled: false,
-                events_dropped: 0,
-                aggregate,
-            },
             Reply::Error {
                 message: "sweep failed: demo".into(),
             },
@@ -65,7 +70,7 @@ fn sample_frames() -> &'static Vec<Vec<u8>> {
             request.write_to(&mut buf).expect("encode request");
             frames.push(buf);
         }
-        for reply in &replies {
+        for reply in replies.iter().chain(&done.collect::<Vec<_>>()) {
             let mut buf = Vec::new();
             reply.write_to(&mut buf).expect("encode reply");
             frames.push(buf);
